@@ -36,6 +36,7 @@ from .security_analysis import (
     MeasurementStrategy,
     MutualInfoEstimate,
     estimate_mutual_information,
+    shifted_ensemble,
 )
 
 FORWARD_SEARCH_RULES = ("identify-all", "parity-aware")
@@ -316,27 +317,6 @@ class CpaReport:
         }
 
 
-def _uniform_shifted_density(n: int, flag_probability: float) -> np.ndarray:
-    """Average qubit state: uniform index, rotated by pi with the given
-    probability.  Enumerated directly rather than simplified."""
-    period = 1 << n
-    half = np.pi * np.arange(period, dtype=np.float64) / period
-    shifted = np.pi * ((np.arange(period) + (period >> 1)) % period) / period
-    rho = np.zeros((2, 2), dtype=np.complex128)
-    for weight, angles in (
-        (1.0 - flag_probability, half),
-        (flag_probability, shifted),
-    ):
-        if weight == 0.0:
-            continue
-        c, s = np.cos(angles), np.sin(angles)
-        rho[0, 0] += weight * np.mean(c * c)
-        rho[0, 1] += weight * np.mean(c * s)
-        rho[1, 1] += weight * np.mean(s * s)
-    rho[1, 0] = rho[0, 1]
-    return rho
-
-
 def _message_density(n: int, message: Sequence[int], alpha: int) -> DensityMatrix:
     """Ciphertext density for a fixed message, averaged over key and mask.
 
@@ -352,7 +332,7 @@ def _message_density(n: int, message: Sequence[int], alpha: int) -> DensityMatri
                 p_flag = float(bit)
             else:
                 p_flag = 0.5
-            out = np.kron(out, _uniform_shifted_density(n, p_flag))
+            out = np.kron(out, shifted_ensemble(n, p_flag))
     return DensityMatrix(out)
 
 
@@ -460,11 +440,7 @@ def chosen_ciphertext_session(
         digest = hashlib.sha256(label.encode()).hexdigest()[:16]
         try:
             result = decrypt(oracle, cipher, rng)
-        except OracleDeactivatedError as exc:
-            transcript.append(
-                OracleSubmission(label, digest, False, None, str(exc))
-            )
-        except ValueError as exc:
+        except (OracleDeactivatedError, ValueError) as exc:
             transcript.append(
                 OracleSubmission(label, digest, False, None, str(exc))
             )

@@ -36,6 +36,7 @@ from .attacks import (
     run_forward_search,
 )
 from .protocol import (
+    DEFAULT_COPY_CAP,
     CopyCapExceededError,
     DecryptionOracle,
     KeyRegistry,
@@ -227,8 +228,6 @@ def cmd_keygen(args) -> int:
     seed, seed_source = _resolve_seed(args.seed)
     rng = rng_stream(seed, "keygen")
     key, public = keygen(precision, args.N, permute=args.permute, rng=rng)
-    registry = KeyRegistry()
-    registry.add(key)
 
     save_private_key(key, args.out)
     params = {
@@ -241,7 +240,7 @@ def cmd_keygen(args) -> int:
     _write_manifest(args.out + ".manifest.json", manifest, [args.out])
     print(f"key_id={public.key_id}")
     print(f"fingerprint={key_fingerprint(key)}")
-    print(f"n={key.n} N={args.N} copy_cap={registry.copy_cap(public.key_id)}")
+    print(f"n={key.n} N={args.N} copy_cap={DEFAULT_COPY_CAP}")
     print(f"seed={seed} ({seed_source}) run_id={manifest.run_id}")
     print(f"wrote {args.out}")
     return 0
@@ -297,29 +296,24 @@ _ATTACK_FIELDS = [
 ]
 
 
+def _forward_search_rows(reports: dict, rule: str, seed: int, run_id: str) -> list[dict]:
+    """Columns shared by every forward-search row, one row per selected rule;
+    callers add their own columns."""
+    return [
+        {"alpha": r.alpha, "rule": r.rule, "trials": r.trials, "success_rate": r.success_rate,
+         "stderr": r.stderr, "theory": r.predicted_rate, "seed": seed, "run_id": run_id}
+        for r in reports.values()
+        if rule in ("both", r.rule)
+    ]
+
+
 def _forward_search_records(args, seed: int, run_id: str) -> list[dict]:
     rng = rng_stream(seed, "attack", "forward-search")
     reports = run_forward_search(args.alpha, args.trials, rng, precision=args.n)
-    rules = list(reports) if args.rule == "both" else [args.rule]
-    records = []
-    for rule in rules:
-        report = reports[rule]
-        records.append(
-            {
-                "attack": "forward-search",
-                "alpha": report.alpha,
-                "n": args.n,
-                "N": report.alpha,
-                "rule": rule,
-                "trials": report.trials,
-                "success_rate": report.success_rate,
-                "stderr": report.stderr,
-                "theory": report.predicted_rate,
-                "seed": seed,
-                "run_id": run_id,
-            }
-        )
-    return records
+    rows = _forward_search_rows(reports, args.rule, seed, run_id)
+    for row in rows:
+        row.update(attack="forward-search", n=args.n, N=args.alpha)
+    return rows
 
 
 def _cpa_records(args, seed: int, run_id: str) -> list[dict]:
@@ -529,23 +523,9 @@ def cmd_sweep(args) -> int:
         for alpha in cells:
             rng = rng_stream(seed, "sweep", "forward-search", alpha)
             reports = run_forward_search(alpha, args.trials, rng)
-            rules = list(reports) if args.rule == "both" else [args.rule]
-            for rule in rules:
-                report = reports[rule]
-                rows.append(
-                    {
-                        "experiment": "forward-search",
-                        "alpha": alpha,
-                        "rule": rule,
-                        "trials": report.trials,
-                        "success_rate": report.success_rate,
-                        "stderr": report.stderr,
-                        "theory": report.predicted_rate,
-                        "deviation": report.deviation,
-                        "seed": seed,
-                        "run_id": manifest.run_id,
-                    }
-                )
+            for row in _forward_search_rows(reports, args.rule, seed, manifest.run_id):
+                row.update(experiment="forward-search", deviation=reports[row["rule"]].deviation)
+                rows.append(row)
     else:
         fields = [
             "experiment",
@@ -681,10 +661,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MessageTooLongError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (CopyCapExceededError, OracleDeactivatedError) as exc:
+    except (MessageTooLongError, CopyCapExceededError, OracleDeactivatedError) as exc:
+        # before ValueError: MessageTooLongError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import threading
 import warnings
 from dataclasses import dataclass
@@ -28,8 +29,10 @@ from .quantum_core import (
     AngleIndex,
     MAX_PRECISION_BITS,
     PureState,
-    rotation_matrix,
+    measure_axis,
+    rotate_axis,
     sample_outcome,
+    swap_project,
 )
 
 DEFAULT_PRECISION_RANGE = (32, 62)
@@ -115,15 +118,26 @@ def private_key_to_json(key: PrivateKey) -> dict:
     return payload
 
 
+_DECIMAL_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
+
 def private_key_from_json(payload: dict) -> PrivateKey:
+    """Inverse of private_key_to_json; rejects any field of the wrong type."""
+    if not isinstance(payload, dict):
+        raise TypeError("key file must hold a JSON object")
     if payload.get("version") != KEY_FILE_VERSION:
         raise ValueError(f"unsupported key file version {payload.get('version')!r}")
-    perm = payload.get("perm")
-    return PrivateKey(
-        n=int(payload["n"]),
-        s=tuple(int(v) for v in payload["s"]),
-        perm=None if perm is None else tuple(int(v) for v in perm),
-    )
+    n, s, perm = payload.get("n"), payload.get("s"), payload.get("perm")
+    if type(n) is not int:
+        raise TypeError(f"key file field 'n' must be an integer, got {n!r}")
+    if not isinstance(s, list) or not set(map(type, s)) <= {int, str}:
+        raise TypeError("key file field 's' must be a list of integers or decimal strings")
+    strings = [v for v in s if type(v) is str]
+    if strings and not _DECIMAL_LIST.fullmatch(",".join(strings)):
+        raise ValueError("key file field 's' holds a string that is not a decimal integer")
+    if "perm" in payload and not (isinstance(perm, list) and set(map(type, perm)) <= {int}):
+        raise TypeError("key file field 'perm' must be a list of integers")
+    return PrivateKey(n=n, s=tuple(map(int, s)), perm=None if perm is None else tuple(perm))
 
 
 def save_private_key(key: PrivateKey, path: str | Path) -> None:
@@ -166,9 +180,11 @@ def key_fingerprint(key: PrivateKey) -> str:
 #
 # Each register qubit is either an exact rotation index (the protocol path)
 # or a member of an amplitude group: a shared, possibly entangled state over
-# every qubit that float operations have coupled together.  Groups may span
-# registers, which is how symmetry tests entangle a ciphertext qubit with an
-# adversary's public-key copy.
+# every qubit that float operations have coupled together, stored as an
+# amplitude tensor with one axis per member slot.  Groups may span registers,
+# which is how symmetry tests entangle a ciphertext qubit with an
+# adversary's public-key copy.  The amplitude math is quantum_core's kernel;
+# the helpers here only merge groups and keep slot axes in step.
 
 
 class _Slot:
@@ -193,7 +209,7 @@ def _make_singleton(slot: _Slot, amps: np.ndarray) -> None:
 
 
 def _merge_groups(target: _Group, other: _Group) -> None:
-    target.amps = np.multiply.outer(target.amps, other.amps).reshape(-1)
+    target.amps = np.multiply.outer(target.amps, other.amps)
     base = len(target.slots)
     for slot in other.slots:
         slot.group = target
@@ -201,21 +217,14 @@ def _merge_groups(target: _Group, other: _Group) -> None:
     target.slots.extend(other.slots)
 
 
-def _apply_slot_unitary(slot: _Slot, matrix: np.ndarray) -> None:
-    group = slot.group
-    arr = group.amps.reshape((2,) * len(group.slots))
-    rotated = np.tensordot(matrix, arr, axes=([1], [slot.axis]))
-    group.amps = np.moveaxis(rotated, 0, slot.axis).reshape(-1)
+def _rotate_slot(slot: _Slot, theta: float) -> None:
+    slot.group.amps = rotate_axis(slot.group.amps, slot.axis, theta)
 
 
 def _measure_slot_z(slot: _Slot, rng: np.random.Generator) -> int:
     group = slot.group
-    arr = group.amps.reshape((2,) * len(group.slots))
-    moved = np.moveaxis(arr, slot.axis, 0)
-    weights = [float(np.sum(np.abs(moved[b]) ** 2)) for b in (0, 1)]
-    outcome = sample_outcome(weights, rng)
-    remainder = moved[outcome] / math.sqrt(weights[outcome])
     axis = slot.axis
+    outcome, _, remainder = measure_axis(group.amps, axis, rng)
     group.slots.pop(axis)
     for survivor in group.slots[axis:]:
         survivor.axis -= 1
@@ -223,7 +232,7 @@ def _measure_slot_z(slot: _Slot, rng: np.random.Generator) -> int:
     basis[outcome] = 1.0
     _make_singleton(slot, basis)
     if group.slots:
-        group.amps = remainder.reshape(-1)
+        group.amps = remainder
     return outcome
 
 
@@ -233,16 +242,15 @@ def _swap_project(slot_a: _Slot, slot_b: _Slot, rng: np.random.Generator) -> boo
     if slot_a.group is not slot_b.group:
         _merge_groups(slot_a.group, slot_b.group)
     group = slot_a.group
-    arr = group.amps.reshape((2,) * len(group.slots))
-    swapped = np.swapaxes(arr, slot_a.axis, slot_b.axis)
-    symmetric = 0.5 * (arr + swapped)
-    antisymmetric = 0.5 * (arr - swapped)
-    p_pass = float(np.sum(symmetric.real**2 + symmetric.imag**2))
-    p_fail = max(1.0 - p_pass, 0.0)
-    label = sample_outcome([p_pass, p_fail], rng)
-    branch, p = (symmetric, p_pass) if label == 0 else (antisymmetric, p_fail)
-    group.amps = (branch / math.sqrt(p)).reshape(-1)
-    return label == 0
+    passed, _, group.amps = swap_project(group.amps, slot_a.axis, slot_b.axis, rng)
+    return passed
+
+
+def _outcome1_probability(indices: np.ndarray, period: int) -> np.ndarray:
+    """Outcome-1 probability of exact qubits; indices 0 and period/2 are the
+    z basis states and get 0 and 1 exactly."""
+    p1 = np.square(np.sin(np.pi * (indices.astype(np.float64) / period)))
+    return np.where(indices == 0, 0.0, np.where(indices == period >> 1, 1.0, p1))
 
 
 class QuantumRegister:
@@ -287,7 +295,7 @@ class QuantumRegister:
         reg = cls._blank()
         reg._exact = np.zeros(k, dtype=bool)
         slots = [_Slot() for _ in range(k)]
-        group = _Group(slots, np.array(state.amplitudes, dtype=np.complex128))
+        group = _Group(slots, np.array(state.amplitudes, dtype=np.complex128).reshape((2,) * k))
         for axis, slot in enumerate(slots):
             slot.group = group
             slot.axis = axis
@@ -355,7 +363,7 @@ class QuantumRegister:
                 period = 1 << self._n
                 self._indices[qubit] = (int(self._indices[qubit]) + nearest) % period
                 return
-        _apply_slot_unitary(self._promote(qubit), rotation_matrix(theta))
+        _rotate_slot(self._promote(qubit), theta)
 
     def apply_bit_rotations(self, flags: Sequence[int]) -> None:
         """Apply R(flag * pi) across the leading qubits in one pass."""
@@ -373,22 +381,14 @@ class QuantumRegister:
             self._indices[:length] = np.where(zone, shifted, self._indices[:length])
         for pos in range(length):
             if flag_arr[pos] and pos in self._slots:
-                _apply_slot_unitary(self._slots[pos], rotation_matrix(math.pi))
-
-    @staticmethod
-    def _exact_p1(index: int, period: int) -> float:
-        if index == 0:
-            return 0.0
-        if index == period >> 1:
-            return 1.0
-        return math.sin(math.pi * (index / period)) ** 2
+                _rotate_slot(self._slots[pos], math.pi)
 
     def measure_z(self, qubit: int, rng: np.random.Generator) -> int:
         """Projective z measurement of one qubit; returns 0 or 1."""
         self._check_qubit(qubit)
         if self._indices is not None and self._exact[qubit]:
             period = 1 << self._n
-            p1 = self._exact_p1(int(self._indices[qubit]), period)
+            p1 = float(_outcome1_probability(self._indices[qubit : qubit + 1], period)[0])
             outcome = sample_outcome([1.0 - p1, p1], rng)
             self._indices[qubit] = outcome * (period >> 1)
             return outcome
@@ -406,10 +406,7 @@ class QuantumRegister:
         outcomes = np.zeros(count, dtype=np.int64)
         if self._indices is not None:
             period = 1 << self._n
-            idx = self._indices
-            half = np.pi * (idx.astype(np.float64) / period)
-            p1 = np.square(np.sin(half))
-            p1 = np.where(idx == 0, 0.0, np.where(idx == period >> 1, 1.0, p1))
+            p1 = _outcome1_probability(self._indices, period)
             u = rng.random(count)
             sampled = np.where(
                 p1 <= 0.0, 0, np.where(p1 >= 1.0, 1, (u > 1.0 - p1).astype(np.int64))
@@ -437,8 +434,7 @@ class QuantumRegister:
             shifted = (self._indices + scaled) % period
             self._indices = np.where(self._exact, shifted, self._indices)
         for pos, slot in self._slots.items():
-            angle = math.pi * (int(steps[pos]) / (1 << (step_precision - 1)))
-            _apply_slot_unitary(slot, rotation_matrix(angle))
+            _rotate_slot(slot, math.pi * (int(steps[pos]) / (1 << (step_precision - 1))))
 
     def partition(self, first_count: int) -> tuple["QuantumRegister", "QuantumRegister"]:
         """Split into two registers over the same qubits; retires the original.
@@ -583,21 +579,25 @@ def swap_test_registers(
     return _swap_project(reg_a._promote(pos_a), reg_b._promote(pos_b), rng)
 
 
+def _parity_masks(bits: np.ndarray, alpha: int, rng: np.random.Generator | None) -> np.ndarray:
+    """Flat flag vector: per message bit, alpha-1 uniform bits then the bit
+    that makes the block parity equal the message bit."""
+    if alpha == 1:
+        return bits
+    head = rng.integers(0, 2, size=(bits.size, alpha - 1), dtype=np.int64)
+    last = np.bitwise_xor.reduce(head, axis=1) ^ bits
+    return np.concatenate([head, last[:, np.newaxis]], axis=1).reshape(-1)
+
+
 def encode_redundant(bit: int, alpha: int, rng: np.random.Generator | None) -> tuple[int, ...]:
     """Uniform alpha-bit mask whose parity equals the message bit."""
     if bit not in (0, 1):
         raise ValueError("message bit must be 0 or 1")
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    if alpha == 1:
-        return (bit,)
-    if rng is None:
+    if alpha > 1 and rng is None:
         raise ValueError("redundant encoding with alpha > 1 needs an rng")
-    head = [int(v) for v in rng.integers(0, 2, size=alpha - 1)]
-    parity = 0
-    for v in head:
-        parity ^= v
-    return tuple(head) + (bit ^ parity,)
+    return tuple(_parity_masks(np.array([bit], dtype=np.int64), alpha, rng).tolist())
 
 
 def apply_encryption_flags(pk: PublicKey, flags: Sequence[int], alpha: int = 1) -> CipherState:
@@ -647,14 +647,7 @@ def encrypt(
         )
     if alpha > 1 and rng is None:
         raise ValueError("encryption with alpha > 1 needs an rng for the parity masks")
-    if alpha == 1:
-        flags = np.fromiter(bits, dtype=np.int64, count=len(bits))
-    else:
-        head = rng.integers(0, 2, size=(len(bits), alpha - 1), dtype=np.int64)
-        last = np.bitwise_xor.reduce(head, axis=1) ^ np.fromiter(
-            bits, dtype=np.int64, count=len(bits)
-        )
-        flags = np.concatenate([head, last[:, np.newaxis]], axis=1).reshape(-1)
+    flags = _parity_masks(np.fromiter(bits, dtype=np.int64, count=len(bits)), alpha, rng)
     return apply_encryption_flags(pk, flags, alpha)
 
 

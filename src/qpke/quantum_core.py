@@ -8,6 +8,10 @@ angle far below double precision once n is large, protocol-path states are
 tracked as exact integer indices (:class:`AngleIndex`) and only converted
 to floating-point amplitudes at measurement or analysis boundaries.
 
+Amplitude math lives in one kernel of array functions (rotate_axis,
+measure_axis, swap_project) over tensors of shape (2,)*k, one axis per qubit;
+register amplitude groups and the PureState helpers here both run on it.
+
 Amplitude-index convention: qubit 0 is the leftmost tensor factor, i.e. the
 most significant bit of the amplitude index.
 """
@@ -204,15 +208,22 @@ def prepare_state(index: AngleIndex) -> PureState:
     return PureState(np.array([math.cos(half), math.sin(half)], dtype=np.complex128))
 
 
-def apply_rotation(state: PureState, qubit: int, theta: float) -> PureState:
-    """Apply R(theta) to one qubit of a multi-qubit pure state."""
+def rotate_axis(arr: np.ndarray, axis: int, theta: float) -> np.ndarray:
+    """Kernel: apply R(theta) to the qubit on one axis of an amplitude tensor."""
+    rotated = np.tensordot(rotation_matrix(theta), arr, axes=([1], [axis]))
+    return np.moveaxis(rotated, 0, axis)
+
+
+def _qubit_tensor(state: PureState, qubit: int) -> np.ndarray:
     k = state.num_qubits
     if not 0 <= qubit < k:
         raise ValueError(f"qubit {qubit} out of range for {k}-qubit state")
-    arr = state.amplitudes.reshape((2,) * k)
-    rotated = np.tensordot(rotation_matrix(theta), arr, axes=([1], [qubit]))
-    rotated = np.moveaxis(rotated, 0, qubit)
-    return PureState(rotated.reshape(-1))
+    return state.amplitudes.reshape((2,) * k)
+
+
+def apply_rotation(state: PureState, qubit: int, theta: float) -> PureState:
+    """Apply R(theta) to one qubit of a multi-qubit pure state."""
+    return PureState(rotate_axis(_qubit_tensor(state, qubit), qubit, theta).reshape(-1))
 
 
 def overlap(a: AngleIndex, b: AngleIndex) -> float:
@@ -252,22 +263,28 @@ def sample_outcome(probabilities: Sequence[float], rng: np.random.Generator) -> 
     return last
 
 
+def measure_axis(
+    arr: np.ndarray, axis: int, rng: np.random.Generator
+) -> tuple[int, float, np.ndarray]:
+    """Kernel: z-measure the qubit on one axis; returns the outcome, its Born
+    probability, and the normalized state of the remaining axes."""
+    moved = np.moveaxis(arr, axis, 0)
+    weights = [float(np.sum(np.abs(moved[b]) ** 2)) for b in (0, 1)]
+    outcome = sample_outcome(weights, rng)
+    return outcome, weights[outcome], moved[outcome] / math.sqrt(weights[outcome])
+
+
 def measure_z(state: PureState, qubit: int, rng: np.random.Generator) -> MeasurementOutcome:
     """Projective z-basis measurement of one qubit.
 
     Returns the sampled outcome, the renormalized post-measurement state,
     and the Born probability of the realized outcome.
     """
-    k = state.num_qubits
-    if not 0 <= qubit < k:
-        raise ValueError(f"qubit {qubit} out of range for {k}-qubit state")
-    moved = np.moveaxis(state.amplitudes.reshape((2,) * k), qubit, 0)
-    weights = [float(np.sum(np.abs(moved[b]) ** 2)) for b in (0, 1)]
-    outcome = sample_outcome(weights, rng)
-    post = np.zeros_like(moved)
-    post[outcome] = moved[outcome] / math.sqrt(weights[outcome])
-    post = np.moveaxis(post, 0, qubit).reshape(-1)
-    return MeasurementOutcome(outcome=outcome, post_state=PureState(post), probability=weights[outcome])
+    outcome, probability, remainder = measure_axis(_qubit_tensor(state, qubit), qubit, rng)
+    branches = [np.zeros_like(remainder), np.zeros_like(remainder)]
+    branches[outcome] = remainder
+    post = PureState(np.stack(branches, axis=qubit).reshape(-1))
+    return MeasurementOutcome(outcome=outcome, post_state=post, probability=probability)
 
 
 def measure_in_rotated_basis(
@@ -334,30 +351,33 @@ def partial_trace(rho: DensityMatrix, keep: int, num_qubits: int) -> DensityMatr
 
 # --- symmetry (SWAP) test ---
 
-_SWAP_PERMUTATION = np.array([0, 2, 1, 3])
+
+def swap_project(
+    arr: np.ndarray, axis_a: int, axis_b: int, rng: np.random.Generator
+) -> tuple[bool, float, np.ndarray]:
+    """Kernel: symmetry test of the qubits on two axes; returns whether it
+    passed, the pass probability, and the normalized projection.  Each branch
+    is weighted by its own norm, so a zero-weight branch is never sampled."""
+    swapped = np.swapaxes(arr, axis_a, axis_b)
+    symmetric = 0.5 * (arr + swapped)
+    antisymmetric = 0.5 * (arr - swapped)
+    p_pass = float(np.vdot(symmetric, symmetric).real)
+    p_fail = float(np.vdot(antisymmetric, antisymmetric).real)
+    if sample_outcome([p_pass, p_fail], rng) == 0:
+        return True, p_pass, symmetric / math.sqrt(p_pass)
+    return False, p_pass, antisymmetric / math.sqrt(p_fail)
 
 
 def swap_test_joint(joint: PureState, rng: np.random.Generator) -> SwapTestResult:
     """Run the symmetry test on an existing (possibly entangled) qubit pair.
 
     Projects onto the symmetric subspace on "pass" and the antisymmetric
-    subspace on "fail"; the realized branch always has positive
-    probability, so the projection never has zero norm.
+    subspace on "fail"; see swap_project.
     """
     if joint.num_qubits != 2:
         raise ValueError("swap test operates on a two-qubit joint state")
-    arr = joint.amplitudes
-    swapped = arr[_SWAP_PERMUTATION]
-    symmetric = 0.5 * (arr + swapped)
-    antisymmetric = 0.5 * (arr - swapped)
-    p_pass = float(np.vdot(symmetric, symmetric).real)
-    p_fail = float(np.vdot(antisymmetric, antisymmetric).real)
-    label = sample_outcome([p_pass, p_fail], rng)
-    if label == 0:
-        post = PureState(symmetric / math.sqrt(p_pass))
-        return SwapTestResult(outcome="pass", post_joint=post, pass_probability=p_pass)
-    post = PureState(antisymmetric / math.sqrt(p_fail))
-    return SwapTestResult(outcome="fail", post_joint=post, pass_probability=p_pass)
+    passed, p_pass, post = swap_project(joint.amplitudes.reshape(2, 2), 0, 1, rng)
+    return SwapTestResult("pass" if passed else "fail", PureState(post.reshape(-1)), p_pass)
 
 
 def swap_test(a: PureState, b: PureState, rng: np.random.Generator) -> SwapTestResult:

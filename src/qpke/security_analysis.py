@@ -152,6 +152,31 @@ def secrecy_condition(
     )
 
 
+def shifted_ensemble(n: int, flag_probability: float = 0.0) -> np.ndarray:
+    """Average qubit state, as a 2x2 array, over all 2**n key indices at
+    precision n, each rotated by pi with the given probability.
+
+    Enumerated directly rather than simplified; this is the one enumerator
+    behind ensemble_density and the chosen-plaintext ciphertext densities.
+    """
+    period = 1 << n
+    half = np.pi * np.arange(period, dtype=np.float64) / period
+    shifted = np.pi * ((np.arange(period) + (period >> 1)) % period) / period
+    rho = np.zeros((2, 2), dtype=np.complex128)
+    for weight, angles in (
+        (1.0 - flag_probability, half),
+        (flag_probability, shifted),
+    ):
+        if weight == 0.0:
+            continue
+        c, s = np.cos(angles), np.sin(angles)
+        rho[0, 0] += weight * np.mean(c * c)
+        rho[0, 1] += weight * np.mean(c * s)
+        rho[1, 1] += weight * np.mean(s * s)
+    rho[1, 0] = rho[0, 1]
+    return rho
+
+
 def ensemble_density(n: int) -> DensityMatrix:
     """Average single-qubit state over a uniform key entry at precision n.
 
@@ -166,13 +191,7 @@ def ensemble_density(n: int) -> DensityMatrix:
         raise ValueError("n must be at least 1")
     if n > ENSEMBLE_ENUMERATION_CAP:
         return DensityMatrix(np.eye(2) / 2.0)
-    half = np.pi * np.arange(1 << n, dtype=np.float64) / float(1 << n)
-    c, s = np.cos(half), np.sin(half)
-    rho = np.empty((2, 2), dtype=np.complex128)
-    rho[0, 0] = np.mean(c * c)
-    rho[0, 1] = rho[1, 0] = np.mean(c * s)
-    rho[1, 1] = np.mean(s * s)
-    return DensityMatrix(rho)
+    return DensityMatrix(shifted_ensemble(n))
 
 
 def ensemble_density_method(n: int) -> str:

@@ -189,6 +189,37 @@ class TestRoundtripCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"version": 1, "s": ["1", "2"]},
+            [1, 2],
+            {"version": 1, "n": 8, "s": "12"},
+            {"version": 1, "n": 8.5, "s": ["1", "2"]},
+            {"version": 1, "n": True, "s": ["1"]},
+            {"version": 1, "n": "8", "s": ["1"]},
+            {"version": 1, "n": 8},
+            {"version": 1, "n": 8, "s": [1.5, 2]},
+            {"version": 1, "n": 8, "s": [" 7", "2"]},
+            {"version": 1, "n": 8, "s": ["+5", "1_0"]},
+            {"version": 1, "n": 8, "s": [True, 2]},
+            {"version": 1, "n": 8, "s": ["1", "2"], "perm": "10"},
+            {"version": 1, "n": 8, "s": ["1", "2"], "perm": [1.0, 0]},
+            {"version": 1, "n": 8, "s": ["1", "2"], "perm": None},
+            "key",
+        ],
+    )
+    def test_malformed_key_file_is_usage_error(self, payload, tmp_path, capsys):
+        key_path = tmp_path / "bad.json"
+        key_path.write_text(json.dumps(payload))
+        code, _, stderr = run_cli(
+            ["roundtrip", "--key", str(key_path), "--message", "01", "--seed", "2"],
+            capsys,
+        )
+        assert code == 2
+        assert "error:" in stderr
+        assert "Traceback" not in stderr
+
 
 class TestAttackCommand:
     """Attack experiments through the CLI."""

@@ -297,6 +297,20 @@ class TestRegisterOperations:
             )
         assert abs(passes / trials - 0.5) <= 3 * math.sqrt(0.25 / trials)
 
+    def test_identical_copies_pass_on_the_largest_draw(self):
+        # p_pass of identical copies can round to 1 - 4.4e-16; the largest
+        # draw must still not select the empty antisymmetric branch
+        class TopDraw:
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        for s in range(256):
+            key = PrivateKey(n=8, s=(s,))
+            a, b = prepare_register(key), prepare_register(key)
+            assert swap_test_registers(a, 0, b, 0, TopDraw()), s
+            amps = a._slots[0].group.amps
+            assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12), s
+
     def test_self_swap_rejected(self):
         register = QuantumRegister.of_computational([0])
         with pytest.raises(ValueError, match="itself"):
