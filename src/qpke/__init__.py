@@ -8,6 +8,8 @@ adversary harness (`attacks`), and labeled deterministic random streams
 (`seeding`).  The `qpke` console script lives in `qpke.cli`.
 """
 
+from types import ModuleType as _ModuleType
+
 from .attacks import (
     CcaSessionResult,
     CpaReport,
@@ -90,77 +92,8 @@ from .seeding import rng_stream, seed_sequence
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccessDeniedError",
-    "AngleIndex",
-    "CcaSessionResult",
-    "CipherState",
-    "CopyCapExceededError",
-    "CpaReport",
-    "DecryptionOracle",
-    "DensityMatrix",
-    "ForwardSearchReport",
-    "KeyParams",
-    "KeyRecoveryReport",
-    "KeyRegistry",
-    "LowPrecisionWarning",
-    "MAX_PRECISION_BITS",
-    "MeasurementOutcome",
-    "MeasurementStrategy",
-    "MessageTooLongError",
-    "MutualInfoEstimate",
-    "OracleDeactivatedError",
-    "OracleSubmission",
-    "PrecisionMismatchError",
-    "PrivateKey",
-    "PublicKey",
-    "PublicKeyDensity",
-    "PureState",
-    "QuantumRegister",
-    "ScenarioStats",
-    "SecrecyReport",
-    "SingleUseCheckResult",
-    "SwapTestResult",
-    "TamperedRegisterError",
-    "apply_rotation",
-    "chosen_ciphertext_session",
-    "chosen_plaintext_distinguishability",
-    "decrypt",
-    "density_from_ensemble",
-    "describe_register",
-    "encode_redundant",
-    "encrypt",
-    "ensemble_density",
-    "enumerate_forward_search_success",
-    "estimate_mutual_information",
-    "forward_search_trial",
-    "holevo_cap",
-    "identify_rotations",
-    "index_add",
-    "key_fingerprint",
-    "key_id_of",
-    "key_recovery_baseline",
-    "keygen",
-    "load_private_key",
-    "measure_in_rotated_basis",
-    "measure_z",
-    "overlap",
-    "parity_from_fails",
-    "partial_trace",
-    "permuted_key_entropy",
-    "prepare_register",
-    "prepare_state",
-    "private_key_entropy",
-    "public_key_density_description",
-    "rng_stream",
-    "run_forward_search",
-    "save_private_key",
-    "secrecy_condition",
-    "seed_sequence",
-    "single_use_constraint_check",
-    "swap_test",
-    "swap_test_joint",
-    "swap_test_registers",
-    "trace_distance",
-    "von_neumann_entropy",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -113,11 +113,22 @@ class ForwardSearchReport:
         }
 
 
+def _closed_form_success(alpha: int, rule: str) -> Fraction:
+    """Closed-form success probability of a decision rule (Nikolopoulos &
+    Ioannou 2009).  identify-all needs every rotated qubit to fail,
+    (3/4)**alpha; parity-aware is always right when no qubit was rotated and
+    right half the time otherwise, 1/2 + 2**-(alpha+1).  Tests check both
+    against enumerate_forward_search_success."""
+    if rule == "identify-all":
+        return Fraction(3, 4) ** alpha
+    return Fraction(1, 2) + Fraction(1, 2 ** (alpha + 1))
+
+
 def _forward_report(
     rule: str, alpha: int, trials: int, successes: int
 ) -> ForwardSearchReport:
     rate = successes / trials
-    predicted = float(enumerate_forward_search_success(alpha, rule))
+    predicted = float(_closed_form_success(alpha, rule))
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / trials)
     return ForwardSearchReport(
         rule=rule,

@@ -362,16 +362,7 @@ def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
     summary["run_id"] = run_id
     detail = {
         "session": summary,
-        "transcript": [
-            {
-                "label": entry.label,
-                "label_digest": entry.label_digest,
-                "accepted": entry.accepted,
-                "result": None if entry.result is None else list(entry.result),
-                "error": entry.error,
-            }
-            for entry in session.transcript
-        ],
+        "transcript": [dataclasses.asdict(entry) for entry in session.transcript],
     }
     row = {
         "attack": "cca",

@@ -40,6 +40,9 @@ DEFAULT_KEY_LENGTH = 256
 DEFAULT_COPY_CAP = 16
 RECOMMENDED_MIN_PRECISION = 32
 KEY_FILE_VERSION = 1
+# largest amplitude group a symmetry test may build: 2**20 complex128
+# amplitudes, 16 MB, before the projection's temporary copies
+MAX_GROUP_QUBITS = 20
 
 
 class LowPrecisionWarning(UserWarning):
@@ -178,13 +181,16 @@ def key_fingerprint(key: PrivateKey) -> str:
 
 # --- simulated qubit storage ---
 #
-# Each register qubit is either an exact rotation index (the protocol path)
-# or a member of an amplitude group: a shared, possibly entangled state over
-# every qubit that float operations have coupled together, stored as an
-# amplitude tensor with one axis per member slot.  Groups may span registers,
-# which is how symmetry tests entangle a ciphertext qubit with an
-# adversary's public-key copy.  The amplitude math is quantum_core's kernel;
-# the helpers here only merge groups and keep slot axes in step.
+# Every register qubit has an exact rotation index at the register's
+# precision (the protocol path).  A qubit that a float operation touched
+# also has a slot in an amplitude group: a shared, possibly entangled state
+# over every qubit that float operations have coupled together, stored as an
+# amplitude tensor with one axis per member slot.  A qubit is exact if and
+# only if it has no slot; the index of a slotted qubit is stale and never
+# read.  Groups may span registers, which is how symmetry tests entangle a
+# ciphertext qubit with an adversary's public-key copy.  The amplitude math
+# is quantum_core's kernel; the helpers here only merge groups and keep slot
+# axes in step.
 
 
 class _Slot:
@@ -240,6 +246,12 @@ def _swap_project(slot_a: _Slot, slot_b: _Slot, rng: np.random.Generator) -> boo
     if slot_a is slot_b:
         raise ValueError("cannot run a symmetry test of a qubit against itself")
     if slot_a.group is not slot_b.group:
+        merged = len(slot_a.group.slots) + len(slot_b.group.slots)
+        if merged > MAX_GROUP_QUBITS:
+            raise ValueError(
+                f"symmetry test would entangle {merged} qubits in one group; "
+                f"the cap is MAX_GROUP_QUBITS = {MAX_GROUP_QUBITS}"
+            )
         _merge_groups(slot_a.group, slot_b.group)
     group = slot_a.group
     passed, _, group.amps = swap_project(group.amps, slot_a.axis, slot_b.axis, rng)
@@ -267,33 +279,22 @@ class QuantumRegister:
         )
 
     @classmethod
-    def _blank(cls) -> "QuantumRegister":
-        reg = object.__new__(cls)
-        reg._n = None
-        reg._indices = None
-        reg._exact = None
-        reg._slots = {}
-        reg._owner_tag = None
-        reg._retired = False
-        return reg
-
-    @classmethod
     def _from_indices(
-        cls, indices: np.ndarray, n: int, owner_tag: bytes | None
+        cls, indices: Sequence[int], n: int, owner_tag: bytes | None
     ) -> "QuantumRegister":
-        reg = cls._blank()
+        reg = object.__new__(cls)
         reg._n = n
         reg._indices = np.array(indices, dtype=np.int64)
-        reg._exact = np.ones(reg._indices.size, dtype=bool)
+        reg._slots = {}
         reg._owner_tag = owner_tag
+        reg._retired = False
         return reg
 
     @classmethod
     def from_pure_state(cls, state: PureState) -> "QuantumRegister":
         """Register initialized to an arbitrary (possibly entangled) state."""
         k = state.num_qubits
-        reg = cls._blank()
-        reg._exact = np.zeros(k, dtype=bool)
+        reg = cls._from_indices([0] * k, 1, None)
         slots = [_Slot() for _ in range(k)]
         group = _Group(slots, np.array(state.amplitudes, dtype=np.complex128).reshape((2,) * k))
         for axis, slot in enumerate(slots):
@@ -307,24 +308,17 @@ class QuantumRegister:
         """Register of unentangled z-basis states |b_0>...|b_k-1>."""
         if len(bits) < 1:
             raise ValueError("register needs at least one qubit")
-        reg = cls._blank()
-        reg._exact = np.zeros(len(bits), dtype=bool)
-        for pos, bit in enumerate(bits):
-            if bit not in (0, 1):
-                raise ValueError("computational bits must be 0 or 1")
-            slot = _Slot()
-            amps = np.zeros(2, dtype=np.complex128)
-            amps[bit] = 1.0
-            _make_singleton(slot, amps)
-            reg._slots[pos] = slot
-        return reg
+        if any(bit not in (0, 1) for bit in bits):
+            raise ValueError("computational bits must be 0 or 1")
+        # at n = 1 index 1 is the half period, R(pi)|0> = |1>
+        return cls._from_indices(bits, 1, None)
 
     def __repr__(self) -> str:
         return f"QuantumRegister(qubits={self.qubit_count})"
 
     @property
     def qubit_count(self) -> int:
-        return int(self._exact.size)
+        return self._indices.size
 
     def _check_live(self) -> None:
         if self._retired:
@@ -336,32 +330,35 @@ class QuantumRegister:
             raise ValueError(f"qubit {qubit} out of range for {self.qubit_count} qubits")
 
     def _promote(self, qubit: int) -> _Slot:
-        """Convert an exact qubit to amplitude form (analysis/attack path)."""
+        """Give an exact qubit an amplitude slot (analysis/attack path)."""
         slot = self._slots.get(qubit)
         if slot is None:
             half = math.pi * (int(self._indices[qubit]) / (1 << self._n))
             slot = _Slot()
             _make_singleton(slot, np.array([math.cos(half), math.sin(half)]))
             self._slots[qubit] = slot
-            self._exact[qubit] = False
         return slot
 
     def apply_rotation(self, qubit: int, theta: float) -> None:
         """Rotate one qubit by R(theta).
 
-        Angles that are integer multiples of the register's angular step
-        stay on the exact index path; anything else moves the qubit to
-        floating-point amplitudes.
+        An angle within 1e-9 steps of a multiple of the register's angular
+        step pi / 2**(n-1) keeps an exact qubit on the index path; any other
+        angle moves the qubit to floating-point amplitudes.  The snap is
+        silent: a double holds only whole numbers from 2**52 up, so every
+        finite angle of magnitude pi * 2**(53 - n) or more counts as a whole
+        number of steps and snaps onto the grid: at n = 53 every angle of pi
+        or more, at n = 62 every angle of pi / 2**9 or more.  An angle whose
+        step count overflows a double takes the amplitude path.
         """
         self._check_qubit(qubit)
         if not math.isfinite(theta):
             raise ValueError("rotation angle must be finite")
-        if self._indices is not None and self._exact[qubit]:
+        if qubit not in self._slots:
             ratio = theta / (math.pi * 2.0 ** (1 - self._n))
-            nearest = round(ratio)
-            if abs(ratio - nearest) <= 1e-9:
+            if math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9:
                 period = 1 << self._n
-                self._indices[qubit] = (int(self._indices[qubit]) + nearest) % period
+                self._indices[qubit] = (int(self._indices[qubit]) + round(ratio)) % period
                 return
         _rotate_slot(self._promote(qubit), theta)
 
@@ -373,26 +370,19 @@ class QuantumRegister:
             raise ValueError("flag vector longer than the register")
         if flag_arr.size and not np.all((flag_arr == 0) | (flag_arr == 1)):
             raise ValueError("flags must be 0 or 1")
-        length = flag_arr.size
-        if self._indices is not None:
-            zone = self._exact[:length]
-            period = 1 << self._n
-            shifted = (self._indices[:length] + flag_arr * (period >> 1)) % period
-            self._indices[:length] = np.where(zone, shifted, self._indices[:length])
-        for pos in range(length):
-            if flag_arr[pos] and pos in self._slots:
-                _rotate_slot(self._slots[pos], math.pi)
+        self._apply_index_steps(flag_arr, 1)
 
     def measure_z(self, qubit: int, rng: np.random.Generator) -> int:
         """Projective z measurement of one qubit; returns 0 or 1."""
         self._check_qubit(qubit)
-        if self._indices is not None and self._exact[qubit]:
-            period = 1 << self._n
-            p1 = float(_outcome1_probability(self._indices[qubit : qubit + 1], period)[0])
-            outcome = sample_outcome([1.0 - p1, p1], rng)
-            self._indices[qubit] = outcome * (period >> 1)
-            return outcome
-        return _measure_slot_z(self._slots[qubit], rng)
+        slot = self._slots.get(qubit)
+        if slot is not None:
+            return _measure_slot_z(slot, rng)
+        period = 1 << self._n
+        p1 = float(_outcome1_probability(self._indices[qubit : qubit + 1], period)[0])
+        outcome = sample_outcome([1.0 - p1, p1], rng)
+        self._indices[qubit] = outcome * (period >> 1)
+        return outcome
 
     def measure_in_rotated_basis(self, qubit: int, phi: float, rng: np.random.Generator) -> int:
         """Undo R(phi), then measure in z; returns 0 for the R(phi)|0> ray."""
@@ -402,39 +392,35 @@ class QuantumRegister:
     def _measure_all_z(self, rng: np.random.Generator) -> np.ndarray:
         """Measure every qubit in z; used by the decryption device."""
         self._check_live()
-        count = self.qubit_count
-        outcomes = np.zeros(count, dtype=np.int64)
-        if self._indices is not None:
-            period = 1 << self._n
-            p1 = _outcome1_probability(self._indices, period)
-            u = rng.random(count)
-            sampled = np.where(
-                p1 <= 0.0, 0, np.where(p1 >= 1.0, 1, (u > 1.0 - p1).astype(np.int64))
-            )
-            outcomes = np.where(self._exact, sampled, outcomes)
-            self._indices[self._exact] = outcomes[self._exact] * (period >> 1)
+        period = 1 << self._n
+        p1 = _outcome1_probability(self._indices, period)
+        u = rng.random(self.qubit_count)
+        outcomes = np.where(
+            p1 <= 0.0, 0, np.where(p1 >= 1.0, 1, (u > 1.0 - p1).astype(np.int64))
+        )
+        self._indices = outcomes * (period >> 1)
         for pos in sorted(self._slots):
             outcomes[pos] = _measure_slot_z(self._slots[pos], rng)
         return outcomes
 
     def _apply_index_steps(self, steps: np.ndarray, step_precision: int) -> None:
-        """Shift each qubit by steps[j] units of pi / 2**(step_precision - 1).
+        """Shift qubit j < steps.size by steps[j] units of pi / 2**(step_precision - 1).
 
         Steps must already be reduced, |steps[j]| < 2**step_precision.
         Exact qubits stay exact when their own grid is at least as fine as
-        the step grid; otherwise they are demoted to amplitudes first.
+        the step grid; otherwise the shifted qubits get slots first.
         """
         self._check_live()
-        if self._indices is not None and self._n < step_precision:
-            for pos in np.flatnonzero(self._exact):
-                self._promote(int(pos))
-        if self._indices is not None and np.any(self._exact):
-            period = 1 << self._n
+        length = steps.size
+        if self._n < step_precision:
+            for pos in range(length):
+                self._promote(pos)
+        else:
             scaled = steps * (1 << (self._n - step_precision))
-            shifted = (self._indices + scaled) % period
-            self._indices = np.where(self._exact, shifted, self._indices)
+            self._indices[:length] = (self._indices[:length] + scaled) % (1 << self._n)
         for pos, slot in self._slots.items():
-            _rotate_slot(slot, math.pi * (int(steps[pos]) / (1 << (step_precision - 1))))
+            if pos < length and steps[pos]:
+                _rotate_slot(slot, math.pi * (int(steps[pos]) / (1 << (step_precision - 1))))
 
     def partition(self, first_count: int) -> tuple["QuantumRegister", "QuantumRegister"]:
         """Split into two registers over the same qubits; retires the original.
@@ -446,19 +432,13 @@ class QuantumRegister:
         self._check_live()
         if not 0 < first_count < self.qubit_count:
             raise ValueError("partition point must be strictly inside the register")
-        front = QuantumRegister._blank()
-        back = QuantumRegister._blank()
-        for child, lo, hi in ((front, 0, first_count), (back, first_count, self.qubit_count)):
-            child._n = self._n
-            child._exact = self._exact[lo:hi].copy()
-            if self._indices is not None:
-                child._indices = self._indices[lo:hi].copy()
-            child._owner_tag = self._owner_tag
-            child._slots = {
-                pos - lo: slot for pos, slot in self._slots.items() if lo <= pos < hi
-            }
+        parts = []
+        for lo, hi in ((0, first_count), (first_count, self.qubit_count)):
+            child = QuantumRegister._from_indices(self._indices[lo:hi], self._n, self._owner_tag)
+            child._slots = {pos - lo: slot for pos, slot in self._slots.items() if lo <= pos < hi}
+            parts.append(child)
         self._retired = True
-        return front, back
+        return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -556,7 +536,7 @@ def describe_register(register: QuantumRegister, credential: PrivateKey) -> tupl
         or _key_tag(credential) != register._owner_tag
     ):
         raise AccessDeniedError("register descriptors require the generating private key")
-    if register._indices is None or not bool(np.all(register._exact)):
+    if register._slots:
         raise TamperedRegisterError("register no longer carries exact index descriptors")
     return tuple(AngleIndex(int(v), register._n) for v in register._indices)
 

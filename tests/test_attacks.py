@@ -80,6 +80,15 @@ class TestEnumerationOracle:
             if alpha > 1:
                 assert parity > identify
 
+    def test_report_closed_forms_match_enumeration(self):
+        rng = np.random.default_rng(12)
+        for alpha in range(1, 9):
+            reports = run_forward_search(alpha, 1, rng)
+            for rule in ("identify-all", "parity-aware"):
+                exact = enumerate_forward_search_success(alpha, rule)
+                assert qpke.attacks._closed_form_success(alpha, rule) == exact
+                assert reports[rule].predicted_rate == float(exact)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="rule"):
             enumerate_forward_search_success(2, "majority")

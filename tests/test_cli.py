@@ -224,6 +224,18 @@ class TestRoundtripCommand:
 class TestAttackCommand:
     """Attack experiments through the CLI."""
 
+    def test_forward_search_at_large_alpha_prints_closed_forms(self, capsys):
+        # branch enumeration would walk 3**20 branches per rule here
+        code, stdout, _ = run_cli(
+            ["attack", "--attack", "forward-search", "--alpha", "20", "--trials", "1",
+             "--seed", "4"],
+            capsys,
+        )
+        assert code == 0
+        assert "rule=identify-all observed=" in stdout
+        assert f"theory={0.75**20:.6g}" in stdout
+        assert f"theory={0.5 + 2.0**-21:.6g}" in stdout
+
     def test_forward_search_files(self, tmp_path, capsys):
         json_path = tmp_path / "fs.json"
         csv_path = tmp_path / "fs.csv"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpke.protocol import (
+    MAX_GROUP_QUBITS,
     AccessDeniedError,
     CipherState,
     CopyCapExceededError,
@@ -36,8 +37,9 @@ from qpke.protocol import (
     private_key_to_json,
     save_private_key,
     swap_test_registers,
+    _outcome1_probability,
 )
-from qpke.quantum_core import AngleIndex, PureState
+from qpke.quantum_core import MAX_PRECISION_BITS, AngleIndex, PureState
 
 
 def fresh_public(key: PrivateKey) -> PublicKey:
@@ -311,6 +313,49 @@ class TestRegisterOperations:
             amps = a._slots[0].group.amps
             assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12), s
 
+    @pytest.mark.parametrize(
+        "n, theta, snaps",
+        [(53, math.pi + 0.3, True), (53, -4.0, True), (53, 0.3, False),
+         (62, 0.3, True), (62, math.pi / 2**9, True), (62, 0.001, False)],
+    )
+    def test_angles_of_2_52_steps_or_more_snap_to_the_grid(self, n, theta, snaps):
+        key = PrivateKey(n=n, s=(5,))
+        register = prepare_register(key)
+        register.apply_rotation(0, theta)
+        steps = theta / (math.pi * 2.0 ** (1 - n))
+        if snaps:
+            assert describe_register(register, key)[0].s == (5 + round(steps)) % (1 << n)
+        else:
+            with pytest.raises(TamperedRegisterError):
+                describe_register(register, key)
+
+    def test_angle_beyond_double_step_count_takes_amplitude_path(self):
+        key = PrivateKey(n=62, s=(5,))
+        register = prepare_register(key)
+        register.apply_rotation(0, 1e300)
+        with pytest.raises(TamperedRegisterError):
+            describe_register(register, key)
+        amps = register._slots[0].group.amps
+        assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
+
+    def test_symmetry_test_chain_stops_at_the_group_cap(self):
+        rng = np.random.default_rng(36)
+        key = PrivateKey(n=8, s=(3,))
+        cipher = prepare_register(key)
+        cipher.apply_bit_rotations([1])
+        for _ in range(MAX_GROUP_QUBITS - 1):
+            swap_test_registers(cipher, 0, prepare_register(key), 0, rng)
+        group = cipher._slots[0].group
+        assert len(group.slots) == MAX_GROUP_QUBITS
+        amps = group.amps.copy()
+        extra = prepare_register(key)
+        with pytest.raises(ValueError, match="MAX_GROUP_QUBITS"):
+            swap_test_registers(cipher, 0, extra, 0, rng)
+        assert cipher._slots[0].group is group
+        assert len(group.slots) == MAX_GROUP_QUBITS
+        assert np.array_equal(group.amps, amps)
+        assert len(extra._slots[0].group.slots) == 1
+
     def test_self_swap_rejected(self):
         register = QuantumRegister.of_computational([0])
         with pytest.raises(ValueError, match="itself"):
@@ -580,3 +625,81 @@ class TestKeyRegistry:
         rate_given_1 = joint[1, 1] / joint[1].sum()
         margin = 4 * math.sqrt(0.25 / joint[0].sum()) + 4 * math.sqrt(0.25 / joint[1].sum())
         assert abs(rate_given_0 - rate_given_1) <= margin
+
+
+@st.composite
+def private_keys(draw, max_length=6):
+    """Keys over every precision, with edge indices 0 and period/2 likely."""
+    n = draw(st.integers(1, MAX_PRECISION_BITS))
+    index = st.sampled_from([0, 1 << (n - 1)]) | st.integers(0, (1 << n) - 1)
+    s = draw(st.lists(index, min_size=1, max_size=max_length))
+    perm = draw(st.none() | st.permutations(range(len(s))))
+    return PrivateKey(n=n, s=tuple(s), perm=None if perm is None else tuple(perm))
+
+
+def _groups(*registers):
+    return {id(s.group): s.group for r in registers for s in r._slots.values()}.values()
+
+
+class TestRegisterProperties:
+    """Register invariants over every precision, with and without a permutation."""
+
+    @given(key=private_keys())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_exact_outcome_probability_equals_promoted_born_weight(self, key):
+        register = prepare_register(key)
+        p1 = _outcome1_probability(register._indices, 1 << key.n)
+        for q in range(key.length):
+            amps = register._promote(q).group.amps
+            assert abs(float(abs(amps[1]) ** 2) - p1[q]) <= 1e-12
+
+    @given(key=private_keys(max_length=9), alpha=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_encrypt_then_decrypt_is_exact(self, key, alpha, seed):
+        rng = np.random.default_rng(seed)
+        alpha = min(alpha, key.length)
+        message = [int(b) for b in rng.integers(0, 2, size=key.length // alpha)]
+        cipher = encrypt(fresh_public(key), message, alpha=alpha, rng=rng)
+        assert decrypt(DecryptionOracle(key, 1), cipher, rng) == tuple(message)
+
+    @given(
+        key=private_keys(),
+        other_n=st.integers(1, MAX_PRECISION_BITS),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["rotate", "step", "flags", "measure", "basis", "swap", "decrypt"]),
+                st.integers(0, 11),
+                st.integers(0, 11),
+                st.floats(-10.0, 10.0, allow_nan=False),
+            ),
+            max_size=MAX_GROUP_QUBITS - 1,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_public_operations_keep_every_group_normalized(self, key, other_n, ops, seed):
+        # at most MAX_GROUP_QUBITS - 1 operations, so symmetry tests never reach the cap
+        rng = np.random.default_rng(seed)
+        registers = [prepare_register(key), prepare_register(key)]
+        size = key.length
+        other = PrivateKey(n=other_n, s=tuple(j % (1 << other_n) for j in range(size)))
+        for op, i, j, theta in ops:
+            reg, q = registers[i % 2], i % size
+            if op == "rotate":
+                reg.apply_rotation(q, theta)
+            elif op == "step":
+                reg.apply_rotation(q, j * math.pi / 2 ** (key.n - 1))
+            elif op == "flags":
+                reg.apply_bit_rotations([(i >> b) & 1 for b in range(j % size + 1)])
+            elif op == "measure":
+                assert reg.measure_z(q, rng) in (0, 1)
+            elif op == "basis":
+                assert reg.measure_in_rotated_basis(q, theta, rng) in (0, 1)
+            elif op == "swap":
+                swap_test_registers(reg, q, registers[(i + 1) % 2], j % size, rng)
+            else:
+                decrypt(DecryptionOracle(other, 1), CipherState(reg, size, 1), rng)
+            for group in _groups(*registers):
+                assert np.linalg.norm(group.amps) == pytest.approx(1.0, abs=1e-12)
+            for r in registers:
+                assert np.all((r._indices >= 0) & (r._indices < 1 << key.n))
