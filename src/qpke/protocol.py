@@ -242,16 +242,13 @@ def _measure_slot_z(slot: _Slot, rng: np.random.Generator) -> int:
     return outcome
 
 
+def _group_size(slot: _Slot | None) -> int:
+    """Qubits in a slot's group; an exact qubit (no slot) is a group of one."""
+    return 1 if slot is None else len(slot.group.slots)
+
+
 def _swap_project(slot_a: _Slot, slot_b: _Slot, rng: np.random.Generator) -> bool:
-    if slot_a is slot_b:
-        raise ValueError("cannot run a symmetry test of a qubit against itself")
     if slot_a.group is not slot_b.group:
-        merged = len(slot_a.group.slots) + len(slot_b.group.slots)
-        if merged > MAX_GROUP_QUBITS:
-            raise ValueError(
-                f"symmetry test would entangle {merged} qubits in one group; "
-                f"the cap is MAX_GROUP_QUBITS = {MAX_GROUP_QUBITS}"
-            )
         _merge_groups(slot_a.group, slot_b.group)
     group = slot_a.group
     passed, _, group.amps = swap_project(group.amps, slot_a.axis, slot_b.axis, rng)
@@ -333,9 +330,15 @@ class QuantumRegister:
         """Give an exact qubit an amplitude slot (analysis/attack path)."""
         slot = self._slots.get(qubit)
         if slot is None:
-            half = math.pi * (int(self._indices[qubit]) / (1 << self._n))
+            index = int(self._indices[qubit])
+            if index == 1 << (self._n - 1):
+                # |1> exactly: cos(pi/2) would leave 6.1e-17 on |0>
+                amps = np.array([0.0, 1.0])
+            else:
+                half = math.pi * (index / (1 << self._n))
+                amps = np.array([math.cos(half), math.sin(half)])
             slot = _Slot()
-            _make_singleton(slot, np.array([math.cos(half), math.sin(half)]))
+            _make_singleton(slot, amps)
             self._slots[qubit] = slot
         return slot
 
@@ -556,6 +559,18 @@ def swap_test_registers(
     """
     reg_a._check_qubit(pos_a)
     reg_b._check_qubit(pos_b)
+    if reg_a is reg_b and pos_a == pos_b:
+        raise ValueError("cannot run a symmetry test of a qubit against itself")
+    # the cap is checked before promotion, so a refused test leaves both
+    # qubits as they were
+    slot_a, slot_b = reg_a._slots.get(pos_a), reg_b._slots.get(pos_b)
+    if slot_a is None or slot_b is None or slot_a.group is not slot_b.group:
+        merged = _group_size(slot_a) + _group_size(slot_b)
+        if merged > MAX_GROUP_QUBITS:
+            raise ValueError(
+                f"symmetry test would entangle {merged} qubits in one group; "
+                f"the cap is MAX_GROUP_QUBITS = {MAX_GROUP_QUBITS}"
+            )
     return _swap_project(reg_a._promote(pos_a), reg_b._promote(pos_b), rng)
 
 

@@ -343,14 +343,19 @@ def _entropy_from_counts(counts: np.ndarray, total: int) -> float:
     return math.log2(total) - float(counts @ np.log2(counts)) / total
 
 
-def _mutual_info_miller_madow(
-    s: np.ndarray, y: np.ndarray, y_card: int
+def _miller_madow(
+    s_counts: np.ndarray, y_counts: np.ndarray, joint_counts: np.ndarray
 ) -> tuple[float, int]:
-    """Bias-corrected plug-in mutual information and joint support size."""
-    total = s.size
-    _, s_counts = np.unique(s, return_counts=True)
-    _, y_counts = np.unique(y, return_counts=True)
-    _, joint_counts = np.unique(s.astype(np.int64) * y_card + y, return_counts=True)
+    """Bias-corrected plug-in mutual information and joint support size,
+    from entry, outcome and joint count vectors that may hold zeros.
+
+    Zeros are dropped and the rest kept as int64 in the given order, so the
+    entropy sums round as they do over np.unique's counts.
+    """
+    s_counts = s_counts.compress(s_counts > 0).astype(np.int64)
+    y_counts = y_counts.compress(y_counts > 0).astype(np.int64)
+    joint_counts = joint_counts.compress(joint_counts > 0)
+    total = int(joint_counts.sum())
     plugin = (
         _entropy_from_counts(s_counts, total)
         + _entropy_from_counts(y_counts, total)
@@ -362,27 +367,63 @@ def _mutual_info_miller_madow(
     return plugin + correction, joint_counts.size
 
 
-def _stratified_mutual_info(
-    s: np.ndarray, y: np.ndarray, strata: np.ndarray | None, y_card: int
-) -> tuple[float, int]:
-    """Mutual information averaged over measurement-setting strata.
+def _run_ids(keys: np.ndarray) -> np.ndarray:
+    """For each element of a sorted array, the index of its run of equal values."""
+    return np.cumsum(np.r_[False, keys[1:] != keys[:-1]])
 
-    With a per-trial random setting the relevant quantity is the gain
-    conditional on the setting, so the estimator runs per stratum and
-    weights by stratum frequency.
+
+class _JointCells:
+    """The observed (setting, key entry, outcome count) cells of one
+    estimate's trials, sorted once, and each trial's cell id.
+
+    A resample of the trials is a count vector over these cells.  Each
+    setting's entry, outcome and joint counts follow from it without
+    another sort, in the ascending order np.unique would give them, so
+    their entropy sums round exactly as they would over np.unique counts.
     """
-    if strata is None:
-        return _mutual_info_miller_madow(s, y, y_card)
-    total = s.size
-    value = 0.0
-    support = 0
-    for label in np.unique(strata):
-        pick = strata == label
-        count = int(pick.sum())
-        mi, sup = _mutual_info_miller_madow(s[pick], y[pick], y_card)
-        value += (count / total) * mi
-        support += sup
-    return value, support
+
+    def __init__(
+        self, s: np.ndarray, y: np.ndarray, strata: np.ndarray | None, n: int, y_card: int
+    ) -> None:
+        setting_entry = s if strata is None else (strata << n) + s
+        cells, self.cell_of_trial = np.unique(setting_entry * y_card + y, return_inverse=True)
+        self.size = cells.size
+        cell_setting_entry = cells // y_card
+        self.entry_of_cell = _run_ids(cell_setting_entry)
+        setting_of_cell = _run_ids(cell_setting_entry >> n)
+        settings = int(setting_of_cell[-1]) + 1
+        self.outcome_of_cell = setting_of_cell * y_card + cells % y_card
+        self.outcome_shape = (settings, y_card)
+        starts = np.searchsorted(setting_of_cell, np.arange(settings))
+        self.cell_bounds = np.r_[starts, cells.size].tolist()
+        self.entry_bounds = np.r_[self.entry_of_cell[starts], self.entry_of_cell[-1] + 1].tolist()
+
+    def mutual_info(self, cell_ids: np.ndarray) -> tuple[float, int]:
+        """Mutual information and joint support of the trials in the given
+        cells, one cell id per trial (a bootstrap resample repeats some).
+
+        With a per-trial random setting the relevant quantity is the gain
+        conditional on the setting, so the estimator runs per setting and
+        weights by setting frequency; a fixed setting is one stratum.
+        """
+        counts = np.bincount(cell_ids, minlength=self.size)
+        entry_counts = np.bincount(self.entry_of_cell, weights=counts)
+        outcome_counts = np.bincount(
+            self.outcome_of_cell, weights=counts, minlength=math.prod(self.outcome_shape)
+        ).reshape(self.outcome_shape)
+        total = int(counts.sum())
+        value = 0.0
+        support = 0
+        for i, outcomes in enumerate(outcome_counts):
+            joint = counts[self.cell_bounds[i] : self.cell_bounds[i + 1]]
+            count = int(joint.sum())
+            if count == 0:
+                continue
+            entries = entry_counts[self.entry_bounds[i] : self.entry_bounds[i + 1]]
+            mi, sup = _miller_madow(entries, outcomes, joint)
+            value += (count / total) * mi
+            support += sup
+        return value, support
 
 
 def estimate_mutual_information(
@@ -398,8 +439,15 @@ def estimate_mutual_information(
     copies_per_trial independent copies of its rotation state under the
     strategy, and records the number of 1 outcomes (a sufficient statistic
     when every copy uses the same setting).  The mutual information
-    between entry and count is estimated with the bias-corrected plug-in
-    estimator; the standard error comes from bootstrap resampling.  The
+    between entry and count is estimated with the bias-corrected
+    (Miller-Madow) plug-in estimator, per measurement setting when the
+    setting is random; the standard error is the spread over
+    BOOTSTRAP_RESAMPLES resamples of the trials, drawn with replacement.
+
+    The counting sorts the trials once: each trial becomes one joint
+    (setting, entry, count) cell, and the point estimate and every
+    resample count their trials with one bincount over the observed cells,
+    from which the entry, count and joint counts per setting follow.  The
     estimate is flagged undersampled when trials are scarce relative to
     the observed joint support.
     """
@@ -417,18 +465,18 @@ def estimate_mutual_information(
         strata = rng.integers(0, len(strategy.basis_angles), size=trials)
     else:
         strata = None
-    p1 = _outcome_probability(s, n, strategy, strata)
-    y = rng.binomial(copies_per_trial, p1).astype(np.int64)
+    y = rng.binomial(
+        copies_per_trial, _outcome_probability(s, n, strategy, strata)
+    ).astype(np.int64)
     y_card = copies_per_trial + 1
 
-    value, support = _stratified_mutual_info(s, y, strata, y_card)
+    cells = _JointCells(s, y, strata, n, y_card)
+    value, support = cells.mutual_info(cells.cell_of_trial)
 
     resamples = np.empty(BOOTSTRAP_RESAMPLES)
     for i in range(BOOTSTRAP_RESAMPLES):
         pick = rng.integers(0, trials, size=trials)
-        resamples[i] = _stratified_mutual_info(
-            s[pick], y[pick], None if strata is None else strata[pick], y_card
-        )[0]
+        resamples[i] = cells.mutual_info(cells.cell_of_trial[pick])[0]
     stderr = float(np.std(resamples, ddof=1))
 
     return MutualInfoEstimate(

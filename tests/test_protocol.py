@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import threading
 
 import numpy as np
@@ -354,7 +355,9 @@ class TestRegisterOperations:
         assert cipher._slots[0].group is group
         assert len(group.slots) == MAX_GROUP_QUBITS
         assert np.array_equal(group.amps, amps)
-        assert len(extra._slots[0].group.slots) == 1
+        # the refused test promotes nothing: the fresh copy stays exact
+        assert extra._slots == {}
+        assert describe_register(extra, key) == (AngleIndex(3, 8),)
 
     def test_self_swap_rejected(self):
         register = QuantumRegister.of_computational([0])
@@ -527,6 +530,39 @@ class TestDecrypt:
             decrypt(oracle, bad, rng)
         assert oracle.remaining_uses == 1
 
+    def test_concurrent_consume_never_overspends(self):
+        key = PrivateKey(n=4, s=(1,))
+        oracle = DecryptionOracle(key, uses_allowed=50)
+        successes: list[int] = []
+        lock = threading.Lock()
+
+        def worker():
+            granted = 0
+            while True:
+                try:
+                    oracle._consume()
+                except OracleDeactivatedError:
+                    break
+                granted += 1
+            with lock:
+                successes.append(granted)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(successes) == 8
+        assert sum(successes) == 50
+        assert oracle.remaining_uses == 0
+        assert not oracle.active
+
     def test_adversarial_zero_state_statistics(self):
         """Decrypting |00...0> yields bit j with rate sin^2(s_j theta_n / 2)."""
         rng = np.random.default_rng(35)
@@ -652,6 +688,17 @@ class TestRegisterProperties:
         for q in range(key.length):
             amps = register._promote(q).group.amps
             assert abs(float(abs(amps[1]) ** 2) - p1[q]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 40, MAX_PRECISION_BITS])
+    def test_z_basis_states_promote_exactly(self, n):
+        period = 1 << n
+        register = prepare_register(PrivateKey(n=n, s=(0, period >> 1)))
+        p1 = _outcome1_probability(register._indices, period)
+        assert p1.tolist() == [0.0, 1.0]
+        for q in range(2):
+            amps = register._promote(q).group.amps
+            assert (np.abs(amps) ** 2).tolist() == [1.0 - p1[q], p1[q]]
+            assert amps.tolist() == [[1.0, 0.0], [0.0, 1.0]][q]
 
     @given(key=private_keys(max_length=9), alpha=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -404,6 +404,110 @@ class TestMutualInformation:
         assert BOOTSTRAP_RESAMPLES == 32
 
 
+def _reference_miller_madow(s: np.ndarray, y: np.ndarray, y_card: int) -> tuple[float, int]:
+    """The np.unique estimator the count-based one replaced, kept as its oracle."""
+    total = s.size
+    _, s_counts = np.unique(s, return_counts=True)
+    _, y_counts = np.unique(y, return_counts=True)
+    _, joint_counts = np.unique(s.astype(np.int64) * y_card + y, return_counts=True)
+
+    def entropy(counts):
+        return math.log2(total) - float(counts @ np.log2(counts)) / total
+
+    plugin = entropy(s_counts) + entropy(y_counts) - entropy(joint_counts)
+    correction = (
+        (s_counts.size - 1) + (y_counts.size - 1) - (joint_counts.size - 1)
+    ) / (2.0 * total * math.log(2.0))
+    return plugin + correction, joint_counts.size
+
+
+def _reference_stratified(s, y, strata, y_card) -> tuple[float, int]:
+    if strata is None:
+        return _reference_miller_madow(s, y, y_card)
+    value = 0.0
+    support = 0
+    for label in np.unique(strata):
+        pick = strata == label
+        mi, sup = _reference_miller_madow(s[pick], y[pick], y_card)
+        value += (int(pick.sum()) / s.size) * mi
+        support += sup
+    return value, support
+
+
+def reference_mutual_information(strategy, n, copies_per_trial, trials, rng):
+    """estimate_mutual_information as it was with one np.unique pass per
+    marginal, per stratum and per bootstrap resample; same draws."""
+    from qpke.security_analysis import _outcome_probability
+
+    s = rng.integers(0, 1 << n, size=trials, dtype=np.int64)
+    if strategy.kind == "random-basis":
+        strata = rng.integers(0, len(strategy.basis_angles), size=trials)
+    else:
+        strata = None
+    p1 = _outcome_probability(s, n, strategy, strata)
+    y = rng.binomial(copies_per_trial, p1).astype(np.int64)
+    y_card = copies_per_trial + 1
+    value, support = _reference_stratified(s, y, strata, y_card)
+    resamples = np.empty(BOOTSTRAP_RESAMPLES)
+    for i in range(BOOTSTRAP_RESAMPLES):
+        pick = rng.integers(0, trials, size=trials)
+        resamples[i] = _reference_stratified(
+            s[pick], y[pick], None if strata is None else strata[pick], y_card
+        )[0]
+    return MutualInfoEstimate(
+        value_bits=float(value),
+        stderr_bits=float(np.std(resamples, ddof=1)),
+        trials=trials,
+        copies_per_trial=copies_per_trial,
+        n=n,
+        strategy_kind=strategy.kind,
+        undersampled=trials < 10 * support,
+    )
+
+
+REFERENCE_STRATEGIES = {
+    "fixed 0": MeasurementStrategy.fixed(0.0),
+    "fixed pi/8": MeasurementStrategy.fixed(math.pi / 8),
+    "random basis": MeasurementStrategy.random(),
+    "two-outcome povm": MeasurementStrategy.two_outcome(
+        np.array([[0.7, 0.2], [0.2, 0.4]]),
+        np.array([[0.3, -0.2], [-0.2, 0.6]]),
+    ),
+}
+
+
+class TestMutualInformationReference:
+    """The count-based estimator returns the np.unique estimator's numbers
+    bit for bit from the same draws."""
+
+    @pytest.mark.parametrize("label", sorted(REFERENCE_STRATEGIES))
+    @pytest.mark.parametrize("n", [1, 4, 8, 16])
+    def test_equals_np_unique_reference(self, label, n):
+        strategy = REFERENCE_STRATEGIES[label]
+        # 2 and 40 trials leave cells, and random-basis strata, out of resamples
+        for copies in (1, 4):
+            for trials in (2, 40, 5000):
+                for seed in (0, 1, 2):
+                    args = (strategy, n, copies, trials)
+                    got = estimate_mutual_information(*args, np.random.default_rng(seed))
+                    want = reference_mutual_information(*args, np.random.default_rng(seed))
+                    assert got == want, (label, n, copies, trials, seed)
+
+    def test_sorts_once_per_estimate(self, monkeypatch):
+        calls = []
+        unique = np.unique
+
+        def counting_unique(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        estimate_mutual_information(
+            MeasurementStrategy.random(), 8, 2, 3000, np.random.default_rng(9)
+        )
+        assert len(calls) == 1
+
+
 class TestOutcomeProbabilityConsistency:
     """Vectorized outcome probabilities against the state-level simulator."""
 
