@@ -14,7 +14,6 @@ from .attacks import (
     CcaSessionResult,
     CpaReport,
     ForwardSearchReport,
-    KeyRecoveryReport,
     OracleSubmission,
     ScenarioStats,
     SingleUseCheckResult,
@@ -23,7 +22,6 @@ from .attacks import (
     enumerate_forward_search_success,
     forward_search_trial,
     identify_rotations,
-    key_recovery_baseline,
     parity_from_fails,
     run_forward_search,
     single_use_constraint_check,
@@ -57,20 +55,13 @@ from .quantum_core import (
     MAX_PRECISION_BITS,
     AngleIndex,
     DensityMatrix,
-    MeasurementOutcome,
     PrecisionMismatchError,
     PureState,
-    SwapTestResult,
-    apply_rotation,
     density_from_ensemble,
     index_add,
-    measure_in_rotated_basis,
-    measure_z,
     overlap,
     partial_trace,
     prepare_state,
-    swap_test,
-    swap_test_joint,
     trace_distance,
     von_neumann_entropy,
 )

@@ -32,12 +32,7 @@ from .protocol import (
     swap_test_registers,
 )
 from .quantum_core import MAX_PRECISION_BITS, DensityMatrix, trace_distance
-from .security_analysis import (
-    MeasurementStrategy,
-    MutualInfoEstimate,
-    estimate_mutual_information,
-    shifted_ensemble,
-)
+from .security_analysis import shifted_ensemble
 
 FORWARD_SEARCH_RULES = ("identify-all", "parity-aware")
 CPA_PRECISION_CAP = 12
@@ -99,19 +94,6 @@ class ForwardSearchReport:
     stderr: float
     deviation: float
 
-    def to_record(self) -> dict:
-        return {
-            "attack": "forward_search",
-            "rule": self.rule,
-            "alpha": self.alpha,
-            "trials": self.trials,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "predicted_rate": self.predicted_rate,
-            "stderr": self.stderr,
-            "deviation": self.deviation,
-        }
-
 
 def _closed_form_success(alpha: int, rule: str) -> Fraction:
     """Closed-form success probability of a decision rule (Nikolopoulos &
@@ -160,6 +142,9 @@ def run_forward_search(
         raise ValueError("alpha must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 1 <= precision <= MAX_PRECISION_BITS:
+        # checked before 1 << precision, which a huge precision cannot afford
+        raise ValueError(f"precision n must be in [1, {MAX_PRECISION_BITS}], got {precision}")
     key = PrivateKey(
         n=precision, s=tuple(int(v) for v in rng.integers(0, 1 << precision, size=alpha))
     )
@@ -222,26 +207,12 @@ class ScenarioStats:
     second_pass_given_pass: float
     second_pass_given_fail: float
 
-    def to_record(self) -> dict:
-        return {
-            "attack": "repeat_swap_test",
-            "overlap": self.overlap,
-            "trials": self.trials,
-            "first_pass_rate": self.first_pass_rate,
-            "predicted_first_pass": self.predicted_first_pass,
-            "second_pass_given_pass": self.second_pass_given_pass,
-            "second_pass_given_fail": self.second_pass_given_fail,
-        }
-
 
 @dataclass(frozen=True)
 class SingleUseCheckResult:
     """Why repeating a symmetry test on the same pair gains nothing."""
 
     scenarios: tuple[ScenarioStats, ...]
-
-    def to_records(self) -> list[dict]:
-        return [s.to_record() for s in self.scenarios]
 
 
 def single_use_constraint_check(
@@ -313,19 +284,6 @@ class CpaReport:
     distance_between_messages: float
     distance_m0_to_public: float
     distance_m1_to_public: float
-
-    def to_record(self) -> dict:
-        return {
-            "attack": "chosen_plaintext",
-            "n": self.n,
-            "num_bits": self.num_bits,
-            "alpha": self.alpha,
-            "message_0": "".join(str(b) for b in self.message_0),
-            "message_1": "".join(str(b) for b in self.message_1),
-            "distance_between_messages": self.distance_between_messages,
-            "distance_m0_to_public": self.distance_m0_to_public,
-            "distance_m1_to_public": self.distance_m1_to_public,
-        }
 
 
 def _message_density(n: int, message: Sequence[int], alpha: int) -> DensityMatrix:
@@ -465,96 +423,4 @@ def chosen_ciphertext_session(
         transcript=tuple(transcript),
         bits_received=bits_received,
         information_ceiling_bits=float(key.length * uses_allowed),
-    )
-
-
-# --- direct key recovery from intercepted copies ---
-
-
-@dataclass(frozen=True)
-class KeyRecoveryReport:
-    """Measured information gain and disturbance of a key-recovery attempt."""
-
-    n: int
-    copies: int
-    info: MutualInfoEstimate | None
-    information_bits: float
-    residual_entropy_bits: float
-    disturbance_trials: int
-    mean_forward_fidelity: float
-    predicted_forward_fidelity: float
-
-    def to_record(self) -> dict:
-        return {
-            "attack": "key_recovery",
-            "n": self.n,
-            "copies": self.copies,
-            "information_bits": self.information_bits,
-            "stderr_bits": None if self.info is None else self.info.stderr_bits,
-            "residual_entropy_bits": self.residual_entropy_bits,
-            "mean_forward_fidelity": self.mean_forward_fidelity,
-            "predicted_forward_fidelity": self.predicted_forward_fidelity,
-        }
-
-
-def _predicted_forward_fidelity(n: int, basis_angle: float) -> float:
-    # E_s[cos^4 x + sin^4 x] with x = s*pi/2**n - phi/2; the cross term
-    # averages out over a full period except at n = 1
-    if n >= 2:
-        return 0.75
-    return 1.0 - 0.5 * math.sin(basis_angle) ** 2
-
-
-def key_recovery_baseline(
-    n: int,
-    copies: int,
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    strategy: MeasurementStrategy | None = None,
-    disturbance_trials: int = 10000,
-) -> KeyRecoveryReport:
-    """Baseline intercept-and-measure attack on one key entry.
-
-    Estimates the information extracted from the given number of copies
-    (zero copies means zero bits by definition) and simulates the
-    measure-and-forward disturbance: the eavesdropper measures a copy in a
-    rotated basis and forwards the collapsed state, whose fidelity to the
-    original averages 3/4 at any usable precision.  Low forward fidelity
-    is what makes interception detectable.
-    """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("n must be an integer")
-    if not 1 <= n <= MAX_PRECISION_BITS:
-        raise ValueError(f"n must be in [1, {MAX_PRECISION_BITS}]")
-    if copies < 0:
-        raise ValueError("copies must be non-negative")
-    if disturbance_trials < 1:
-        raise ValueError("disturbance_trials must be at least 1")
-    if strategy is None:
-        strategy = MeasurementStrategy.fixed(0.0)
-    if copies == 0:
-        info = None
-        information_bits = 0.0
-    else:
-        info = estimate_mutual_information(strategy, n, copies, trials, rng)
-        information_bits = info.value_bits
-
-    basis_angle = strategy.basis_angle if strategy.kind == "fixed-basis" else 0.0
-    s = rng.integers(0, 1 << n, size=disturbance_trials, dtype=np.int64)
-    x = s.astype(np.float64) * (math.pi / float(1 << n)) - basis_angle / 2.0
-    p1 = np.square(np.sin(x))
-    outcome = rng.random(disturbance_trials) < p1
-    fidelity = np.where(outcome, p1, 1.0 - p1)
-    mean_fidelity = float(fidelity.mean())
-
-    return KeyRecoveryReport(
-        n=n,
-        copies=copies,
-        info=info,
-        information_bits=information_bits,
-        residual_entropy_bits=max(0.0, float(n) - information_bits),
-        disturbance_trials=disturbance_trials,
-        mean_forward_fidelity=mean_fidelity,
-        predicted_forward_fidelity=_predicted_forward_fidelity(n, basis_angle),
     )

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .attacks import (
+    CPA_TOTAL_QUBIT_CAP,
     chosen_ciphertext_session,
     chosen_plaintext_distinguishability,
     run_forward_search,
@@ -51,7 +52,7 @@ from .protocol import (
     load_private_key,
     save_private_key,
 )
-from .quantum_core import MAX_PRECISION_BITS, von_neumann_entropy
+from .quantum_core import von_neumann_entropy
 from .security_analysis import (
     KeyParams,
     MeasurementStrategy,
@@ -317,6 +318,9 @@ def _forward_search_records(args, seed: int, run_id: str) -> list[dict]:
 
 
 def _cpa_records(args, seed: int, run_id: str) -> list[dict]:
+    # bounded before the messages below are built, so a huge N allocates nothing
+    if not 1 <= args.N <= CPA_TOTAL_QUBIT_CAP:
+        raise ValueError(f"--N must be in [1, {CPA_TOTAL_QUBIT_CAP}] for cpa, got {args.N}")
     report = chosen_plaintext_distinguishability(
         args.n, (0,) * args.N, (1,) * args.N, alpha=args.alpha
     )
@@ -469,19 +473,18 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     seed, seed_source = _resolve_seed(args.seed)
     if args.experiment == "forward-search":
-        lo, hi = _parse_range(args.alphas, "--alphas")
-        cells = list(range(lo, hi + 1))
-        grid_flag = "--alphas"
+        grid_flag, grid = "--alphas", args.alphas
     else:
-        lo, hi = _parse_range(args.n, "--n")
-        cells = [n for n in range(lo, hi + 1) if n >= 1]
-        grid_flag = "--n"
-    if not cells or lo < 1:
+        grid_flag, grid = "--n", args.n
+    lo, hi = _parse_range(grid, grid_flag)
+    if lo < 1 or hi < lo:
         raise ValueError(f"{grid_flag} {lo}:{hi} spans no valid cells")
-    if len(cells) > SWEEP_CELL_CAP:
+    # counted before any cell exists, so a huge span costs nothing
+    if hi - lo + 1 > SWEEP_CELL_CAP:
         raise ValueError(
-            f"grid has {len(cells)} cells; the cap is {SWEEP_CELL_CAP}"
+            f"grid has {hi - lo + 1} cells; the cap is {SWEEP_CELL_CAP}"
         )
+    cells = range(lo, hi + 1)
 
     manifest = _make_manifest(
         "sweep",
@@ -650,6 +653,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # argparse stores an empty list for "--flag=--"; no flag here takes a list
+    for name, value in vars(args).items():
+        if value == []:
+            print(f"error: argument --{name.replace('_', '-')} needs a value", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (MessageTooLongError, CopyCapExceededError, OracleDeactivatedError) as exc:

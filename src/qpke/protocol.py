@@ -148,7 +148,11 @@ def save_private_key(key: PrivateKey, path: str | Path) -> None:
 
 
 def load_private_key(path: str | Path) -> PrivateKey:
-    return private_key_from_json(json.loads(Path(path).read_text()))
+    try:
+        payload = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("key file nests too deeply to be a key") from None
+    return private_key_from_json(payload)
 
 
 def _canonical_key_bytes(key: PrivateKey) -> bytes:

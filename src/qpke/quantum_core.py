@@ -10,7 +10,8 @@ to floating-point amplitudes at measurement or analysis boundaries.
 
 Amplitude math lives in one kernel of array functions (rotate_axis,
 measure_axis, swap_project) over tensors of shape (2,)*k, one axis per qubit;
-register amplitude groups and the PureState helpers here both run on it.
+register amplitude groups run on it.  PureState and density matrices are
+the values that preparation and the ensemble and entropy tools exchange.
 
 Amplitude-index convention: qubit 0 is the leftmost tensor factor, i.e. the
 most significant bit of the amplitude index.
@@ -160,34 +161,6 @@ class DensityMatrix:
         return float(np.trace(self.entries @ self.entries).real)
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Realized outcome of a projective measurement on one qubit."""
-
-    outcome: int
-    post_state: PureState
-    probability: float
-
-
-@dataclass(frozen=True)
-class SwapTestResult:
-    """Outcome of a two-state symmetry (SWAP) test.
-
-    outcome is "pass" or "fail"; post_joint is the normalized projection of
-    the joint two-qubit state onto the symmetric (pass) or antisymmetric
-    (fail) subspace; pass_probability is (1 + |<a|b>|^2) / 2 for pure
-    product inputs.
-    """
-
-    outcome: str
-    post_joint: PureState
-    pass_probability: float
-
-    @property
-    def passed(self) -> bool:
-        return self.outcome == "pass"
-
-
 # --- state preparation and unitaries ---
 
 
@@ -212,18 +185,6 @@ def rotate_axis(arr: np.ndarray, axis: int, theta: float) -> np.ndarray:
     """Kernel: apply R(theta) to the qubit on one axis of an amplitude tensor."""
     rotated = np.tensordot(rotation_matrix(theta), arr, axes=([1], [axis]))
     return np.moveaxis(rotated, 0, axis)
-
-
-def _qubit_tensor(state: PureState, qubit: int) -> np.ndarray:
-    k = state.num_qubits
-    if not 0 <= qubit < k:
-        raise ValueError(f"qubit {qubit} out of range for {k}-qubit state")
-    return state.amplitudes.reshape((2,) * k)
-
-
-def apply_rotation(state: PureState, qubit: int, theta: float) -> PureState:
-    """Apply R(theta) to one qubit of a multi-qubit pure state."""
-    return PureState(rotate_axis(_qubit_tensor(state, qubit), qubit, theta).reshape(-1))
 
 
 def overlap(a: AngleIndex, b: AngleIndex) -> float:
@@ -272,30 +233,6 @@ def measure_axis(
     weights = [float(np.sum(np.abs(moved[b]) ** 2)) for b in (0, 1)]
     outcome = sample_outcome(weights, rng)
     return outcome, weights[outcome], moved[outcome] / math.sqrt(weights[outcome])
-
-
-def measure_z(state: PureState, qubit: int, rng: np.random.Generator) -> MeasurementOutcome:
-    """Projective z-basis measurement of one qubit.
-
-    Returns the sampled outcome, the renormalized post-measurement state,
-    and the Born probability of the realized outcome.
-    """
-    outcome, probability, remainder = measure_axis(_qubit_tensor(state, qubit), qubit, rng)
-    branches = [np.zeros_like(remainder), np.zeros_like(remainder)]
-    branches[outcome] = remainder
-    post = PureState(np.stack(branches, axis=qubit).reshape(-1))
-    return MeasurementOutcome(outcome=outcome, post_state=post, probability=probability)
-
-
-def measure_in_rotated_basis(
-    state: PureState, qubit: int, phi: float, rng: np.random.Generator
-) -> MeasurementOutcome:
-    """Measure one qubit in the basis {R(phi)|0>, R(phi)|1>}.
-
-    Implemented as the equivalent sequence: apply R(phi)^-1, then measure
-    in the z basis.  Outcome 0 therefore means "aligned with R(phi)|0>".
-    """
-    return measure_z(apply_rotation(state, qubit, -phi), qubit, rng)
 
 
 # --- ensemble and entropy tools ---
@@ -366,27 +303,3 @@ def swap_project(
     if sample_outcome([p_pass, p_fail], rng) == 0:
         return True, p_pass, symmetric / math.sqrt(p_pass)
     return False, p_pass, antisymmetric / math.sqrt(p_fail)
-
-
-def swap_test_joint(joint: PureState, rng: np.random.Generator) -> SwapTestResult:
-    """Run the symmetry test on an existing (possibly entangled) qubit pair.
-
-    Projects onto the symmetric subspace on "pass" and the antisymmetric
-    subspace on "fail"; see swap_project.
-    """
-    if joint.num_qubits != 2:
-        raise ValueError("swap test operates on a two-qubit joint state")
-    passed, p_pass, post = swap_project(joint.amplitudes.reshape(2, 2), 0, 1, rng)
-    return SwapTestResult("pass" if passed else "fail", PureState(post.reshape(-1)), p_pass)
-
-
-def swap_test(a: PureState, b: PureState, rng: np.random.Generator) -> SwapTestResult:
-    """Symmetry test of two single-qubit states; passes with (1+|<a|b>|^2)/2.
-
-    The returned post_joint state is entangled whenever 0 < |<a|b>| < 1,
-    which is what makes a passed test unusable as a fresh copy of either
-    input.
-    """
-    if a.num_qubits != 1 or b.num_qubits != 1:
-        raise ValueError("swap test takes two single-qubit states")
-    return swap_test_joint(PureState(np.kron(a.amplitudes, b.amplitudes)), rng)

@@ -19,6 +19,7 @@ from .quantum_core import DensityMatrix
 
 ENSEMBLE_ENUMERATION_CAP = 16
 MI_PRECISION_CAP = 16
+MI_COPIES_CAP = 1 << 16  # every resample counts copies + 1 outcome bins per setting
 DEFAULT_MARGIN_THRESHOLD = 100.0
 BOOTSTRAP_RESAMPLES = 32
 POVM_ATOL = 1e-10
@@ -135,7 +136,7 @@ def secrecy_condition(
     margin infinite.  The residual entropy H(d|x) lower-bounds what stays
     hidden after the best possible measurement.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
     h_key = private_key_entropy(params)
     cap = holevo_cap(params)
@@ -455,8 +456,8 @@ def estimate_mutual_information(
         raise TypeError("n must be an integer")
     if not 1 <= n <= MI_PRECISION_CAP:
         raise ValueError(f"n must be in [1, {MI_PRECISION_CAP}] for estimation")
-    if copies_per_trial < 1:
-        raise ValueError("copies_per_trial must be at least 1")
+    if not 1 <= copies_per_trial <= MI_COPIES_CAP:
+        raise ValueError(f"copies_per_trial must be in [1, {MI_COPIES_CAP}]")
     if trials < 2:
         raise ValueError("trials must be at least 2")
 

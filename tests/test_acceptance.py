@@ -36,10 +36,9 @@ from qpke.protocol import (
 from qpke.quantum_core import (
     AngleIndex,
     DensityMatrix,
-    PureState,
     partial_trace,
     prepare_state,
-    swap_test_joint,
+    swap_project,
 )
 from qpke.security_analysis import (
     KeyParams,
@@ -233,13 +232,13 @@ class TestAcceptance:
             other = prepare_state(AngleIndex(offset, 3))
             ov = math.cos(offset * math.pi / 8.0)
             expected = (1.0 + ov * ov) / 2.0
-            joint = PureState(np.kron(reference.amplitudes, other.amplitudes))
+            joint = np.kron(reference.amplitudes, other.amplitudes).reshape(2, 2)
             passes = 0
             posts = {}
             for _ in range(trials):
-                result = swap_test_joint(joint, rng)
-                passes += result.passed
-                posts[result.outcome] = result.post_joint
+                passed, _, post = swap_project(joint, 0, 1, rng)
+                passes += passed
+                posts["pass" if passed else "fail"] = post.reshape(-1)
             rate = passes / trials
             rates.append(f"|<a|b>|={ov:.3f}: {rate:.4f} vs {expected:.4f}")
             tolerance = three_se(expected, trials)
@@ -252,9 +251,7 @@ class TestAcceptance:
                 )
             if 0.0 < ov < 1.0:
                 for outcome, post in posts.items():
-                    joint_rho = DensityMatrix(
-                        np.outer(post.amplitudes, post.amplitudes.conj())
-                    )
+                    joint_rho = DensityMatrix(np.outer(post, post.conj()))
                     purity = partial_trace(joint_rho, keep=0, num_qubits=2).purity()
                     if not purity < 1.0 - 1e-9:
                         failures.append(

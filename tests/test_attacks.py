@@ -17,7 +17,6 @@ from qpke.attacks import (
     enumerate_forward_search_success,
     forward_search_trial,
     identify_rotations,
-    key_recovery_baseline,
     parity_from_fails,
     run_forward_search,
     single_use_constraint_check,
@@ -34,7 +33,7 @@ from qpke.protocol import (
     prepare_register,
     swap_test_registers,
 )
-from qpke.security_analysis import MeasurementStrategy
+from qpke.quantum_core import AngleIndex, measure_axis, prepare_state
 
 
 def three_se(p: float, trials: int) -> float:
@@ -167,13 +166,11 @@ class TestRunForwardSearch:
     def test_report_record(self):
         rng = np.random.default_rng(24)
         report = run_forward_search(1, 200, rng)["parity-aware"]
-        record = report.to_record()
-        assert record["attack"] == "forward_search"
-        assert record["rule"] == "parity-aware"
-        assert record["deviation"] == pytest.approx(
-            record["success_rate"] - record["predicted_rate"]
-        )
-        assert record["stderr"] > 0.0
+        assert report.rule == "parity-aware"
+        assert (report.alpha, report.trials) == (1, 200)
+        assert report.success_rate == report.successes / 200
+        assert report.deviation == pytest.approx(report.success_rate - report.predicted_rate)
+        assert report.stderr > 0.0
 
     def test_validation(self):
         rng = np.random.default_rng(1)
@@ -219,9 +216,9 @@ class TestSingleUseConstraint:
     def test_records_one_row_per_overlap(self):
         rng = np.random.default_rng(34)
         result = single_use_constraint_check(50, rng)
-        records = result.to_records()
-        assert len(records) == 4
-        assert [round(r["overlap"], 4) for r in records] == [
+        assert len(result.scenarios) == 4
+        assert all(s.trials == 50 for s in result.scenarios)
+        assert [round(s.overlap, 4) for s in result.scenarios] == [
             1.0,
             round(math.cos(math.pi / 8), 4),
             round(math.cos(math.pi / 4), 4),
@@ -257,10 +254,10 @@ class TestChosenPlaintext:
         assert report.distance_m0_to_public < 1e-12
 
     def test_record_fields(self):
-        record = chosen_plaintext_distinguishability(4, (0, 1), (1, 0)).to_record()
-        assert record["message_0"] == "01"
-        assert record["message_1"] == "10"
-        assert record["attack"] == "chosen_plaintext"
+        report = chosen_plaintext_distinguishability(4, (0, 1), (1, 0))
+        assert report.message_0 == (0, 1)
+        assert report.message_1 == (1, 0)
+        assert (report.n, report.num_bits, report.alpha) == (4, 2, 1)
 
     def test_caps_and_validation(self):
         with pytest.raises(ValueError, match=str(CPA_PRECISION_CAP)):
@@ -364,56 +361,28 @@ class TestChosenCiphertext:
         assert record["information_ceiling_bits"] == 4.0
 
 
+def forward_fidelities(n: int, trials: int, rng: np.random.Generator) -> list[float]:
+    """Measure-and-forward on uniform key entries at precision n: z-measure
+    the copy, forward the collapsed basis state, and score its fidelity to
+    the original, which is the Born weight of the realized outcome."""
+    fidelities = []
+    for s in rng.integers(0, 1 << n, size=trials):
+        state = prepare_state(AngleIndex(int(s), n)).amplitudes
+        fidelities.append(measure_axis(state, 0, rng)[1])
+    return fidelities
+
+
 class TestKeyRecovery:
-    """Information gain and disturbance of intercept-and-measure."""
-
-    def test_no_copies_no_information(self):
-        rng = np.random.default_rng(61)
-        report = key_recovery_baseline(62, 0, 100, rng)
-        assert report.info is None
-        assert report.information_bits == 0.0
-        assert report.residual_entropy_bits == 62.0
-
-    def test_single_copy_bounded_by_one_bit(self):
-        rng = np.random.default_rng(62)
-        report = key_recovery_baseline(4, 1, 8000, rng)
-        assert report.info is not None
-        assert report.information_bits <= 1.0 + 3.0 * report.info.stderr_bits
-        assert report.information_bits > 0.05
-        assert report.residual_entropy_bits == pytest.approx(
-            4.0 - report.information_bits
-        )
+    """Disturbance an intercept-and-measure eavesdropper leaves behind."""
 
     def test_forward_fidelity_three_quarters(self):
         rng = np.random.default_rng(63)
-        report = key_recovery_baseline(8, 0, 10, rng, disturbance_trials=20000)
-        assert report.predicted_forward_fidelity == 0.75
-        assert abs(report.mean_forward_fidelity - 0.75) < 0.015
+        fidelities = forward_fidelities(8, 20000, rng)
+        assert abs(np.mean(fidelities) - 0.75) < 0.015
 
     def test_single_bit_precision_is_undisturbed_in_aligned_basis(self):
         rng = np.random.default_rng(64)
-        report = key_recovery_baseline(1, 0, 10, rng, disturbance_trials=2000)
-        assert report.predicted_forward_fidelity == 1.0
-        assert report.mean_forward_fidelity == 1.0
-
-    def test_alternate_strategies_accepted(self):
-        rng = np.random.default_rng(65)
-        report = key_recovery_baseline(
-            4, 2, 3000, rng, strategy=MeasurementStrategy.random()
-        )
-        assert report.copies == 2
-        record = report.to_record()
-        assert record["attack"] == "key_recovery"
-        assert record["stderr_bits"] is not None
-
-    def test_validation(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError, match="copies"):
-            key_recovery_baseline(4, -1, 100, rng)
-        with pytest.raises(ValueError, match="n must be"):
-            key_recovery_baseline(63, 0, 100, rng)
-        with pytest.raises(ValueError, match="disturbance"):
-            key_recovery_baseline(4, 0, 100, rng, disturbance_trials=0)
+        assert forward_fidelities(1, 2000, rng) == [1.0] * 2000
 
 
 class TestNoHiddenInformation:

@@ -428,6 +428,34 @@ class TestAnalyzeCommand:
         assert len(mi) == 1
         assert mi[0]["value_bits"] == pytest.approx(1.0, abs=0.05)
 
+    def test_nan_threshold_is_usage_error(self, tmp_path, capsys):
+        json_path = tmp_path / "t.json"
+        code, _, stderr = run_cli(
+            ["analyze", "--threshold", "nan", "--seed", "1", "--json", str(json_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "threshold must be positive" in stderr
+        assert not json_path.exists()
+
+    def test_copies_beyond_cap_is_usage_error(self, capsys):
+        code, _, stderr = run_cli(
+            [
+                "analyze",
+                "--mi-strategy",
+                "fixed",
+                "--mi-copies",
+                "1000000000000",
+                "--trials",
+                "2",
+                "--seed",
+                "1",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "copies_per_trial must be in" in stderr
+
 
 class TestSweepCommand:
     """Grid sweeps to CSV."""

@@ -19,18 +19,16 @@ from qpke.quantum_core import (
     DensityMatrix,
     PrecisionMismatchError,
     PureState,
-    apply_rotation,
     density_from_ensemble,
     index_add,
-    measure_in_rotated_basis,
-    measure_z,
+    measure_axis,
     overlap,
     partial_trace,
     prepare_state,
+    rotate_axis,
     rotation_matrix,
     sample_outcome,
-    swap_test,
-    swap_test_joint,
+    swap_project,
     trace_distance,
     von_neumann_entropy,
 )
@@ -39,6 +37,24 @@ from qpke.quantum_core import (
 def three_se(p: float, trials: int) -> float:
     """Three binomial standard errors for a rate estimated over `trials`."""
     return 3.0 * math.sqrt(p * (1.0 - p) / trials)
+
+
+def product_tensor(*factors: np.ndarray) -> np.ndarray:
+    """Product of single-qubit amplitude vectors as a (2,)*k kernel tensor."""
+    joint = np.ones(1, dtype=np.complex128)
+    for factor in factors:
+        joint = np.kron(joint, factor)
+    return joint.reshape((2,) * len(factors))
+
+
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 of two amplitude tensors of one shape."""
+    return float(abs(np.vdot(a, b)) ** 2)
+
+
+def single(s: int, n: int) -> np.ndarray:
+    """Amplitudes of the indexed one-qubit rotation state."""
+    return prepare_state(AngleIndex(s, n)).amplitudes
 
 
 class _FixedUniform:
@@ -197,37 +213,30 @@ class TestPureStateValidation:
 
 
 class TestApplyRotation:
-    """One-qubit rotations embedded in multi-qubit states."""
+    """One-qubit rotations on one axis of a multi-qubit amplitude tensor."""
 
     def test_rotates_selected_qubit(self):
-        zz = PureState(np.array([1.0, 0, 0, 0]))
-        rotated = apply_rotation(zz, 1, math.pi)
-        np.testing.assert_allclose(rotated.amplitudes, [0, 1.0, 0, 0], atol=1e-12)
-        rotated = apply_rotation(zz, 0, math.pi)
-        np.testing.assert_allclose(rotated.amplitudes, [0, 0, 1.0, 0], atol=1e-12)
+        zz = product_tensor(single(0, 1), single(0, 1))
+        rotated = rotate_axis(zz, 1, math.pi)
+        np.testing.assert_allclose(rotated.reshape(-1), [0, 1.0, 0, 0], atol=1e-12)
+        rotated = rotate_axis(zz, 0, math.pi)
+        np.testing.assert_allclose(rotated.reshape(-1), [0, 0, 1.0, 0], atol=1e-12)
 
     def test_matches_index_composition(self):
         for n in (2, 5, 8):
             for s, k in ((0, 1), (3, 5), (2 ** (n - 1), 2 ** (n - 1) + 1)):
-                start = prepare_state(AngleIndex(s, n))
                 theta = k * math.pi * 2.0 ** (1 - n)
-                target = prepare_state(AngleIndex(s + k, n))
-                assert apply_rotation(start, 0, theta).fidelity(target) == pytest.approx(
-                    1.0, abs=1e-9
-                )
+                rotated = rotate_axis(single(s, n), 0, theta)
+                assert fidelity(rotated, single(s + k, n)) == pytest.approx(1.0, abs=1e-9)
 
     @given(seed=st.integers(0, 2**32 - 1), theta=st.floats(-10.0, 10.0))
     @settings(max_examples=40, deadline=None)
     def test_preserves_norm(self, seed, theta):
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = PureState(raw / np.linalg.norm(raw))
-        rotated = apply_rotation(state, int(seed) % 2, theta)
-        assert abs(np.linalg.norm(rotated.amplitudes) - 1.0) <= ATOL
-
-    def test_qubit_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_rotation(prepare_state(AngleIndex(0, 2)), 1, 0.1)
+        state = (raw / np.linalg.norm(raw)).reshape(2, 2)
+        rotated = rotate_axis(state, int(seed) % 2, theta)
+        assert abs(np.linalg.norm(rotated) - 1.0) <= ATOL
 
 
 class TestOverlap:
@@ -297,69 +306,76 @@ class TestSampleOutcome:
 
 
 class TestMeasureZ:
-    """Projective z-basis measurement."""
+    """Projective z-basis measurement of one axis."""
 
     def test_basis_state_is_deterministic(self):
         rng = np.random.default_rng(0)
-        one = prepare_state(AngleIndex(1, 1))
+        one = single(1, 1)
         for _ in range(50):
-            result = measure_z(one, 0, rng)
-            assert result.outcome == 1
-            assert result.probability == pytest.approx(1.0, abs=1e-12)
+            outcome, probability, _ = measure_axis(one, 0, rng)
+            assert outcome == 1
+            assert probability == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_superposition_probability(self):
         rng = np.random.default_rng(1)
-        plus = prepare_state(AngleIndex(1, 2))
-        result = measure_z(plus, 0, rng)
-        assert result.probability == pytest.approx(0.5, abs=1e-12)
+        _, probability, _ = measure_axis(single(1, 2), 0, rng)
+        assert probability == pytest.approx(0.5, abs=1e-12)
 
     def test_equal_superposition_statistics(self):
         rng = np.random.default_rng(2)
-        plus = prepare_state(AngleIndex(1, 2))
+        plus = single(1, 2)
         trials = 10_000
-        ones = sum(measure_z(plus, 0, rng).outcome for _ in range(trials))
+        ones = sum(measure_axis(plus, 0, rng)[0] for _ in range(trials))
         assert abs(ones / trials - 0.5) <= three_se(0.5, trials)
 
     def test_post_state_is_projected(self):
+        """Measuring qubit 0 of a|0>|u> + b|1>|v> leaves |u> or |v> on the
+        other axis; measuring the projected state again repeats the outcome."""
         rng = np.random.default_rng(5)
-        plus = prepare_state(AngleIndex(1, 2))
-        first = measure_z(plus, 0, rng)
-        second = measure_z(first.post_state, 0, rng)
-        assert second.outcome == first.outcome
-        assert second.probability == pytest.approx(1.0, abs=1e-12)
+        u, v = single(3, 4), single(6, 4)
+        joint = np.stack([math.sqrt(0.5) * u, math.sqrt(0.5) * v])
+        for _ in range(20):
+            outcome, probability, remainder = measure_axis(joint, 0, rng)
+            assert probability == pytest.approx(0.5, abs=1e-12)
+            assert fidelity(remainder, (u, v)[outcome]) == pytest.approx(1.0, abs=1e-12)
+            post = np.zeros_like(joint)
+            post[outcome] = remainder
+            again, certainty, _ = measure_axis(post, 0, rng)
+            assert again == outcome
+            assert certainty == pytest.approx(1.0, abs=1e-12)
 
     def test_multi_qubit_measurement(self):
         rng = np.random.default_rng(6)
-        zo = PureState(np.array([0, 1.0, 0, 0]))
-        assert measure_z(zo, 0, rng).outcome == 0
-        assert measure_z(zo, 1, rng).outcome == 1
+        zo = product_tensor(single(0, 1), single(1, 1))
+        assert measure_axis(zo, 0, rng)[0] == 0
+        assert measure_axis(zo, 1, rng)[0] == 1
 
 
 class TestMeasureInRotatedBasis:
-    """Measurement after undoing a known rotation."""
+    """Measurement in {R(phi)|0>, R(phi)|1>}: undo R(phi), then measure z."""
 
     def test_aligned_basis_is_deterministic(self):
         rng = np.random.default_rng(8)
         for s, n in ((3, 4), (1, 1), (2**61 + 17, 62)):
             idx = AngleIndex(s, n)
-            result = measure_in_rotated_basis(prepare_state(idx), 0, idx.angle, rng)
-            assert result.outcome == 0
-            assert result.probability == pytest.approx(1.0, abs=1e-12)
+            aligned = rotate_axis(single(s, n), 0, -idx.angle)
+            outcome, probability, _ = measure_axis(aligned, 0, rng)
+            assert outcome == 0
+            assert probability == pytest.approx(1.0, abs=1e-12)
 
     def test_antipodal_basis_flips_outcome(self):
         rng = np.random.default_rng(9)
-        idx = AngleIndex(5, 4)
         phi = AngleIndex(5 + 8, 4).angle
-        result = measure_in_rotated_basis(prepare_state(idx), 0, phi, rng)
-        assert result.outcome == 1
-        assert result.probability == pytest.approx(1.0, abs=1e-12)
+        outcome, probability, _ = measure_axis(rotate_axis(single(5, 4), 0, -phi), 0, rng)
+        assert outcome == 1
+        assert probability == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_angle_reduces_to_measure_z(self):
-        state = prepare_state(AngleIndex(3, 4))
-        a = measure_in_rotated_basis(state, 0, 0.0, np.random.default_rng(10))
-        b = measure_z(state, 0, np.random.default_rng(10))
-        assert a.outcome == b.outcome
-        assert a.probability == pytest.approx(b.probability, abs=1e-12)
+        state = single(3, 4)
+        a = measure_axis(rotate_axis(state, 0, 0.0), 0, np.random.default_rng(10))
+        b = measure_axis(state, 0, np.random.default_rng(10))
+        assert a[0] == b[0]
+        assert a[1] == pytest.approx(b[1], abs=1e-12)
 
 
 class TestDensityFromEnsemble:
@@ -498,82 +514,61 @@ class TestPartialTrace:
 
 
 class TestSwapTest:
-    """Two-copy symmetry test and its post-test states."""
+    """Symmetry test of two axes and its post-test states."""
 
     def test_identical_states_always_pass(self):
         rng = np.random.default_rng(14)
-        state = prepare_state(AngleIndex(5, 4))
+        pair = product_tensor(single(5, 4), single(5, 4))
         for _ in range(200):
-            result = swap_test(state, state, rng)
-            assert result.passed
-            assert result.pass_probability == pytest.approx(1.0, abs=1e-12)
+            passed, p_pass, _ = swap_project(pair, 0, 1, rng)
+            assert passed
+            assert p_pass == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_states_leave_product_intact(self):
         rng = np.random.default_rng(15)
-        state = prepare_state(AngleIndex(5, 4))
-        result = swap_test(state, state, rng)
-        product = PureState(np.kron(state.amplitudes, state.amplitudes))
-        assert result.post_joint.fidelity(product) == pytest.approx(1.0, abs=1e-12)
+        pair = product_tensor(single(5, 4), single(5, 4))
+        _, _, post = swap_project(pair, 0, 1, rng)
+        assert fidelity(post, pair) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states_pass_half_the_time(self):
         rng = np.random.default_rng(16)
-        a = prepare_state(AngleIndex(0, 1))
-        b = prepare_state(AngleIndex(1, 1))
+        pair = product_tensor(single(0, 1), single(1, 1))
         trials = 10_000
-        passes = sum(swap_test(a, b, rng).passed for _ in range(trials))
-        assert swap_test(a, b, rng).pass_probability == pytest.approx(0.5, abs=1e-12)
+        passes = sum(swap_project(pair, 0, 1, rng)[0] for _ in range(trials))
+        assert swap_project(pair, 0, 1, rng)[1] == pytest.approx(0.5, abs=1e-12)
         assert abs(passes / trials - 0.5) <= three_se(0.5, trials)
 
     def test_orthogonal_failure_projects_onto_singlet(self):
         rng = np.random.default_rng(17)
-        a = prepare_state(AngleIndex(0, 1))
-        b = prepare_state(AngleIndex(1, 1))
-        singlet = PureState(np.array([0, 1.0, -1.0, 0]) / math.sqrt(2))
+        pair = product_tensor(single(0, 1), single(1, 1))
+        singlet = np.array([[0, 1.0], [-1.0, 0]]) / math.sqrt(2)
         seen_fail = False
         for _ in range(100):
-            result = swap_test(a, b, rng)
-            if not result.passed:
+            passed, _, post = swap_project(pair, 0, 1, rng)
+            if not passed:
                 seen_fail = True
-                assert result.post_joint.fidelity(singlet) == pytest.approx(1.0, abs=1e-12)
+                assert fidelity(post, singlet) == pytest.approx(1.0, abs=1e-12)
         assert seen_fail
 
     def test_pass_probability_formula(self):
         rng = np.random.default_rng(18)
         for delta in (1, 2, 3):
-            a = prepare_state(AngleIndex(0, 4))
-            b = prepare_state(AngleIndex(delta, 4))
+            pair = product_tensor(single(0, 4), single(delta, 4))
             ov = overlap(AngleIndex(0, 4), AngleIndex(delta, 4))
-            result = swap_test(a, b, rng)
-            assert result.pass_probability == pytest.approx((1 + ov**2) / 2, abs=1e-12)
+            _, p_pass, _ = swap_project(pair, 0, 1, rng)
+            assert p_pass == pytest.approx((1 + ov**2) / 2, abs=1e-12)
 
     def test_partial_overlap_pass_leaves_entangled_pair(self):
         rng = np.random.default_rng(19)
-        a = prepare_state(AngleIndex(0, 3))
-        b = prepare_state(AngleIndex(1, 3))
-        result = swap_test(a, b, rng)
-        post = DensityMatrix(
-            np.outer(result.post_joint.amplitudes, result.post_joint.amplitudes.conj())
-        )
-        purity = partial_trace(post, 0, 2).purity()
+        _, _, post = swap_project(product_tensor(single(0, 3), single(1, 3)), 0, 1, rng)
+        amps = post.reshape(-1)
+        purity = partial_trace(DensityMatrix(np.outer(amps, amps.conj())), 0, 2).purity()
         assert purity < 1.0 - 1e-9
 
     def test_post_state_has_definite_exchange_symmetry(self):
         rng = np.random.default_rng(20)
-        a = prepare_state(AngleIndex(0, 3))
-        b = prepare_state(AngleIndex(2, 3))
+        pair = product_tensor(single(0, 3), single(2, 3))
         for _ in range(20):
-            result = swap_test(a, b, rng)
-            amps = result.post_joint.amplitudes
-            swapped = amps[[0, 2, 1, 3]]
-            sign = 1.0 if result.passed else -1.0
-            np.testing.assert_allclose(amps, sign * swapped, atol=1e-12)
-
-    def test_joint_variant_validates_size(self):
-        with pytest.raises(ValueError, match="two-qubit"):
-            swap_test_joint(prepare_state(AngleIndex(0, 2)), np.random.default_rng(0))
-
-    def test_single_qubit_inputs_required(self):
-        pair = PureState(np.array([1.0, 0, 0, 0]))
-        single = prepare_state(AngleIndex(0, 2))
-        with pytest.raises(ValueError, match="single-qubit"):
-            swap_test(pair, single, np.random.default_rng(0))
+            passed, _, post = swap_project(pair, 0, 1, rng)
+            sign = 1.0 if passed else -1.0
+            np.testing.assert_allclose(post, sign * post.T, atol=1e-12)

@@ -8,8 +8,8 @@ import pytest
 from qpke.quantum_core import (
     AngleIndex,
     density_from_ensemble,
-    measure_in_rotated_basis,
     prepare_state,
+    rotate_axis,
     von_neumann_entropy,
 )
 from qpke.security_analysis import (
@@ -17,6 +17,7 @@ from qpke.security_analysis import (
     DEFAULT_MARGIN_THRESHOLD,
     DEFAULT_RANDOM_BASIS_ANGLES,
     ENSEMBLE_ENUMERATION_CAP,
+    MI_COPIES_CAP,
     MI_PRECISION_CAP,
     KeyParams,
     MeasurementStrategy,
@@ -165,6 +166,10 @@ class TestSecrecyCondition:
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError, match="threshold"):
             secrecy_condition(KeyParams(4, 4, 1, 1), threshold=0.0)
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            secrecy_condition(KeyParams(4, 4, 1, 1), threshold=math.nan)
 
     def test_records_cover_all_quantities(self):
         report = secrecy_condition(KeyParams(48, 48, 256, 16))
@@ -390,6 +395,16 @@ class TestMutualInformation:
                 rng=rng,
             )
 
+    def test_copies_cap_enforced(self):
+        rng = np.random.default_rng(1)
+        strategy = MeasurementStrategy.random()
+        with pytest.raises(ValueError, match=str(MI_COPIES_CAP)):
+            estimate_mutual_information(strategy, 2, MI_COPIES_CAP + 1, 100, rng)
+        with pytest.raises(ValueError, match=str(MI_COPIES_CAP)):
+            estimate_mutual_information(strategy, 2, 10**12, 2, rng)
+        at_cap = estimate_mutual_information(strategy, 2, MI_COPIES_CAP, 100, rng)
+        assert at_cap.copies_per_trial == MI_COPIES_CAP
+
     def test_input_validation(self):
         rng = np.random.default_rng(1)
         strategy = MeasurementStrategy.fixed(0.0)
@@ -514,18 +529,16 @@ class TestOutcomeProbabilityConsistency:
     def test_rotated_basis_matches_state_measurement(self):
         from qpke.security_analysis import _outcome_probability
 
-        rng = np.random.default_rng(808)
         for n in (1, 2, 4, 8):
             for phi in (0.0, math.pi / 8, math.pi / 3):
                 s_values = np.arange(1 << min(n, 4), dtype=np.int64)
                 strategy = MeasurementStrategy.fixed(phi)
                 p1 = _outcome_probability(s_values, n, strategy, None)
                 for s, p in zip(s_values, p1):
-                    state = prepare_state(AngleIndex(int(s), n))
-                    outcome = measure_in_rotated_basis(state, 0, phi, rng)
-                    realized = outcome.probability
-                    expected = realized if outcome.outcome == 1 else 1.0 - realized
-                    assert p == pytest.approx(expected, abs=1e-12)
+                    state = prepare_state(AngleIndex(int(s), n)).amplitudes
+                    # outcome 1 of the rotated basis is outcome 1 after R(phi)^-1
+                    born_one = abs(rotate_axis(state, 0, -phi)[1]) ** 2
+                    assert p == pytest.approx(born_one, abs=1e-12)
 
     def test_povm_probability_matches_quadratic_form(self):
         from qpke.security_analysis import _outcome_probability
