@@ -81,7 +81,7 @@ from .security_analysis import (
 )
 from .seeding import rng_stream, seed_sequence
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = sorted(
     name

@@ -23,12 +23,11 @@ from .protocol import (
     DecryptionOracle,
     OracleDeactivatedError,
     PrivateKey,
-    PublicKey,
-    apply_encryption_flags,
+    _parity_masks,
     decrypt,
     encode_redundant,
-    key_id_of,
     prepare_register,
+    swap_test_encrypted_copies,
     swap_test_registers,
 )
 from .quantum_core import MAX_PRECISION_BITS, DensityMatrix, trace_distance
@@ -38,6 +37,9 @@ FORWARD_SEARCH_RULES = ("identify-all", "parity-aware")
 CPA_PRECISION_CAP = 12
 CPA_TOTAL_QUBIT_CAP = 8
 DEFAULT_ATTACK_PRECISION = 8
+# symmetry tests per batched call of run_forward_search: bounds the memory of
+# one chunk (a few MB), and so the largest alpha, whatever the trial count
+FORWARD_SEARCH_CHUNK = 1 << 14
 
 
 # --- forward search over public-key copies ---
@@ -50,10 +52,11 @@ def identify_rotations(fails: Sequence[bool]) -> tuple[int, ...]:
     return tuple(int(bool(f)) for f in fails)
 
 
-def parity_from_fails(fails: Sequence[bool]) -> int:
+def parity_from_fails(fails: Sequence[bool] | np.ndarray) -> int | np.ndarray:
     """Parity-aware decision rule: guess the message bit as the parity of
-    observed failures, ignoring which qubits produced them."""
-    return sum(bool(f) for f in fails) & 1
+    observed failures, ignoring which qubits produced them.  An array of
+    failure patterns gets one guess per pattern (its last axis)."""
+    return np.count_nonzero(fails, axis=-1) & 1
 
 
 def forward_search_trial(
@@ -63,22 +66,12 @@ def forward_search_trial(
     against a fresh public copy, and return (failure pattern, true flags).
 
     The true flags are returned for scoring only; the decision rules see
-    nothing but the failure pattern.
+    nothing but the failure pattern.  This is run_forward_search's batched
+    call with one row.
     """
     flags = encode_redundant(bit, alpha, rng)
-    carrier = PublicKey(
-        key_id=key_id_of(key),
-        N=alpha,
-        register=prepare_register(key),
-        copy_index=1,
-    )
-    cipher = apply_encryption_flags(carrier, flags, alpha)
-    reference = prepare_register(key)
-    fails = [
-        not swap_test_registers(cipher.register, q, reference, q, rng)
-        for q in range(alpha)
-    ]
-    return fails, flags
+    passes = swap_test_encrypted_copies(key, np.array([flags]), rng)[0]
+    return (~passes).tolist(), flags
 
 
 @dataclass(frozen=True)
@@ -136,10 +129,15 @@ def run_forward_search(
     identify-all succeeds when every per-qubit rotation flag is guessed
     correctly; parity-aware succeeds when the recovered message bit is
     correct.  Both rules consume the same symmetry-test outcomes, so the
-    comparison is paired.
+    comparison is paired.  Trials run in chunks of at most
+    FORWARD_SEARCH_CHUNK symmetry tests; each chunk draws its message bits,
+    then their parity masks, then one uniform per symmetry test.
     """
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
+    if alpha > FORWARD_SEARCH_CHUNK:
+        # checked before the key draw, which a huge alpha cannot afford
+        raise ValueError(f"alpha must be at most {FORWARD_SEARCH_CHUNK}, got {alpha}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 1 <= precision <= MAX_PRECISION_BITS:
@@ -150,13 +148,15 @@ def run_forward_search(
     )
     identify_hits = 0
     parity_hits = 0
-    for _ in range(trials):
-        bit = int(rng.integers(0, 2))
-        fails, flags = forward_search_trial(key, bit, alpha, rng)
-        if identify_rotations(fails) == flags:
-            identify_hits += 1
-        if parity_from_fails(fails) == bit:
-            parity_hits += 1
+    per_chunk = FORWARD_SEARCH_CHUNK // alpha
+    for start in range(0, trials, per_chunk):
+        size = min(per_chunk, trials - start)
+        bits = rng.integers(0, 2, size=size)
+        flags = _parity_masks(bits, alpha, rng).reshape(size, alpha)
+        fails = ~swap_test_encrypted_copies(key, flags, rng)
+        # identify-all claims a rotation exactly where a test failed
+        identify_hits += int(np.count_nonzero(np.all(fails == flags, axis=1)))
+        parity_hits += int(np.count_nonzero(parity_from_fails(fails) == bits))
     return {
         "identify-all": _forward_report("identify-all", alpha, trials, identify_hits),
         "parity-aware": _forward_report("parity-aware", alpha, trials, parity_hits),

@@ -33,6 +33,7 @@ from .quantum_core import (
     rotate_axis,
     sample_outcome,
     swap_project,
+    swap_project_batch,
 )
 
 DEFAULT_PRECISION_RANGE = (32, 62)
@@ -43,6 +44,8 @@ KEY_FILE_VERSION = 1
 # largest amplitude group a symmetry test may build: 2**20 complex128
 # amplitudes, 16 MB, before the projection's temporary copies
 MAX_GROUP_QUBITS = 20
+# longest key keygen draws: 8 MB of int64 indices, far above any length used
+MAX_KEY_LENGTH = 1 << 20
 
 
 class LowPrecisionWarning(UserWarning):
@@ -511,8 +514,9 @@ def keygen(
         n = int(rng.integers(lo, hi + 1))
     if not 1 <= n <= MAX_PRECISION_BITS:
         raise ValueError(f"precision n must be in [1, {MAX_PRECISION_BITS}], got {n}")
-    if N < 1:
-        raise ValueError("key length N must be at least 1")
+    if not 1 <= N <= MAX_KEY_LENGTH:
+        # checked before the draw, which a huge N cannot afford
+        raise ValueError(f"key length N must be in [1, {MAX_KEY_LENGTH}], got {N}")
     if n < RECOMMENDED_MIN_PRECISION:
         warnings.warn(
             f"precision n={n} is below the recommended minimum "
@@ -576,6 +580,54 @@ def swap_test_registers(
                 f"the cap is MAX_GROUP_QUBITS = {MAX_GROUP_QUBITS}"
             )
     return _swap_project(reg_a._promote(pos_a), reg_b._promote(pos_b), rng)
+
+
+def _copy_amplitudes(indices: np.ndarray, n: int) -> np.ndarray:
+    """Amplitudes (..., 2) of exact qubits at precision n, built as _promote
+    builds one: index period/2 is exactly [0, 1]."""
+    half = np.pi * (indices / (1 << n))
+    amps = np.stack([np.cos(half), np.sin(half)], axis=-1)
+    amps[indices == 1 << (n - 1)] = (0.0, 1.0)
+    return amps
+
+
+def _encrypted_copy_pairs(key: PrivateKey, flags: np.ndarray) -> np.ndarray:
+    """Joint (B * alpha, 2, 2) amplitudes of the symmetry tests that
+    swap_test_encrypted_copies runs: axis 0 is qubit q of a fresh copy
+    rotated by flag * pi, axis 1 qubit q of another fresh copy."""
+    alpha = flags.shape[1]
+    period = 1 << key.n
+    fresh = _position_indices(key)[:alpha]
+    # a qubit of the encrypted copy is in one of two states, flag 0 or 1
+    shifted = (fresh[:, np.newaxis] + np.array([0, period >> 1])) % period
+    cipher = _copy_amplitudes(shifted, key.n)
+    reference = _copy_amplitudes(fresh, key.n)
+    pairs = cipher[:, :, :, np.newaxis] * reference[:, np.newaxis, np.newaxis, :]
+    return pairs[np.arange(alpha), flags].reshape(-1, 2, 2)
+
+
+def swap_test_encrypted_copies(
+    key: PrivateKey, flags: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Owner-side batch of forward-search interceptions.
+
+    Row b of the (B, alpha) 0/1 flag array encrypts a fresh public-key copy
+    (qubit q rotated by flags[b, q] * pi), and each of its first alpha
+    qubits meets the same qubit of another fresh copy in a symmetry test.
+    Returns the (B, alpha) pass pattern: the outcomes of B * alpha calls of
+    swap_test_registers in row order, from one rng.random(B * alpha) draw.
+    Nothing else leaves: no descriptor, no pass probability.
+    """
+    flags = np.asarray(flags)
+    if flags.ndim != 2 or not 1 <= flags.shape[1] <= key.length:
+        raise ValueError(
+            f"flags must have shape (B, alpha) with 1 <= alpha <= {key.length}"
+        )
+    if not np.all((flags == 0) | (flags == 1)):
+        raise ValueError("flags must be 0 or 1")
+    pairs = _encrypted_copy_pairs(key, flags.astype(np.intp, copy=False))
+    passed, _, _ = swap_project_batch(pairs, 0, 1, rng)
+    return passed.reshape(flags.shape)
 
 
 def _parity_masks(bits: np.ndarray, alpha: int, rng: np.random.Generator | None) -> np.ndarray:

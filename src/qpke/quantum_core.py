@@ -10,8 +10,10 @@ to floating-point amplitudes at measurement or analysis boundaries.
 
 Amplitude math lives in one kernel of array functions (rotate_axis,
 measure_axis, swap_project) over tensors of shape (2,)*k, one axis per qubit;
-register amplitude groups run on it.  PureState and density matrices are
-the values that preparation and the ensemble and entropy tools exchange.
+register amplitude groups run on it.  swap_project_batch runs the symmetry
+test over a leading batch axis for the Monte Carlo forward search.  PureState
+and density matrices are the values that preparation and the ensemble and
+entropy tools exchange.
 
 Amplitude-index convention: qubit 0 is the leftmost tensor factor, i.e. the
 most significant bit of the amplitude index.
@@ -303,3 +305,32 @@ def swap_project(
     if sample_outcome([p_pass, p_fail], rng) == 0:
         return True, p_pass, symmetric / math.sqrt(p_pass)
     return False, p_pass, antisymmetric / math.sqrt(p_fail)
+
+
+def swap_project_batch(
+    arr: np.ndarray, axis_a: int, axis_b: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel: swap_project on each state of a (B, 2, ..., 2) batch, with one
+    draw rng.random(B); axes count qubits, not the batch axis.  Returns the
+    pass flags, the pass probabilities and the normalized projections.
+
+    Outcomes follow sample_outcome's rule: a zero-weight branch is never
+    chosen, and u equal to p_pass passes.  swap_project stays separate
+    because register groups test one state at a time, where the batch
+    bookkeeping would cost more than the projection.
+    """
+    swapped = np.swapaxes(arr, axis_a + 1, axis_b + 1)
+    symmetric = 0.5 * (arr + swapped)
+    antisymmetric = 0.5 * (arr - swapped)
+    sym_flat = symmetric.reshape(len(arr), -1)
+    anti_flat = antisymmetric.reshape(len(arr), -1)
+    p_pass = np.einsum("bi,bi->b", sym_flat.conj(), sym_flat).real
+    p_fail = np.einsum("bi,bi->b", anti_flat.conj(), anti_flat).real
+    if not np.all((p_pass > 0.0) | (p_fail > 0.0)):
+        raise ValueError("no outcome has positive probability")
+    u = rng.random(len(arr))
+    passed = (p_pass > 0.0) & ((u <= p_pass) | (p_fail <= 0.0))
+    column = (-1,) + (1,) * (arr.ndim - 1)
+    branch = np.where(passed.reshape(column), symmetric, antisymmetric)
+    norms = np.sqrt(np.where(passed, p_pass, p_fail))
+    return passed, p_pass, branch / norms.reshape(column)

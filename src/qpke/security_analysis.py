@@ -99,7 +99,8 @@ class SecrecyReport:
     residual_key_entropy_bits: float
 
     def to_records(self) -> list[dict]:
-        """Flat analysis records, one per reported quantity."""
+        """Flat analysis records, one per reported quantity.  JSON has no
+        infinity, so the unbounded margin of zero copies is None (null)."""
         params = {
             "n_l": self.params.n_l,
             "n_u": self.params.n_u,
@@ -120,7 +121,11 @@ class SecrecyReport:
             record("private_key_entropy", self.key_entropy_bits),
             record("permuted_key_entropy", self.permuted_key_entropy_bits),
             record("holevo_cap", self.holevo_cap_bits),
-            record("secrecy_margin", self.margin, self.satisfied),
+            record(
+                "secrecy_margin",
+                self.margin if math.isfinite(self.margin) else None,
+                self.satisfied,
+            ),
             record("residual_key_entropy", self.residual_key_entropy_bits),
         ]
 
@@ -136,8 +141,9 @@ def secrecy_condition(
     margin infinite.  The residual entropy H(d|x) lower-bounds what stays
     hidden after the best possible measurement.
     """
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
+    if not 0 < threshold < math.inf:
+        # a payload records the threshold, and JSON has no infinity
+        raise ValueError("threshold must be positive and finite")
     h_key = private_key_entropy(params)
     cap = holevo_cap(params)
     margin = math.inf if cap == 0.0 else h_key / cap

@@ -38,7 +38,7 @@ from qpke.quantum_core import (
     DensityMatrix,
     partial_trace,
     prepare_state,
-    swap_project,
+    swap_project_batch,
 )
 from qpke.security_analysis import (
     KeyParams,
@@ -233,13 +233,15 @@ class TestAcceptance:
             ov = math.cos(offset * math.pi / 8.0)
             expected = (1.0 + ov * ov) / 2.0
             joint = np.kron(reference.amplitudes, other.amplitudes).reshape(2, 2)
-            passes = 0
+            # one batched call draws the same uniforms as `trials` scalar calls
+            passed, _, post = swap_project_batch(
+                np.broadcast_to(joint, (trials, 2, 2)), 0, 1, rng
+            )
             posts = {}
-            for _ in range(trials):
-                passed, _, post = swap_project(joint, 0, 1, rng)
-                passes += passed
-                posts["pass" if passed else "fail"] = post.reshape(-1)
-            rate = passes / trials
+            for outcome, hits in (("pass", passed), ("fail", ~passed)):
+                if hits.any():
+                    posts[outcome] = post[np.flatnonzero(hits)[-1]].reshape(-1)
+            rate = int(np.count_nonzero(passed)) / trials
             rates.append(f"|<a|b>|={ov:.3f}: {rate:.4f} vs {expected:.4f}")
             tolerance = three_se(expected, trials)
             if offset == 0:

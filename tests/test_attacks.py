@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import qpke.attacks
 from qpke.attacks import (
     CPA_PRECISION_CAP,
     CPA_TOTAL_QUBIT_CAP,
+    FORWARD_SEARCH_CHUNK,
     CcaSessionResult,
     chosen_ciphertext_session,
     chosen_plaintext_distinguishability,
@@ -178,6 +180,20 @@ class TestRunForwardSearch:
             run_forward_search(0, 10, rng)
         with pytest.raises(ValueError, match="trials"):
             run_forward_search(1, 0, rng)
+        for alpha in (FORWARD_SEARCH_CHUNK + 1, 10**12):
+            with pytest.raises(ValueError, match="alpha must be at most"):
+                run_forward_search(alpha, 1, rng)
+
+    def test_memory_does_not_grow_with_trials(self):
+        peaks = []
+        for trials in (50_000, 200_000):
+            tracemalloc.start()
+            try:
+                run_forward_search(2, trials, np.random.default_rng(25))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestSingleUseConstraint:

@@ -428,6 +428,33 @@ class TestAnalyzeCommand:
         assert len(mi) == 1
         assert mi[0]["value_bits"] == pytest.approx(1.0, abs=0.05)
 
+    def test_payloads_are_strict_json(self, tmp_path, capsys):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for name, flags in (("k0", ["--k", "0"]), ("huge", ["--threshold", "1e308"])):
+            json_path = tmp_path / f"{name}.json"
+            code, _, _ = run_cli(
+                ["analyze", *flags, "--seed", "1", "--json", str(json_path)], capsys
+            )
+            assert code == 0
+            for path in (json_path, tmp_path / f"{name}.json.manifest.json"):
+                json.loads(path.read_text(), parse_constant=reject)
+        records = json.loads((tmp_path / "k0.json").read_text())["results"]
+        margin = next(r for r in records if r["quantity"] == "secrecy_margin")
+        assert margin["value_bits"] is None
+        assert margin["satisfied"] is True
+
+    def test_infinite_threshold_is_usage_error(self, tmp_path, capsys):
+        json_path = tmp_path / "t.json"
+        code, _, stderr = run_cli(
+            ["analyze", "--threshold", "inf", "--seed", "1", "--json", str(json_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "threshold must be positive and finite" in stderr
+        assert not json_path.exists()
+
     def test_nan_threshold_is_usage_error(self, tmp_path, capsys):
         json_path = tmp_path / "t.json"
         code, _, stderr = run_cli(

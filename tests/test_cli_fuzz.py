@@ -19,7 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qpke.attacks import FORWARD_SEARCH_CHUNK
 from qpke.cli import main
+from qpke.protocol import MAX_KEY_LENGTH
 from qpke.security_analysis import MI_COPIES_CAP
 
 FUZZ = settings(max_examples=40, deadline=None)
@@ -144,13 +146,15 @@ MALFORMED_KEY_TEXT = st.one_of(
         flag("n", BAD_PRECISION),
         flag("n", NOT_A_NUMBER),
         flag("n-range", bad_range(1, 62)),
-        st.tuples(flag("n", st.integers(1, 62)), flag("N", NOT_POSITIVE)).map(
-            lambda t: t[0] + t[1]
-        ),
+        st.tuples(
+            flag("n", st.integers(1, 62)),
+            flag("N", st.one_of(NOT_POSITIVE, st.integers(min_value=MAX_KEY_LENGTH + 1))),
+        ).map(lambda t: t[0] + t[1]),
         st.just(["--n", "8", "--n-range", "8:9"]),
         st.just([]),
     )
 )
+@example(args=["--n", "8", "--N=1000000000000"])
 def test_keygen_rejects_malformed_flags(workdir, args):
     assert_clean_failure(["keygen", "--N", "2", "--out", str(workdir / "k.json")] + args)
 
@@ -189,7 +193,9 @@ def test_roundtrip_rejects_malformed_flags(workdir, args, missing_key):
         st.tuples(
             st.just(["--attack", "forward-search", "--trials", "10"]),
             st.one_of(
-                flag("alpha", NOT_POSITIVE), flag("trials", NOT_POSITIVE), flag("n", BAD_PRECISION)
+                flag("alpha", st.one_of(NOT_POSITIVE, st.integers(FORWARD_SEARCH_CHUNK + 1))),
+                flag("trials", NOT_POSITIVE),
+                flag("n", BAD_PRECISION),
             ),
         ),
         st.tuples(
@@ -214,6 +220,7 @@ def test_roundtrip_rejects_malformed_flags(workdir, args, missing_key):
 @example(args=["--attack", "cpa", "--N=-9223372036854775809"])
 @example(args=["--attack", "cpa", "--N=10000000000"])
 @example(args=["--attack", "forward-search", "--trials", "10", "--n=1000000000000000000"])
+@example(args=["--attack", "forward-search", "--alpha=1000000000000", "--trials", "1"])
 def test_attack_rejects_malformed_flags(args):
     assert_clean_failure(["attack", "--seed", "1"] + args)
 
@@ -221,7 +228,7 @@ def test_attack_rejects_malformed_flags(args):
 @FUZZ
 @given(
     args=st.one_of(
-        flag("threshold", st.one_of(st.just("nan"), st.just("-inf"), st.floats(max_value=0.0))),
+        flag("threshold", st.one_of(st.sampled_from(["nan", "inf", "-inf"]), st.floats(max_value=0.0))),
         flag("n-range", bad_range(1)),
         flag("N", NOT_POSITIVE),
         flag("k", st.integers(max_value=-1)),
@@ -237,6 +244,7 @@ def test_attack_rejects_malformed_flags(args):
     )
 )
 @example(args=["--threshold=nan"])
+@example(args=["--threshold=inf"])
 @example(args=["--mi-strategy", "fixed", "--mi-copies=1000000000000", "--trials=2"])
 def test_analyze_rejects_malformed_flags(workdir, args):
     assert_clean_failure(["analyze", "--seed", "1", "--json", str(workdir / "a.json")] + args)

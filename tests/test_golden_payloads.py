@@ -37,16 +37,16 @@ COMMANDS = [
 
 GOLDEN = {
     "key.json": "c838fb5696121f9df52324a7da85516c6139aaf208f8d161bd0fdac9836d4073",
-    "fs1.json": "43dabd7718f2c08d681164dac1295be1484e2f1826611261a6eddeb9c2727fbd",
-    "fs1.csv": "19dc62acf4dd829bd3634d21f11d434102bf72eb17c6e1931ee26a118ab1f512",
-    "fs3.json": "56b2f73c022fd8d0a93b12b49205f91f0b03eb8b8a04a5b5b43c21f1b3031e22",
-    "fs3.csv": "36e6d96b5afbd7599e0eba58c2364d253aa40b1f49887fa900046f0098a35aa0",
-    "sweep/sweep-forward-search.csv": "db093a3b50a01d224ae06623d688bbdcdfc68792d9276cc93559cf63991a8cd0",
-    "rt1.json": "30b21f3b94a630fab2d996a1be5fcb7ccbbc2359d4417a479e4ff0a1471c5bb8",
-    "rt2.json": "f01e3061936b0658e3bbd78e73f1aa9cfa9775a1ba72ed5b94384f8c05cbf03e",
-    "rt4.json": "39e7de79a28dce1a7e4715346850d6e2f9d485386c14c8807b1947dd99012ec4",
-    "cca.json": "f44cb0ac6e3a9130f6f5d4afbe819885bcb2b915f70abe761553844099476e25",
-    "cca.csv": "94c31e82aa6f26ef48fe9a5897504ff823cb5542f336080e971b2944c4319d5f",
+    "fs1.json": "1dd5aaa4ca65d2579e282d04d0f9923e258f6bc4e0e45c032f9b0d6ba994a089",
+    "fs1.csv": "261f4e40883a76877ce2c944bb19dc9f38accfe12d82e855e5d3f14653ab1b2b",
+    "fs3.json": "b2dd8d6fb6d6c5e62d7a408a1a05d84e282c83b4f9d95a3ae83f41bb0c6d730e",
+    "fs3.csv": "4ecda85942ef70982db8bb5fe3fdc8a7808306fe0377ed1597471fdb7bd4b16f",
+    "sweep/sweep-forward-search.csv": "278ab7ccd31e041427bdd7cf59f15a1c1e8503cff5705d8e9593b23f0b748e85",
+    "rt1.json": "f0b32156a63b480624002e8295c3d27015ab6e9524823abe9d950f67191f0245",
+    "rt2.json": "ef8d05e43891117d4d4a6a424f53c4b1aaf3707e2cc6fb5daece06dd2dd9bac3",
+    "rt4.json": "36838ab2a2fff5966919d30978b6079257198c17a7a88f6e4109fd9aede34c7a",
+    "cca.json": "1399addfc76c9b1fa6c0315d1789bba3a8877af79b5634055d3177fdcc5fb415",
+    "cca.csv": "af407c0535f593935155c575e370593280e8e60fed39528dbac8974d1b282fba",
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qpke.protocol import (
     MAX_GROUP_QUBITS,
+    MAX_KEY_LENGTH,
     AccessDeniedError,
     CipherState,
     CopyCapExceededError,
@@ -37,10 +38,18 @@ from qpke.protocol import (
     private_key_from_json,
     private_key_to_json,
     save_private_key,
+    swap_test_encrypted_copies,
     swap_test_registers,
+    _encrypted_copy_pairs,
     _outcome1_probability,
 )
-from qpke.quantum_core import MAX_PRECISION_BITS, AngleIndex, PureState
+from qpke.quantum_core import (
+    MAX_PRECISION_BITS,
+    AngleIndex,
+    PureState,
+    swap_project,
+    swap_project_batch,
+)
 
 
 def fresh_public(key: PrivateKey) -> PublicKey:
@@ -130,6 +139,11 @@ class TestKeygen:
             keygen(70, 4, rng=np.random.default_rng(3))
         with pytest.raises(ValueError, match="precision range"):
             keygen((30, 70), 4, rng=np.random.default_rng(3))
+
+    def test_length_cap(self):
+        for N in (0, MAX_KEY_LENGTH + 1, 10**12):
+            with pytest.raises(ValueError, match="key length"):
+                keygen(40, N, rng=np.random.default_rng(3))
 
     def test_low_precision_warns(self):
         with pytest.warns(LowPrecisionWarning):
@@ -370,6 +384,16 @@ class TestRegisterOperations:
             register.apply_bit_rotations([1, 1, 1])
         with pytest.raises(ValueError, match="0 or 1"):
             register.apply_bit_rotations([2, 0])
+
+    def test_encrypted_copy_flag_validation(self):
+        key = PrivateKey(n=4, s=(1, 5))
+        rng = np.random.default_rng(0)
+        for shape_error in ([1, 0], [[1, 0, 1]], np.zeros((2, 0), dtype=np.int64)):
+            with pytest.raises(ValueError, match="shape"):
+                swap_test_encrypted_copies(key, shape_error, rng)
+        for value_error in ([[2, 0]], [[-1, 0]], [[0.5, 0]]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                swap_test_encrypted_copies(key, value_error, rng)
 
 
 class TestEncodeRedundant:
@@ -699,6 +723,25 @@ class TestRegisterProperties:
             amps = register._promote(q).group.amps
             assert (np.abs(amps) ** 2).tolist() == [1.0 - p1[q], p1[q]]
             assert amps.tolist() == [[1.0, 0.0], [0.0, 1.0]][q]
+
+    @given(key=private_keys(), flag_bits=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_encrypted_copy_tests_equal_register_tests(self, key, flag_bits, seed):
+        flags = np.array([[(flag_bits >> q) & 1 for q in range(key.length)]])
+        passes = swap_test_encrypted_copies(key, flags, np.random.default_rng(seed))
+        _, p_batch, _ = swap_project_batch(
+            _encrypted_copy_pairs(key, flags), 0, 1, np.random.default_rng(seed)
+        )
+        cipher, reference = prepare_register(key), prepare_register(key)
+        cipher.apply_bit_rotations(flags[0])
+        loop_rng = np.random.default_rng(seed)
+        for q in range(key.length):
+            joint = np.multiply.outer(
+                cipher._promote(q).group.amps, reference._promote(q).group.amps
+            )
+            p_register = swap_project(joint, 0, 1, np.random.default_rng(0))[1]
+            assert abs(p_batch[q] - p_register) <= 1e-12
+            assert passes[0, q] == swap_test_registers(cipher, q, reference, q, loop_rng)
 
     @given(key=private_keys(max_length=9), alpha=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None, derandomize=True)

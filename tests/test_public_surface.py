@@ -4,6 +4,10 @@ Adding a name to or removing one from `qpke.__all__` must show up as a diff
 here, so that every change to the public surface is a deliberate one.
 """
 
+from pathlib import Path
+
+import pytest
+
 import qpke
 
 PUBLIC_NAMES = [
@@ -76,3 +80,10 @@ PUBLIC_NAMES = [
 def test_all_is_the_pinned_list():
     assert qpke.__all__ == PUBLIC_NAMES
 
+
+def test_version_matches_pyproject():
+    # the version is part of every payload's run id
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as handle:
+        assert qpke.__version__ == tomllib.load(handle)["project"]["version"]

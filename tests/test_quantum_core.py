@@ -29,6 +29,7 @@ from qpke.quantum_core import (
     rotation_matrix,
     sample_outcome,
     swap_project,
+    swap_project_batch,
     trace_distance,
     von_neumann_entropy,
 )
@@ -63,8 +64,8 @@ class _FixedUniform:
     def __init__(self, value: float) -> None:
         self.value = value
 
-    def random(self) -> float:
-        return self.value
+    def random(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
 
 
 class TestAngleIndex:
@@ -572,3 +573,43 @@ class TestSwapTest:
             passed, _, post = swap_project(pair, 0, 1, rng)
             sign = 1.0 if passed else -1.0
             np.testing.assert_allclose(post, sign * post.T, atol=1e-12)
+
+
+class TestSwapProjectBatch:
+    """The batched symmetry test against a loop of swap_project calls."""
+
+    @pytest.mark.parametrize("k, axes", [(2, (0, 1)), (3, (0, 2))])
+    def test_matches_loop_of_swap_project(self, k, axes):
+        shape = (64,) + (2,) * k
+        states = np.random.default_rng(21).normal(size=shape + (2,)).view(np.complex128)
+        states = states.reshape(shape)
+        # a symmetric and an antisymmetric state: one branch has zero weight
+        states[0] = np.swapaxes(states[0], *axes) + states[0]
+        states[1] = np.swapaxes(states[1], *axes) - states[1]
+        states /= np.linalg.norm(states.reshape(64, -1), axis=1).reshape((64,) + (1,) * k)
+        passed, p_pass, post = swap_project_batch(states, *axes, np.random.default_rng(5))
+        loop_rng = np.random.default_rng(5)
+        for b, state in enumerate(states):
+            ref_passed, ref_p, ref_post = swap_project(state, *axes, loop_rng)
+            assert passed[b] == ref_passed
+            assert abs(p_pass[b] - ref_p) <= 1e-12
+            np.testing.assert_allclose(post[b], ref_post, rtol=0.0, atol=1e-12)
+        assert passed[0] and not passed[1]
+        assert 0 < passed.sum() < len(states)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 1.0])
+    def test_outcome_rule_matches_sample_outcome(self, u):
+        pairs = np.stack([
+            product_tensor(single(5, 4), single(5, 4)),  # p_fail = 0
+            product_tensor(single(0, 1), single(1, 1)),  # p_pass = 0.5 exactly
+            np.array([[0, 1.0], [-1.0, 0]]) / math.sqrt(2),  # p_pass = 0
+        ])
+        passed, _, _ = swap_project_batch(pairs, 0, 1, _FixedUniform(u))
+        expected = [swap_project(pair, 0, 1, _FixedUniform(u))[0] for pair in pairs]
+        assert passed.tolist() == expected
+        assert passed[0] and not passed[2]
+        assert passed[1] == (u <= 0.5)
+
+    def test_zero_state_rejected(self):
+        with pytest.raises(ValueError, match="positive probability"):
+            swap_project_batch(np.zeros((2, 2, 2)), 0, 1, np.random.default_rng(0))
