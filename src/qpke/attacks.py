@@ -30,7 +30,7 @@ from .protocol import (
     swap_test_encrypted_copies,
     swap_test_registers,
 )
-from .quantum_core import MAX_PRECISION_BITS, DensityMatrix, trace_distance
+from .quantum_core import MAX_PRECISION_BITS, STDERR_VARIANCE_FLOOR, DensityMatrix, trace_distance
 from .security_analysis import shifted_ensemble
 
 FORWARD_SEARCH_RULES = ("identify-all", "parity-aware")
@@ -104,7 +104,7 @@ def _forward_report(
 ) -> ForwardSearchReport:
     rate = successes / trials
     predicted = float(_closed_form_success(alpha, rule))
-    stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / trials)
+    stderr = math.sqrt(max(rate * (1.0 - rate), STDERR_VARIANCE_FLOOR) / trials)
     return ForwardSearchReport(
         rule=rule,
         alpha=alpha,

@@ -67,6 +67,9 @@ SCHEMA_VERSION = 1
 SWEEP_CELL_CAP = 10000
 SEED_ENV_VAR = "QPKE_SEED"
 _SEED_MASK = (1 << 64) - 1
+# parsed flags that stay out of a run's params: bookkeeping, the seed (hashed
+# on its own) and output paths, which never change a payload
+_UNRECORDED_FLAGS = ("command", "func", "seed", "out", "json", "csv", "manifest")
 
 
 # --- manifests and output plumbing ---
@@ -120,9 +123,12 @@ class RunManifest:
         return body
 
 
-def _make_manifest(command: str, params: dict, seed: int) -> RunManifest:
+def _make_manifest(args, seed: int, params: dict | None = None) -> RunManifest:
+    """Manifest of one run; params default to every recorded parsed flag."""
+    if params is None:
+        params = {k: v for k, v in vars(args).items() if k not in _UNRECORDED_FLAGS}
     return RunManifest(
-        command=command,
+        command=args.command,
         params=params,
         seed=seed,
         tool_version=__version__,
@@ -144,49 +150,37 @@ def _resolve_seed(flag_value: int | None) -> tuple[int, str]:
     return int(entropy) & _SEED_MASK, "entropy"
 
 
-def _write_json(path: str, manifest: RunManifest, results) -> None:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": manifest.payload_header(),
-        "results": results,
-    }
+def _write_envelope(path: str, **body) -> None:
+    payload = {"schema_version": SCHEMA_VERSION, **body}
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
-def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def _write_manifest(path: str, manifest: RunManifest, outputs: list[str]) -> None:
-    finished = dataclasses.replace(manifest, outputs=tuple(outputs))
-    payload = {"schema_version": SCHEMA_VERSION, "manifest": finished.to_json()}
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _emit(args, manifest: RunManifest, results, csv_rows=None, csv_fields=None) -> None:
-    """Write requested data files plus the cross-referencing manifest."""
-    outputs = []
+def _emit(
+    args, manifest: RunManifest, results=None, csv_rows=None, csv_fields=None,
+    csv_path=None, written=(),
+) -> None:
+    """Write the data files (--json, --csv or csv_path) plus the manifest
+    that cross-references them and any file the command wrote itself."""
+    outputs = list(written)
     json_path = getattr(args, "json", None)
-    csv_path = getattr(args, "csv", None)
+    csv_path = csv_path or getattr(args, "csv", None)
     if json_path:
-        _write_json(json_path, manifest, results)
+        _write_envelope(json_path, manifest=manifest.payload_header(), results=results)
         outputs.append(json_path)
     if csv_path:
-        _write_csv(csv_path, csv_fields, csv_rows)
+        with open(csv_path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=csv_fields, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(csv_rows)
         outputs.append(csv_path)
     manifest_path = getattr(args, "manifest", None)
     if manifest_path is None and outputs:
         manifest_path = outputs[0] + ".manifest.json"
     if manifest_path:
-        _write_manifest(manifest_path, manifest, outputs)
+        finished = dataclasses.replace(manifest, outputs=tuple(outputs))
+        _write_envelope(manifest_path, manifest=finished.to_json())
 
 
 # --- flag parsing helpers ---
@@ -231,14 +225,8 @@ def cmd_keygen(args) -> int:
     key, public = keygen(precision, args.N, permute=args.permute, rng=rng)
 
     save_private_key(key, args.out)
-    params = {
-        "n": args.n,
-        "n_range": args.n_range,
-        "N": args.N,
-        "permute": args.permute,
-    }
-    manifest = _make_manifest("keygen", params, seed)
-    _write_manifest(args.out + ".manifest.json", manifest, [args.out])
+    manifest = _make_manifest(args, seed)
+    _emit(args, manifest, written=[args.out])
     print(f"key_id={public.key_id}")
     print(f"fingerprint={key_fingerprint(key)}")
     print(f"n={key.n} N={args.N} copy_cap={DEFAULT_COPY_CAP}")
@@ -270,11 +258,7 @@ def cmd_roundtrip(args) -> int:
         "n": key.n,
         "N": key.length,
     }
-    manifest = _make_manifest(
-        "roundtrip",
-        {"key": args.key, "message": args.message, "alpha": args.alpha},
-        seed,
-    )
+    manifest = _make_manifest(args, seed)
     _emit(args, manifest, results)
     print(f"match={'true' if match else 'false'}")
     print(f"encrypt_ms={1e3 * (t1 - t0):.2f} decrypt_ms={1e3 * (t2 - t1):.2f}")
@@ -282,27 +266,25 @@ def cmd_roundtrip(args) -> int:
     return 0 if match else 1
 
 
-_ATTACK_FIELDS = [
-    "attack",
-    "alpha",
-    "n",
-    "N",
-    "rule",
-    "trials",
-    "success_rate",
-    "stderr",
-    "theory",
-    "seed",
-    "run_id",
-]
+# the statistic columns of every attack and forward-search sweep row, in CSV order
+_STAT_FIELDS = ["rule", "trials", "success_rate", "stderr", "theory"]
+_ATTACK_FIELDS = ["attack", "alpha", "n", "N", *_STAT_FIELDS, "seed", "run_id"]
 
 
-def _forward_search_rows(reports: dict, rule: str, seed: int, run_id: str) -> list[dict]:
-    """Columns shared by every forward-search row, one row per selected rule;
-    callers add their own columns."""
+def _row(rule, trials, observed, stderr, theory, seed, run_id, **columns) -> dict:
+    """One attack or sweep row: the statistic columns in _STAT_FIELDS order,
+    seed and run id, plus the caller's own columns."""
+    return dict(columns, rule=rule, trials=trials, success_rate=observed, stderr=stderr,
+                theory=theory, seed=seed, run_id=run_id)
+
+
+def _forward_search_rows(
+    reports: dict, rule: str, seed: int, run_id: str, **columns
+) -> list[dict]:
+    """One row per selected rule; each row's alpha is the report's."""
     return [
-        {"alpha": r.alpha, "rule": r.rule, "trials": r.trials, "success_rate": r.success_rate,
-         "stderr": r.stderr, "theory": r.predicted_rate, "seed": seed, "run_id": run_id}
+        _row(r.rule, r.trials, r.success_rate, r.stderr, r.predicted_rate, seed, run_id,
+             alpha=r.alpha, **columns)
         for r in reports.values()
         if rule in ("both", r.rule)
     ]
@@ -311,10 +293,10 @@ def _forward_search_rows(reports: dict, rule: str, seed: int, run_id: str) -> li
 def _forward_search_records(args, seed: int, run_id: str) -> list[dict]:
     rng = rng_stream(seed, "attack", "forward-search")
     reports = run_forward_search(args.alpha, args.trials, rng, precision=args.n)
-    rows = _forward_search_rows(reports, args.rule, seed, run_id)
-    for row in rows:
-        row.update(attack="forward-search", n=args.n, N=args.alpha)
-    return rows
+    # N holds alpha in these rows; the golden payloads pin that column
+    return _forward_search_rows(
+        reports, args.rule, seed, run_id, attack="forward-search", n=args.n, N=args.alpha
+    )
 
 
 def _cpa_records(args, seed: int, run_id: str) -> list[dict]:
@@ -329,21 +311,8 @@ def _cpa_records(args, seed: int, run_id: str) -> list[dict]:
         report.distance_m0_to_public,
         report.distance_m1_to_public,
     )
-    return [
-        {
-            "attack": "cpa",
-            "alpha": args.alpha,
-            "n": args.n,
-            "N": args.N,
-            "rule": "trace-distance",
-            "trials": 0,
-            "success_rate": worst,
-            "stderr": 0.0,
-            "theory": 0.0,
-            "seed": seed,
-            "run_id": run_id,
-        }
-    ]
+    return [_row("trace-distance", 0, worst, 0.0, 0.0, seed, run_id,
+                 attack="cpa", alpha=args.alpha, n=args.n, N=args.N)]
 
 
 def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
@@ -368,34 +337,17 @@ def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
         "session": summary,
         "transcript": [dataclasses.asdict(entry) for entry in session.transcript],
     }
-    row = {
-        "attack": "cca",
-        "alpha": 1,
-        "n": args.n,
-        "N": args.N,
-        "rule": f"uses:{session.uses_consumed}/{session.uses_allowed}",
-        "trials": len(session.transcript),
-        "success_rate": session.uses_consumed / max(session.uses_allowed, 1),
-        "stderr": 0.0,
-        "theory": 1.0,
-        "seed": seed,
-        "run_id": run_id,
-    }
+    row = _row(
+        f"uses:{session.uses_consumed}/{session.uses_allowed}", len(session.transcript),
+        session.uses_consumed / max(session.uses_allowed, 1), 0.0, 1.0, seed, run_id,
+        attack="cca", alpha=1, n=args.n, N=args.N,
+    )
     return [row], detail
 
 
 def cmd_attack(args) -> int:
     seed, seed_source = _resolve_seed(args.seed)
-    params = {
-        "attack": args.attack,
-        "alpha": args.alpha,
-        "n": args.n,
-        "N": args.N,
-        "k": args.k,
-        "trials": args.trials,
-        "rule": args.rule,
-    }
-    manifest = _make_manifest("attack", params, seed)
+    manifest = _make_manifest(args, seed)
     if args.attack == "forward-search":
         rows = _forward_search_records(args, seed, manifest.run_id)
         results: object = rows
@@ -434,31 +386,9 @@ def cmd_analyze(args) -> int:
             rng_stream(seed, "analyze", "mi"),
         )
         records.append(estimate.to_record())
-    manifest = _make_manifest(
-        "analyze",
-        {
-            "n_range": args.n_range,
-            "N": args.N,
-            "k": args.k,
-            "threshold": args.threshold,
-            "mi_strategy": args.mi_strategy,
-            "mi_n": args.mi_n,
-            "mi_copies": args.mi_copies,
-            "trials": args.trials,
-        },
-        seed,
-    )
+    manifest = _make_manifest(args, seed)
     fields = ["quantity", "value_bits", "stderr_bits", "satisfied", "run_id"]
-    rows = [
-        {
-            "quantity": r["quantity"],
-            "value_bits": r["value_bits"],
-            "stderr_bits": r["stderr_bits"],
-            "satisfied": r["satisfied"],
-            "run_id": manifest.run_id,
-        }
-        for r in records
-    ]
+    rows = [dict(r, run_id=manifest.run_id) for r in records]
     _emit(args, manifest, records, csv_rows=rows, csv_fields=fields)
     margin = "inf" if math.isinf(report.margin) else f"{report.margin:.4f}"
     print(f"H(d)={report.key_entropy_bits:.4f} bits cap={report.holevo_cap_bits:.1f} bits")
@@ -486,39 +416,28 @@ def cmd_sweep(args) -> int:
         )
     cells = range(lo, hi + 1)
 
-    manifest = _make_manifest(
-        "sweep",
-        {
-            "experiment": args.experiment,
-            "grid": f"{lo}:{hi}",
-            "trials": args.trials,
-            "rule": args.rule,
-        },
-        seed,
-    )
+    # the normalized grid stands for --alphas or --n: only the swept flag counts
+    params = {
+        "experiment": args.experiment,
+        "grid": f"{lo}:{hi}",
+        "trials": args.trials,
+        "rule": args.rule,
+    }
+    manifest = _make_manifest(args, seed, params)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"sweep-{args.experiment}.csv"
 
     if args.experiment == "forward-search":
-        fields = [
-            "experiment",
-            "alpha",
-            "rule",
-            "trials",
-            "success_rate",
-            "stderr",
-            "theory",
-            "deviation",
-            "seed",
-            "run_id",
-        ]
+        fields = ["experiment", "alpha", *_STAT_FIELDS, "deviation", "seed", "run_id"]
         rows = []
         for alpha in cells:
             rng = rng_stream(seed, "sweep", "forward-search", alpha)
             reports = run_forward_search(alpha, args.trials, rng)
-            for row in _forward_search_rows(reports, args.rule, seed, manifest.run_id):
-                row.update(experiment="forward-search", deviation=reports[row["rule"]].deviation)
+            for row in _forward_search_rows(
+                reports, args.rule, seed, manifest.run_id, experiment="forward-search"
+            ):
+                row["deviation"] = reports[row["rule"]].deviation
                 rows.append(row)
     else:
         fields = [
@@ -546,14 +465,31 @@ def cmd_sweep(args) -> int:
                 }
             )
 
-    _write_csv(str(csv_path), fields, rows)
-    _write_manifest(str(csv_path) + ".manifest.json", manifest, [str(csv_path)])
+    _emit(args, manifest, csv_rows=rows, csv_fields=fields, csv_path=str(csv_path))
     print(f"wrote {csv_path} ({len(rows)} rows)")
     print(f"seed={seed} ({seed_source}) run_id={manifest.run_id}")
     return 0
 
 
 # --- parser and entry points ---
+
+# flags that several subcommands take, declared once
+_SHARED_FLAGS = {
+    "--rule": dict(
+        choices=["identify-all", "parity-aware", "both"],
+        default="both",
+        help="forward-search decision rule",
+    ),
+    "--seed": dict(type=int, default=None),
+    "--json": dict(default=None, help="write the report as JSON"),
+    "--csv": dict(default=None, help="write report rows as CSV"),
+    "--manifest": dict(default=None, help="manifest path override"),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", default=None, help="precision range LOW:HIGH")
     p.add_argument("--N", type=int, default=256, help="key length in qubits")
     p.add_argument("--permute", action="store_true", help="add a secret permutation")
-    p.add_argument("--seed", type=int, default=None)
+    _add_shared(p, "--seed")
     p.add_argument("--out", required=True, help="private-key file to write")
     p.set_defaults(func=cmd_keygen)
 
@@ -577,9 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True, help="private-key file from keygen")
     p.add_argument("--message", required=True, help="bits ('0110') or hex ('0xd6')")
     p.add_argument("--alpha", type=int, default=1, help="qubits per message bit")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", default=None, help="write the report as JSON")
-    p.add_argument("--manifest", default=None, help="manifest path override")
+    _add_shared(p, "--seed", "--json", "--manifest")
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("attack", help="run one adversary experiment")
@@ -594,16 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=2, help="key length in qubits")
     p.add_argument("--k", type=int, default=4, help="oracle use budget (cca)")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument(
-        "--rule",
-        choices=["identify-all", "parity-aware", "both"],
-        default="both",
-        help="forward-search decision rule",
-    )
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", default=None, help="write the report as JSON")
-    p.add_argument("--csv", default=None, help="write report rows as CSV")
-    p.add_argument("--manifest", default=None, help="manifest path override")
+    _add_shared(p, "--rule", "--seed", "--json", "--csv", "--manifest")
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("analyze", help="entropy, Holevo cap, and secrecy margin")
@@ -620,10 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mi-n", type=int, default=8, help="precision for the estimate")
     p.add_argument("--mi-copies", type=int, default=1, help="copies per trial")
     p.add_argument("--trials", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--json", default=None, help="write the report as JSON")
-    p.add_argument("--csv", default=None, help="write report rows as CSV")
-    p.add_argument("--manifest", default=None, help="manifest path override")
+    _add_shared(p, "--seed", "--json", "--csv", "--manifest")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="parameter sweep to a CSV matrix")
@@ -635,12 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="1:4", help="alpha grid LOW:HIGH")
     p.add_argument("--n", default="1:16", help="precision grid LOW:HIGH")
     p.add_argument("--trials", type=int, default=20000)
-    p.add_argument(
-        "--rule",
-        choices=["identify-all", "parity-aware", "both"],
-        default="both",
-    )
-    p.add_argument("--seed", type=int, default=None)
+    _add_shared(p, "--rule", "--seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
 

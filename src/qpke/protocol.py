@@ -28,7 +28,9 @@ import numpy as np
 from .quantum_core import (
     AngleIndex,
     MAX_PRECISION_BITS,
+    INDEX_SNAP_STEPS,
     PureState,
+    index_amplitudes,
     measure_axis,
     rotate_axis,
     sample_outcome,
@@ -337,13 +339,7 @@ class QuantumRegister:
         """Give an exact qubit an amplitude slot (analysis/attack path)."""
         slot = self._slots.get(qubit)
         if slot is None:
-            index = int(self._indices[qubit])
-            if index == 1 << (self._n - 1):
-                # |1> exactly: cos(pi/2) would leave 6.1e-17 on |0>
-                amps = np.array([0.0, 1.0])
-            else:
-                half = math.pi * (index / (1 << self._n))
-                amps = np.array([math.cos(half), math.sin(half)])
+            amps = np.array(index_amplitudes(int(self._indices[qubit]), self._n))
             slot = _Slot()
             _make_singleton(slot, amps)
             self._slots[qubit] = slot
@@ -352,9 +348,10 @@ class QuantumRegister:
     def apply_rotation(self, qubit: int, theta: float) -> None:
         """Rotate one qubit by R(theta).
 
-        An angle within 1e-9 steps of a multiple of the register's angular
-        step pi / 2**(n-1) keeps an exact qubit on the index path; any other
-        angle moves the qubit to floating-point amplitudes.  The snap is
+        An angle within INDEX_SNAP_STEPS (1e-9) steps of a multiple of the
+        register's angular step pi / 2**(n-1) keeps an exact qubit on the
+        index path; any other angle moves the qubit to floating-point
+        amplitudes.  The snap is
         silent: a double holds only whole numbers from 2**52 up, so every
         finite angle of magnitude pi * 2**(53 - n) or more counts as a whole
         number of steps and snaps onto the grid: at n = 53 every angle of pi
@@ -366,7 +363,7 @@ class QuantumRegister:
             raise ValueError("rotation angle must be finite")
         if qubit not in self._slots:
             ratio = theta / (math.pi * 2.0 ** (1 - self._n))
-            if math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9:
+            if math.isfinite(ratio) and abs(ratio - round(ratio)) <= INDEX_SNAP_STEPS:
                 period = 1 << self._n
                 self._indices[qubit] = (int(self._indices[qubit]) + round(ratio)) % period
                 return
@@ -583,8 +580,8 @@ def swap_test_registers(
 
 
 def _copy_amplitudes(indices: np.ndarray, n: int) -> np.ndarray:
-    """Amplitudes (..., 2) of exact qubits at precision n, built as _promote
-    builds one: index period/2 is exactly [0, 1]."""
+    """Amplitudes (..., 2) of exact qubits at precision n, the array form of
+    quantum_core.index_amplitudes: index period/2 is exactly [0, 1]."""
     half = np.pi * (indices / (1 << n))
     amps = np.stack([np.cos(half), np.sin(half)], axis=-1)
     amps[indices == 1 << (n - 1)] = (0.0, 1.0)

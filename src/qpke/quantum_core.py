@@ -30,6 +30,11 @@ import numpy.typing as npt
 
 ATOL = 1e-12
 EIGENVALUE_FLOOR = -1e-12
+# an angle within this many index steps of the grid snaps onto it
+INDEX_SNAP_STEPS = 1e-9
+# least Bernoulli variance a Monte Carlo standard error uses, so that an
+# observed rate of 0 or 1 still reports a nonzero stderr
+STDERR_VARIANCE_FLOOR = 1e-12
 MAX_PRECISION_BITS = 62
 
 
@@ -140,12 +145,12 @@ class DensityMatrix:
         if dim < 2 or dim & (dim - 1):
             raise ValueError("density matrix dimension must be a power of two >= 2")
         if not np.allclose(mat, mat.conj().T, atol=ATOL):
-            raise ValueError("density matrix must be Hermitian within 1e-12")
+            raise ValueError(f"density matrix must be Hermitian within {ATOL}")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > ATOL:
             raise ValueError(f"density matrix trace {trace} deviates from 1")
         if float(np.linalg.eigvalsh(mat).min()) < EIGENVALUE_FLOOR:
-            raise ValueError("density matrix has an eigenvalue below -1e-12")
+            raise ValueError(f"density matrix has an eigenvalue below {EIGENVALUE_FLOOR}")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
@@ -177,10 +182,21 @@ def rotation_matrix(theta: float) -> npt.NDArray[np.float64]:
     return np.array([[c, -s], [s, c]])
 
 
+def index_amplitudes(s: int, n: int) -> tuple[float, float]:
+    """Amplitudes (cos, sin) of the half angle s * pi / 2**n of index s.
+
+    Index period/2 is |1> exactly: cos(pi/2) would leave 6.1e-17 on |0>.
+    Scalar on purpose: a register promotes one qubit at a time.
+    """
+    if s == 1 << (n - 1):
+        return 0.0, 1.0
+    half = math.pi * (s / (1 << n))
+    return math.cos(half), math.sin(half)
+
+
 def prepare_state(index: AngleIndex) -> PureState:
     """Single-qubit state R(s * theta_n)|0> with amplitudes (cos, sin)."""
-    half = index.half_angle
-    return PureState(np.array([math.cos(half), math.sin(half)], dtype=np.complex128))
+    return PureState(np.array(index_amplitudes(index.s, index.n), dtype=np.complex128))
 
 
 def rotate_axis(arr: np.ndarray, axis: int, theta: float) -> np.ndarray:

@@ -85,6 +85,23 @@ def holevo_cap(params: KeyParams) -> float:
     return float(params.N * params.k)
 
 
+def _record(
+    quantity: str,
+    value_bits: float | None,
+    params: dict,
+    stderr_bits: float | None = None,
+    satisfied: bool | None = None,
+) -> dict:
+    """The five-key analysis record every reported quantity shares."""
+    return {
+        "quantity": quantity,
+        "value_bits": value_bits,
+        "stderr_bits": stderr_bits,
+        "params": params,
+        "satisfied": satisfied,
+    }
+
+
 @dataclass(frozen=True)
 class SecrecyReport:
     """Entropy ledger comparing key uncertainty against the Holevo cap."""
@@ -107,26 +124,17 @@ class SecrecyReport:
             "N": self.params.N,
             "k": self.params.k,
         }
-
-        def record(quantity: str, value: float, satisfied: bool | None = None) -> dict:
-            return {
-                "quantity": quantity,
-                "value_bits": value,
-                "stderr_bits": None,
-                "params": params,
-                "satisfied": satisfied,
-            }
-
         return [
-            record("private_key_entropy", self.key_entropy_bits),
-            record("permuted_key_entropy", self.permuted_key_entropy_bits),
-            record("holevo_cap", self.holevo_cap_bits),
-            record(
+            _record("private_key_entropy", self.key_entropy_bits, params),
+            _record("permuted_key_entropy", self.permuted_key_entropy_bits, params),
+            _record("holevo_cap", self.holevo_cap_bits, params),
+            _record(
                 "secrecy_margin",
                 self.margin if math.isfinite(self.margin) else None,
-                self.satisfied,
+                params,
+                satisfied=self.satisfied,
             ),
-            record("residual_key_entropy", self.residual_key_entropy_bits),
+            _record("residual_key_entropy", self.residual_key_entropy_bits, params),
         ]
 
 
@@ -192,11 +200,7 @@ def ensemble_density(n: int) -> DensityMatrix:
     (the off-diagonal sums telescope to zero for every n >= 1), so the
     closed form is returned directly.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("n must be an integer")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > ENSEMBLE_ENUMERATION_CAP:
+    if ensemble_density_method(n) == "analytic":
         return DensityMatrix(np.eye(2) / 2.0)
     return DensityMatrix(shifted_ensemble(n))
 
@@ -310,18 +314,13 @@ class MutualInfoEstimate:
     undersampled: bool
 
     def to_record(self) -> dict:
-        return {
-            "quantity": "mutual_information",
-            "value_bits": self.value_bits,
-            "stderr_bits": self.stderr_bits,
-            "params": {
-                "n": self.n,
-                "copies_per_trial": self.copies_per_trial,
-                "trials": self.trials,
-                "strategy": self.strategy_kind,
-            },
-            "satisfied": None,
+        params = {
+            "n": self.n,
+            "copies_per_trial": self.copies_per_trial,
+            "trials": self.trials,
+            "strategy": self.strategy_kind,
         }
+        return _record("mutual_information", self.value_bits, params, self.stderr_bits)
 
 
 def _outcome_probability(

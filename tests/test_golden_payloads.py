@@ -8,10 +8,15 @@ and record new digests.
 
 CPA, mutual-information and ensemble payloads are left out: their last bits
 depend on LAPACK and on the SIMD implementation of np.sin, so they differ
-between numpy builds.
+between numpy builds.  `analyze --mi-strategy none` reports closed forms
+computed with `math` only, so its payloads are pinned.
+
+Each command's manifest run id is pinned as well: it hashes the command's
+run parameters, so it is what covers `keygen`, whose key file holds no run id.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -33,6 +38,8 @@ COMMANDS = [
      "--seed", "105", "--json", "rt4.json"],
     ["attack", "--attack", "cca", "--n", "48", "--N", "16", "--k", "4",
      "--seed", "106", "--json", "cca.json", "--csv", "cca.csv"],
+    ["analyze", "--mi-strategy", "none", "--seed", "107", "--json", "an.json",
+     "--csv", "an.csv"],
 ]
 
 GOLDEN = {
@@ -47,23 +54,41 @@ GOLDEN = {
     "rt4.json": "36838ab2a2fff5966919d30978b6079257198c17a7a88f6e4109fd9aede34c7a",
     "cca.json": "1399addfc76c9b1fa6c0315d1789bba3a8877af79b5634055d3177fdcc5fb415",
     "cca.csv": "af407c0535f593935155c575e370593280e8e60fed39528dbac8974d1b282fba",
+    "an.json": "c4a5a34316fd256003be94f3e524f2064a27230c18e68c031a25985dee34c6a6",
+    "an.csv": "5d2fa2c82aca9a1a54d5fad0da39b3898b7c2bcae16a4e0474bcd5a9e2e16be5",
+}
+
+# manifest file -> the run id it records
+RUN_IDS = {
+    "key.json.manifest.json": "fdf68b6a44fd330d",
+    "fs1.json.manifest.json": "f11ba8290f60fe41",
+    "fs3.json.manifest.json": "47318e51450c460f",
+    "sweep/sweep-forward-search.csv.manifest.json": "4de504b2d67f9bbf",
+    "rt1.json.manifest.json": "00a51685edd76fed",
+    "rt2.json.manifest.json": "dbc07a8860c0fe15",
+    "rt4.json.manifest.json": "bdd4bbf7fb9a8624",
+    "cca.json.manifest.json": "05857a576d83727c",
+    "an.json.manifest.json": "fd78b6c45272ae07",
 }
 
 
 @pytest.fixture(scope="module")
-def payload_digests(tmp_path_factory):
+def golden_dir(tmp_path_factory):
     # relative paths: the roundtrip payload records its --key argument
     workdir = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(workdir)
         for argv in COMMANDS:
             assert main(argv) == 0, argv
-    return {
-        name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
-        for name in GOLDEN
-    }
+    return workdir
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_payload_matches_golden_digest(name, payload_digests):
-    assert payload_digests[name] == GOLDEN[name]
+def test_payload_matches_golden_digest(name, golden_dir):
+    assert hashlib.sha256((golden_dir / name).read_bytes()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_IDS))
+def test_manifest_records_golden_run_id(name, golden_dir):
+    manifest = json.loads((golden_dir / name).read_text(encoding="utf-8"))["manifest"]
+    assert manifest["run_id"] == RUN_IDS[name]

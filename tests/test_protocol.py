@@ -40,6 +40,7 @@ from qpke.protocol import (
     save_private_key,
     swap_test_encrypted_copies,
     swap_test_registers,
+    _copy_amplitudes,
     _encrypted_copy_pairs,
     _outcome1_probability,
 )
@@ -47,6 +48,7 @@ from qpke.quantum_core import (
     MAX_PRECISION_BITS,
     AngleIndex,
     PureState,
+    prepare_state,
     swap_project,
     swap_project_batch,
 )
@@ -723,6 +725,20 @@ class TestRegisterProperties:
             amps = register._promote(q).group.amps
             assert (np.abs(amps) ** 2).tolist() == [1.0 - p1[q], p1[q]]
             assert amps.tolist() == [[1.0, 0.0], [0.0, 1.0]][q]
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 40, MAX_PRECISION_BITS])
+    def test_state_builders_agree_bit_for_bit(self, n):
+        # prepare_state, QuantumRegister._promote and the batch builder of
+        # the forward search must hand out the same amplitudes
+        period = 1 << n
+        s = sorted({0, 1, period >> 2, period >> 1, period - 1})
+        promoted = prepare_register(PrivateKey(n=n, s=tuple(s)))
+        batch = _copy_amplitudes(np.array(s, dtype=np.int64), n)
+        for q, index in enumerate(s):
+            prepared = prepare_state(AngleIndex(index, n)).amplitudes.real.tolist()
+            assert promoted._promote(q).group.amps.tolist() == prepared
+            assert batch[q].tolist() == prepared
+        assert batch[s.index(period >> 1)].tolist() == [0.0, 1.0]
 
     @given(key=private_keys(), flag_bits=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None, derandomize=True)
