@@ -30,7 +30,7 @@ from .protocol import (
     swap_test_encrypted_copies,
     swap_test_registers,
 )
-from .quantum_core import MAX_PRECISION_BITS, STDERR_VARIANCE_FLOOR, DensityMatrix, trace_distance
+from .quantum_core import MAX_PRECISION_BITS, STDERR_VARIANCE_FLOOR, DensityMatrix, overlap, trace_distance
 from .security_analysis import shifted_ensemble
 
 FORWARD_SEARCH_RULES = ("identify-all", "parity-aware")
@@ -236,7 +236,7 @@ def single_use_constraint_check(
     for offset in index_offsets:
         key_a = PrivateKey(n=precision, s=(0,))
         key_b = PrivateKey(n=precision, s=(int(offset) % (1 << precision),))
-        overlap = math.cos(math.pi * offset / (1 << precision))
+        inner = overlap(key_b.angle_indices()[0], key_a.angle_indices()[0])
         first_passes = 0
         second_given_pass = [0, 0]
         second_given_fail = [0, 0]
@@ -254,10 +254,10 @@ def single_use_constraint_check(
         fail_total = sum(second_given_fail)
         scenarios.append(
             ScenarioStats(
-                overlap=overlap,
+                overlap=inner,
                 trials=trials,
                 first_pass_rate=first_passes / trials,
-                predicted_first_pass=(1.0 + overlap * overlap) / 2.0,
+                predicted_first_pass=(1.0 + inner * inner) / 2.0,
                 second_pass_given_pass=(
                     second_given_pass[1] / pass_total if pass_total else math.nan
                 ),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -195,6 +196,14 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     except ValueError:
         raise ValueError(f"{flag} bounds must be integers, got {text!r}") from None
     return lo, hi
+
+
+def _output_path(text: str) -> str:
+    """Type of every output-path flag.  An empty path would write nothing,
+    drop the manifest, or write into the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("output path must not be empty")
+    return text
 
 
 def _parse_message(text: str) -> tuple[int, ...]:
@@ -481,9 +490,9 @@ _SHARED_FLAGS = {
         help="forward-search decision rule",
     ),
     "--seed": dict(type=int, default=None),
-    "--json": dict(default=None, help="write the report as JSON"),
-    "--csv": dict(default=None, help="write report rows as CSV"),
-    "--manifest": dict(default=None, help="manifest path override"),
+    "--json": dict(type=_output_path, default=None, help="write the report as JSON"),
+    "--csv": dict(type=_output_path, default=None, help="write report rows as CSV"),
+    "--manifest": dict(type=_output_path, default=None, help="manifest path override"),
 }
 
 
@@ -492,7 +501,9 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qpke parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qpke",
         description="Rotation-based quantum public-key cryptosystem simulator.",
@@ -506,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=256, help="key length in qubits")
     p.add_argument("--permute", action="store_true", help="add a secret permutation")
     _add_shared(p, "--seed")
-    p.add_argument("--out", required=True, help="private-key file to write")
+    p.add_argument("--out", type=_output_path, required=True, help="private-key file to write")
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("roundtrip", help="encrypt then decrypt one message")
@@ -558,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="1:16", help="precision grid LOW:HIGH")
     p.add_argument("--trials", type=int, default=20000)
     _add_shared(p, "--rule", "--seed")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", type=_output_path, required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
 
     return parser

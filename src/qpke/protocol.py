@@ -30,7 +30,9 @@ from .quantum_core import (
     MAX_PRECISION_BITS,
     INDEX_SNAP_STEPS,
     PureState,
+    draws_outcome_zero,
     index_amplitudes,
+    index_amplitudes_batch,
     measure_axis,
     rotate_axis,
     sample_outcome,
@@ -38,7 +40,6 @@ from .quantum_core import (
     swap_project_batch,
 )
 
-DEFAULT_PRECISION_RANGE = (32, 62)
 DEFAULT_KEY_LENGTH = 256
 DEFAULT_COPY_CAP = 16
 RECOMMENDED_MIN_PRECISION = 32
@@ -264,13 +265,6 @@ def _swap_project(slot_a: _Slot, slot_b: _Slot, rng: np.random.Generator) -> boo
     return passed
 
 
-def _outcome1_probability(indices: np.ndarray, period: int) -> np.ndarray:
-    """Outcome-1 probability of exact qubits; indices 0 and period/2 are the
-    z basis states and get 0 and 1 exactly."""
-    p1 = np.square(np.sin(np.pi * (indices.astype(np.float64) / period)))
-    return np.where(indices == 0, 0.0, np.where(indices == period >> 1, 1.0, p1))
-
-
 class QuantumRegister:
     """Opaque register of simulated qubits.
 
@@ -385,10 +379,9 @@ class QuantumRegister:
         slot = self._slots.get(qubit)
         if slot is not None:
             return _measure_slot_z(slot, rng)
-        period = 1 << self._n
-        p1 = float(_outcome1_probability(self._indices[qubit : qubit + 1], period)[0])
+        p1 = float(np.square(index_amplitudes_batch(self._indices[qubit], self._n)[1]))
         outcome = sample_outcome([1.0 - p1, p1], rng)
-        self._indices[qubit] = outcome * (period >> 1)
+        self._indices[qubit] = outcome << (self._n - 1)
         return outcome
 
     def measure_in_rotated_basis(self, qubit: int, phi: float, rng: np.random.Generator) -> int:
@@ -399,13 +392,10 @@ class QuantumRegister:
     def _measure_all_z(self, rng: np.random.Generator) -> np.ndarray:
         """Measure every qubit in z; used by the decryption device."""
         self._check_live()
-        period = 1 << self._n
-        p1 = _outcome1_probability(self._indices, period)
+        p1 = np.square(index_amplitudes_batch(self._indices, self._n)[:, 1])
         u = rng.random(self.qubit_count)
-        outcomes = np.where(
-            p1 <= 0.0, 0, np.where(p1 >= 1.0, 1, (u > 1.0 - p1).astype(np.int64))
-        )
-        self._indices = outcomes * (period >> 1)
+        outcomes = (~draws_outcome_zero(1.0 - p1, p1, u)).astype(np.int64)
+        self._indices = outcomes << (self._n - 1)
         for pos in sorted(self._slots):
             outcomes[pos] = _measure_slot_z(self._slots[pos], rng)
         return outcomes
@@ -579,15 +569,6 @@ def swap_test_registers(
     return _swap_project(reg_a._promote(pos_a), reg_b._promote(pos_b), rng)
 
 
-def _copy_amplitudes(indices: np.ndarray, n: int) -> np.ndarray:
-    """Amplitudes (..., 2) of exact qubits at precision n, the array form of
-    quantum_core.index_amplitudes: index period/2 is exactly [0, 1]."""
-    half = np.pi * (indices / (1 << n))
-    amps = np.stack([np.cos(half), np.sin(half)], axis=-1)
-    amps[indices == 1 << (n - 1)] = (0.0, 1.0)
-    return amps
-
-
 def _encrypted_copy_pairs(key: PrivateKey, flags: np.ndarray) -> np.ndarray:
     """Joint (B * alpha, 2, 2) amplitudes of the symmetry tests that
     swap_test_encrypted_copies runs: axis 0 is qubit q of a fresh copy
@@ -597,8 +578,8 @@ def _encrypted_copy_pairs(key: PrivateKey, flags: np.ndarray) -> np.ndarray:
     fresh = _position_indices(key)[:alpha]
     # a qubit of the encrypted copy is in one of two states, flag 0 or 1
     shifted = (fresh[:, np.newaxis] + np.array([0, period >> 1])) % period
-    cipher = _copy_amplitudes(shifted, key.n)
-    reference = _copy_amplitudes(fresh, key.n)
+    cipher = index_amplitudes_batch(shifted, key.n)
+    reference = index_amplitudes_batch(fresh, key.n)
     pairs = cipher[:, :, :, np.newaxis] * reference[:, np.newaxis, np.newaxis, :]
     return pairs[np.arange(alpha), flags].reshape(-1, 2, 2)
 
@@ -754,10 +735,6 @@ class KeyRegistry:
     def issued_count(self, key_id: str) -> int:
         with self._lock:
             return self._entry(key_id).issued
-
-    def copy_cap(self, key_id: str) -> int:
-        with self._lock:
-            return self._entry(key_id).copy_cap
 
 
 class DecryptionOracle:

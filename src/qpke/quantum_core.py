@@ -8,7 +8,9 @@ angle far below double precision once n is large, protocol-path states are
 tracked as exact integer indices (:class:`AngleIndex`) and only converted
 to floating-point amplitudes at measurement or analysis boundaries.
 
-Amplitude math lives in one kernel of array functions (rotate_axis,
+The kernel owns the qubit conventions: one index-to-state map
+(index_amplitudes, array form index_amplitudes_batch), one two-outcome
+sampling rule (draws_outcome_zero), and array functions (rotate_axis,
 measure_axis, swap_project) over tensors of shape (2,)*k, one axis per qubit;
 register amplitude groups run on it.  swap_project_batch runs the symmetry
 test over a leading batch axis for the Monte Carlo forward search.  PureState
@@ -194,6 +196,16 @@ def index_amplitudes(s: int, n: int) -> tuple[float, float]:
     return math.cos(half), math.sin(half)
 
 
+def index_amplitudes_batch(indices: np.ndarray, n: int) -> np.ndarray:
+    """Amplitudes (..., 2) of an index array at precision n (shape (2,) for
+    one int64 index), the array form of index_amplitudes: index period/2 is
+    exactly [0, 1]."""
+    half = np.pi * (indices / (1 << n))
+    amps = np.stack([np.cos(half), np.sin(half)], axis=-1)
+    amps[indices == 1 << (n - 1)] = (0.0, 1.0)
+    return amps
+
+
 def prepare_state(index: AngleIndex) -> PureState:
     """Single-qubit state R(s * theta_n)|0> with amplitudes (cos, sin)."""
     return PureState(np.array(index_amplitudes(index.s, index.n), dtype=np.complex128))
@@ -221,25 +233,23 @@ def overlap(a: AngleIndex, b: AngleIndex) -> float:
 # --- measurements ---
 
 
-def sample_outcome(probabilities: Sequence[float], rng: np.random.Generator) -> int:
-    """Draw an outcome label by cumulative probability.
+def draws_outcome_zero(p0, p1, u):
+    """Kernel: the two-outcome rule, on scalars or elementwise.  Outcome 0 is
+    drawn for the uniform u when p0 > 0 and (u <= p0 or p1 <= 0): a
+    zero-weight branch is never drawn, and u equal to p0 draws outcome 0."""
+    return (p0 > 0.0) & ((u <= p0) | (p1 <= 0.0))
 
-    Zero-probability branches are never selected; an exact hit on a
-    cumulative boundary resolves to the lower label.
+
+def sample_outcome(probabilities: Sequence[float], rng: np.random.Generator) -> int:
+    """Draw outcome 0 or 1 from the two weights (p0, p1) by draws_outcome_zero.
+
+    The uniform is drawn before all-zero weights are rejected.
     """
+    p0, p1 = probabilities
     u = float(rng.random())
-    cumulative = 0.0
-    last = -1
-    for label, p in enumerate(probabilities):
-        if p <= 0.0:
-            continue
-        cumulative += float(p)
-        last = label
-        if u <= cumulative:
-            return label
-    if last < 0:
+    if p0 <= 0.0 and p1 <= 0.0:
         raise ValueError("no outcome has positive probability")
-    return last
+    return 0 if draws_outcome_zero(p0, p1, u) else 1
 
 
 def measure_axis(
@@ -330,10 +340,8 @@ def swap_project_batch(
     draw rng.random(B); axes count qubits, not the batch axis.  Returns the
     pass flags, the pass probabilities and the normalized projections.
 
-    Outcomes follow sample_outcome's rule: a zero-weight branch is never
-    chosen, and u equal to p_pass passes.  swap_project stays separate
-    because register groups test one state at a time, where the batch
-    bookkeeping would cost more than the projection.
+    swap_project stays separate because register groups test one state at
+    a time, where the batch bookkeeping would cost more than the projection.
     """
     swapped = np.swapaxes(arr, axis_a + 1, axis_b + 1)
     symmetric = 0.5 * (arr + swapped)
@@ -345,7 +353,7 @@ def swap_project_batch(
     if not np.all((p_pass > 0.0) | (p_fail > 0.0)):
         raise ValueError("no outcome has positive probability")
     u = rng.random(len(arr))
-    passed = (p_pass > 0.0) & ((u <= p_pass) | (p_fail <= 0.0))
+    passed = draws_outcome_zero(p_pass, p_fail, u)
     column = (-1,) + (1,) * (arr.ndim - 1)
     branch = np.where(passed.reshape(column), symmetric, antisymmetric)
     norms = np.sqrt(np.where(passed, p_pass, p_fail))

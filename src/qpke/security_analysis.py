@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import DensityMatrix
+from .quantum_core import DensityMatrix, index_amplitudes_batch
 
 ENSEMBLE_ENUMERATION_CAP = 16
 MI_PRECISION_CAP = 16
@@ -175,16 +175,16 @@ def shifted_ensemble(n: int, flag_probability: float = 0.0) -> np.ndarray:
     behind ensemble_density and the chosen-plaintext ciphertext densities.
     """
     period = 1 << n
-    half = np.pi * np.arange(period, dtype=np.float64) / period
-    shifted = np.pi * ((np.arange(period) + (period >> 1)) % period) / period
+    amps = index_amplitudes_batch(np.arange(period), n)
     rho = np.zeros((2, 2), dtype=np.complex128)
-    for weight, angles in (
-        (1.0 - flag_probability, half),
-        (flag_probability, shifted),
+    for weight, shift in (
+        (1.0 - flag_probability, 0),
+        (flag_probability, period >> 1),
     ):
         if weight == 0.0:
             continue
-        c, s = np.cos(angles), np.sin(angles)
+        # row k of the rolled map is the state of index (k + shift) % period
+        c, s = np.roll(amps, -shift, axis=0).T
         rho[0, 0] += weight * np.mean(c * c)
         rho[0, 1] += weight * np.mean(c * s)
         rho[1, 1] += weight * np.mean(s * s)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qpke.cli import _parse_message, _parse_range, main
+from qpke.cli import _parse_message, _parse_range, build_parser, main
 from qpke.protocol import load_private_key
 
 
@@ -37,6 +37,35 @@ class TestFlagParsing:
             _parse_range("32", "--n-range")
         with pytest.raises(ValueError, match="integers"):
             _parse_range("a:b", "--n-range")
+
+
+class TestOutputPaths:
+    """Every output-path flag is checked while the flags are parsed."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--attack", "cpa", "--json", ""],
+            ["attack", "--attack", "cpa", "--csv", ""],
+            ["attack", "--attack", "cpa", "--json", "k.json", "--manifest", ""],
+            ["analyze", "--csv=", "--json", "a.json"],
+            ["sweep", "--experiment", "ensemble", "--n", "1:2", "--out", ""],
+            ["keygen", "--n", "8", "--N", "4", "--out", ""],
+        ],
+        ids=["json", "csv", "manifest", "csv-equals", "sweep-out", "keygen-out"],
+    )
+    def test_empty_path_is_usage_error_and_writes_nothing(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr = run_cli(argv, capsys)
+        assert code == 2
+        assert "error:" in stderr
+        assert "output path must not be empty" in stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestKeygenCommand:

@@ -40,14 +40,13 @@ from qpke.protocol import (
     save_private_key,
     swap_test_encrypted_copies,
     swap_test_registers,
-    _copy_amplitudes,
     _encrypted_copy_pairs,
-    _outcome1_probability,
 )
 from qpke.quantum_core import (
     MAX_PRECISION_BITS,
     AngleIndex,
     PureState,
+    index_amplitudes_batch,
     prepare_state,
     swap_project,
     swap_project_batch,
@@ -710,7 +709,7 @@ class TestRegisterProperties:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_exact_outcome_probability_equals_promoted_born_weight(self, key):
         register = prepare_register(key)
-        p1 = _outcome1_probability(register._indices, 1 << key.n)
+        p1 = np.square(index_amplitudes_batch(register._indices, key.n)[:, 1])
         for q in range(key.length):
             amps = register._promote(q).group.amps
             assert abs(float(abs(amps[1]) ** 2) - p1[q]) <= 1e-12
@@ -719,7 +718,7 @@ class TestRegisterProperties:
     def test_z_basis_states_promote_exactly(self, n):
         period = 1 << n
         register = prepare_register(PrivateKey(n=n, s=(0, period >> 1)))
-        p1 = _outcome1_probability(register._indices, period)
+        p1 = np.square(index_amplitudes_batch(register._indices, n)[:, 1])
         assert p1.tolist() == [0.0, 1.0]
         for q in range(2):
             amps = register._promote(q).group.amps
@@ -733,7 +732,7 @@ class TestRegisterProperties:
         period = 1 << n
         s = sorted({0, 1, period >> 2, period >> 1, period - 1})
         promoted = prepare_register(PrivateKey(n=n, s=tuple(s)))
-        batch = _copy_amplitudes(np.array(s, dtype=np.int64), n)
+        batch = index_amplitudes_batch(np.array(s, dtype=np.int64), n)
         for q, index in enumerate(s):
             prepared = prepare_state(AngleIndex(index, n)).amplitudes.real.tolist()
             assert promoted._promote(q).group.amps.tolist() == prepared

@@ -5,13 +5,17 @@ formulas: amplitudes (cos(s pi / 2**n), sin(s pi / 2**n)), swap-test pass
 probability (1 + |<a|b>|^2) / 2, and entropy -sum p log2 p.
 """
 
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpke.attacks
+import qpke.protocol
 from qpke.quantum_core import (
     ATOL,
     MAX_PRECISION_BITS,
@@ -20,6 +24,7 @@ from qpke.quantum_core import (
     PrecisionMismatchError,
     PureState,
     density_from_ensemble,
+    draws_outcome_zero,
     index_add,
     measure_axis,
     overlap,
@@ -304,6 +309,77 @@ class TestSampleOutcome:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="positive probability"):
             sample_outcome([0.0, 0.0], _FixedUniform(0.5))
+
+
+def _cumulative_rule(probabilities, u):
+    """Reference: the cumulative loop sample_outcome ran before the rule
+    moved into draws_outcome_zero."""
+    cumulative = 0.0
+    last = -1
+    for label, p in enumerate(probabilities):
+        if p <= 0.0:
+            continue
+        cumulative += float(p)
+        last = label
+        if u <= cumulative:
+            return label
+    return last
+
+
+def _batch_mask_rule(p_pass, p_fail, u):
+    """Reference: swap_project_batch's own pass mask, outcome 0 = pass."""
+    return 0 if (p_pass > 0.0) & ((u <= p_pass) | (p_fail <= 0.0)) else 1
+
+
+def _exact_register_rule(p1, u):
+    """Reference: the nested np.where of the register's exact measurements."""
+    return int(np.where(p1 <= 0.0, 0, np.where(p1 >= 1.0, 1, int(u > 1.0 - p1))))
+
+
+class TestOutcomeRule:
+    """draws_outcome_zero against the three outcome rules it replaced."""
+
+    @staticmethod
+    def check(p1, u):
+        p0 = 1.0 - p1
+        drawn = 0 if draws_outcome_zero(p0, p1, u) else 1
+        assert drawn == _cumulative_rule([p0, p1], u)
+        assert drawn == _batch_mask_rule(p0, p1, u)
+        assert drawn == _exact_register_rule(p1, u)
+        assert drawn == sample_outcome([p0, p1], _FixedUniform(u))
+
+    @pytest.mark.parametrize("p1", [0.0, 1.0, 0.25, 0.5, 1.0 - 2.0**-53, 2.0**-60])
+    def test_edges(self, p1):
+        p0 = 1.0 - p1
+        for u in (0.0, p0, float(np.nextafter(p0, 1.0)), 1.0):
+            self.check(p1, u)
+
+    @given(p1=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_references(self, p1, u):
+        self.check(p1, u)
+
+    @given(p0=st.floats(0.0, 1.0), p1=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_unnormalized_branch_weights(self, p0, p1, u):
+        # symmetry-test branches carry their own norms, which need not sum to 1
+        if p0 <= 0.0 and p1 <= 0.0:
+            return
+        drawn = 0 if draws_outcome_zero(p0, p1, u) else 1
+        assert drawn == _cumulative_rule([p0, p1], u) == _batch_mask_rule(p0, p1, u)
+
+    def test_elementwise_over_arrays(self):
+        p1 = np.array([0.0, 1.0, 0.5, 0.5])
+        u = np.array([0.9, 0.0, 0.5, 0.6])
+        assert draws_outcome_zero(1.0 - p1, p1, u).tolist() == [True, False, True, False]
+
+
+class TestKernelOwnsConventions:
+    """The index-to-state map lives in the kernel, not in its callers."""
+
+    @pytest.mark.parametrize("module", [qpke.protocol, qpke.attacks])
+    def test_module_calls_no_sin_or_cos(self, module):
+        assert not re.search(r"\b(sin|cos)\(", inspect.getsource(module))
 
 
 class TestMeasureZ:

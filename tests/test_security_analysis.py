@@ -30,6 +30,7 @@ from qpke.security_analysis import (
     private_key_entropy,
     public_key_density_description,
     secrecy_condition,
+    shifted_ensemble,
 )
 
 
@@ -214,6 +215,14 @@ class TestEnsembleDensity:
         for n in range(1, ENSEMBLE_ENUMERATION_CAP + 1):
             rho = ensemble_density(n).entries
             assert np.abs(rho - np.eye(2) / 2.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("flag_probability", [0.0, 0.5, 1.0])
+    def test_smallest_precisions_are_exactly_maximally_mixed(self, n, flag_probability):
+        # index period/2 is exactly |1>, so no cos(pi/2) residue reaches rho[0, 1]
+        half = np.eye(2) / 2.0
+        assert shifted_ensemble(n, flag_probability).tolist() == half.tolist()
+        assert ensemble_density(n).entries.tolist() == half.tolist()
 
     def test_analytic_route_above_cap(self):
         rho = ensemble_density(30).entries
