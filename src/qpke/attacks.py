@@ -292,16 +292,15 @@ def _message_density(n: int, message: Sequence[int], alpha: int) -> DensityMatri
     Key entries are independent, so the register density is the tensor
     product of per-qubit averages; within a block the mask positions are
     parity-correlated, but each per-qubit average is identical for either
-    flag value, so the product form is exact.
+    flag value, so the product form is exact.  Each distinct flag
+    probability's ensemble is built once.
     """
+    flag_probabilities = [float(bit) if alpha == 1 else 0.5 for bit in message]
+    factors = {p: shifted_ensemble(n, p) for p in set(flag_probabilities)}
     out = np.ones((1, 1), dtype=np.complex128)
-    for bit in message:
-        for position in range(alpha):
-            if alpha == 1:
-                p_flag = float(bit)
-            else:
-                p_flag = 0.5
-            out = np.kron(out, shifted_ensemble(n, p_flag))
+    for p_flag in flag_probabilities:
+        for _ in range(alpha):
+            out = np.kron(out, factors[p_flag])
     return DensityMatrix(out)
 
 

@@ -66,6 +66,9 @@ from .seeding import rng_stream
 
 SCHEMA_VERSION = 1
 SWEEP_CELL_CAP = 10000
+# a cca run builds --k + 2 ciphertexts, each 8 MiB of int64 indices at
+# MAX_KEY_LENGTH qubits: 528 MiB at the cap
+CCA_USES_CAP = 64
 SEED_ENV_VAR = "QPKE_SEED"
 _SEED_MASK = (1 << 64) - 1
 # parsed flags that stay out of a run's params: bookkeeping, the seed (hashed
@@ -325,6 +328,9 @@ def _cpa_records(args, seed: int, run_id: str) -> list[dict]:
 
 
 def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
+    # bounded before keygen and the submissions, which a huge k cannot afford
+    if args.k > CCA_USES_CAP:
+        raise ValueError(f"--k must be at most {CCA_USES_CAP} for cca, got {args.k}")
     rng = rng_stream(seed, "attack", "cca")
     with warnings.catch_warnings():
         # attack experiments run at reduced precision on purpose

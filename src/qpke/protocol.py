@@ -34,6 +34,7 @@ from .quantum_core import (
     index_amplitudes,
     index_amplitudes_batch,
     measure_axis,
+    outcome_one_probability,
     rotate_axis,
     sample_outcome,
     swap_project,
@@ -379,7 +380,7 @@ class QuantumRegister:
         slot = self._slots.get(qubit)
         if slot is not None:
             return _measure_slot_z(slot, rng)
-        p1 = float(np.square(index_amplitudes_batch(self._indices[qubit], self._n)[1]))
+        p1 = float(outcome_one_probability(self._indices[qubit], self._n))
         outcome = sample_outcome([1.0 - p1, p1], rng)
         self._indices[qubit] = outcome << (self._n - 1)
         return outcome
@@ -392,7 +393,7 @@ class QuantumRegister:
     def _measure_all_z(self, rng: np.random.Generator) -> np.ndarray:
         """Measure every qubit in z; used by the decryption device."""
         self._check_live()
-        p1 = np.square(index_amplitudes_batch(self._indices, self._n)[:, 1])
+        p1 = outcome_one_probability(self._indices, self._n)
         u = rng.random(self.qubit_count)
         outcomes = (~draws_outcome_zero(1.0 - p1, p1, u)).astype(np.int64)
         self._indices = outcomes << (self._n - 1)

@@ -9,10 +9,11 @@ tracked as exact integer indices (:class:`AngleIndex`) and only converted
 to floating-point amplitudes at measurement or analysis boundaries.
 
 The kernel owns the qubit conventions: one index-to-state map
-(index_amplitudes, array form index_amplitudes_batch), one two-outcome
-sampling rule (draws_outcome_zero), and array functions (rotate_axis,
-measure_axis, swap_project) over tensors of shape (2,)*k, one axis per qubit;
-register amplitude groups run on it.  swap_project_batch runs the symmetry
+(index_amplitudes, array form index_amplitudes_batch), one Born rule for
+index states measured in a rotated basis (outcome_one_probability), one
+two-outcome sampling rule (draws_outcome_zero), and array functions
+(rotate_axis, measure_axis, swap_project) over tensors of shape (2,)*k, one
+axis per qubit; register amplitude groups run on it.  swap_project_batch runs the symmetry
 test over a leading batch axis for the Monte Carlo forward search.  PureState
 and density matrices are the values that preparation and the ensemble and
 entropy tools exchange.
@@ -231,6 +232,14 @@ def overlap(a: AngleIndex, b: AngleIndex) -> float:
 
 
 # --- measurements ---
+
+
+def outcome_one_probability(indices, n: int, angle=0.0) -> np.ndarray:
+    """Born rule: P(outcome 1) = sin^2(s * pi / 2**n - angle / 2) of index state
+    s in the basis R(angle)|0>, R(angle)|1>, elementwise.  At angle 0 it is the
+    map's |1> column squared bit for bit, so index period/2 gives exactly 1."""
+    half = np.asarray(indices, dtype=np.float64) * (np.pi / float(1 << n))
+    return np.square(np.sin(half - angle / 2.0))
 
 
 def draws_outcome_zero(p0, p1, u):

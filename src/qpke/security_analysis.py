@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import DensityMatrix, index_amplitudes_batch
+from .quantum_core import DensityMatrix, index_amplitudes_batch, outcome_one_probability
 
 ENSEMBLE_ENUMERATION_CAP = 16
 MI_PRECISION_CAP = 16
 MI_COPIES_CAP = 1 << 16  # every resample counts copies + 1 outcome bins per setting
+MI_TRIALS_CAP = 1 << 22  # the draws and the joint cells hold a few int64 per trial
 DEFAULT_MARGIN_THRESHOLD = 100.0
 BOOTSTRAP_RESAMPLES = 32
 POVM_ATOL = 1e-10
@@ -252,53 +253,54 @@ def public_key_density_description(params: KeyParams) -> PublicKeyDensity:
 
 @dataclass(frozen=True)
 class MeasurementStrategy:
-    """A repeatable single-qubit measurement an eavesdropper applies.
-
-    kind "fixed-basis" measures every copy in the rotated basis at
-    basis_angle; "random-basis" draws the angle per trial from
-    basis_angles; "custom-two-outcome" applies a two-element POVM.
+    """A repeatable single-qubit measurement an eavesdropper applies: each
+    setting (angle, w0, w1) measures in the basis R(angle)|0>, R(angle)|1>
+    and reports outcome 1 with weight w0 on the first ray, w1 on the second.
+    A trial draws its setting uniformly when there are several; kind only
+    labels the record ("fixed-basis", "random-basis", "custom-two-outcome").
     """
 
     kind: str
-    basis_angle: float = 0.0
-    basis_angles: tuple[float, ...] = DEFAULT_RANDOM_BASIS_ANGLES
-    povm: tuple[np.ndarray, np.ndarray] | None = None
+    settings: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
         if self.kind not in ("fixed-basis", "random-basis", "custom-two-outcome"):
             raise ValueError(f"unknown strategy kind: {self.kind!r}")
-        if self.kind == "random-basis" and len(self.basis_angles) == 0:
-            raise ValueError("random-basis strategy needs at least one angle")
-        if self.kind == "custom-two-outcome":
-            if self.povm is None or len(self.povm) != 2:
-                raise ValueError("custom-two-outcome strategy needs two POVM elements")
-            elements = []
-            for e in self.povm:
-                e = np.asarray(e, dtype=np.complex128)
-                if e.shape != (2, 2):
-                    raise ValueError("POVM elements must be 2x2 matrices")
-                if not np.allclose(e, e.conj().T, atol=POVM_ATOL):
-                    raise ValueError("POVM elements must be Hermitian")
-                if np.linalg.eigvalsh(e).min() < -POVM_ATOL:
-                    raise ValueError("POVM elements must be positive semidefinite")
-                elements.append(e)
-            if not np.allclose(elements[0] + elements[1], np.eye(2), atol=POVM_ATOL):
-                raise ValueError("POVM elements must sum to the identity")
-            object.__setattr__(self, "povm", (elements[0], elements[1]))
+        if len(self.settings) == 0:
+            raise ValueError("a strategy needs at least one basis angle")
+        settings = tuple((float(a), float(w0), float(w1)) for a, w0, w1 in self.settings)
+        object.__setattr__(self, "settings", settings)
 
     @staticmethod
     def fixed(angle: float = 0.0) -> "MeasurementStrategy":
-        return MeasurementStrategy(kind="fixed-basis", basis_angle=angle)
+        return MeasurementStrategy("fixed-basis", ((angle, 0.0, 1.0),))
 
     @staticmethod
     def random(angles: tuple[float, ...] | None = None) -> "MeasurementStrategy":
         if angles is None:
             angles = DEFAULT_RANDOM_BASIS_ANGLES
-        return MeasurementStrategy(kind="random-basis", basis_angles=tuple(angles))
+        return MeasurementStrategy("random-basis", tuple((a, 0.0, 1.0) for a in angles))
 
     @staticmethod
     def two_outcome(e0: np.ndarray, e1: np.ndarray) -> "MeasurementStrategy":
-        return MeasurementStrategy(kind="custom-two-outcome", povm=(e0, e1))
+        """The POVM {e0, e1} as one setting: the eigenbasis of e1's real part
+        (the key states are real, so only it acts), its eigenvalues the weights."""
+        elements = []
+        for e in (e0, e1):
+            e = np.asarray(e, dtype=np.complex128)
+            if e.shape != (2, 2):
+                raise ValueError("POVM elements must be 2x2 matrices")
+            if not np.allclose(e, e.conj().T, atol=POVM_ATOL):
+                raise ValueError("POVM elements must be Hermitian")
+            if np.linalg.eigvalsh(e).min() < -POVM_ATOL:
+                raise ValueError("POVM elements must be positive semidefinite")
+            elements.append(e)
+        if not np.allclose(elements[0] + elements[1], np.eye(2), atol=POVM_ATOL):
+            raise ValueError("POVM elements must sum to the identity")
+        (w0, w1), rays = np.linalg.eigh(elements[1].real)
+        # the w1 ray (x0, x1) is R(angle)|1> up to sign, so atan2(-x0, x1) is angle / 2
+        angle = 2.0 * math.atan2(-rays[0, 1], rays[1, 1])
+        return MeasurementStrategy("custom-two-outcome", ((angle, w0, w1),))
 
 
 @dataclass(frozen=True)
@@ -324,25 +326,12 @@ class MutualInfoEstimate:
 
 
 def _outcome_probability(
-    s: np.ndarray, n: int, strategy: MeasurementStrategy, basis_choice: np.ndarray | None
+    s: np.ndarray, n: int, strategy: MeasurementStrategy, strata: np.ndarray | None
 ) -> np.ndarray:
-    """P(outcome 1) per trial for key entries s measured under the strategy."""
-    half = s.astype(np.float64) * (np.pi / float(1 << n))
-    if strategy.kind == "custom-two-outcome":
-        e1 = strategy.povm[1]
-        a, b = np.cos(half), np.sin(half)
-        p1 = (
-            a * a * e1[0, 0].real
-            + 2.0 * a * b * e1[0, 1].real
-            + b * b * e1[1, 1].real
-        )
-    else:
-        if strategy.kind == "fixed-basis":
-            phi = strategy.basis_angle
-        else:
-            phi = np.asarray(strategy.basis_angles, dtype=np.float64)[basis_choice]
-        p1 = np.square(np.sin(half - phi / 2.0))
-    return np.clip(p1, 0.0, 1.0)
+    """P(outcome 1) per trial for key entries s, each measured under its
+    drawn setting (strata), or under the only setting when strata is None."""
+    angle, w0, w1 = np.asarray(strategy.settings)[0 if strata is None else strata].T
+    return np.clip(w0 + (w1 - w0) * outcome_one_probability(s, n, angle), 0.0, 1.0)
 
 
 def _entropy_from_counts(counts: np.ndarray, total: int) -> float:
@@ -463,14 +452,14 @@ def estimate_mutual_information(
         raise ValueError(f"n must be in [1, {MI_PRECISION_CAP}] for estimation")
     if not 1 <= copies_per_trial <= MI_COPIES_CAP:
         raise ValueError(f"copies_per_trial must be in [1, {MI_COPIES_CAP}]")
-    if trials < 2:
-        raise ValueError("trials must be at least 2")
+    if not 2 <= trials <= MI_TRIALS_CAP:
+        # checked before the draws, which a huge trial count cannot afford
+        raise ValueError(f"trials must be in [2, {MI_TRIALS_CAP}]")
 
     s = rng.integers(0, 1 << n, size=trials, dtype=np.int64)
-    if strategy.kind == "random-basis":
-        strata = rng.integers(0, len(strategy.basis_angles), size=trials)
-    else:
-        strata = None
+    settings = len(strategy.settings)
+    # a lone setting needs no draw, and rng.integers(0, 1) would consume none
+    strata = rng.integers(0, settings, size=trials) if settings > 1 else None
     y = rng.binomial(
         copies_per_trial, _outcome_probability(s, n, strategy, strata)
     ).astype(np.int64)

@@ -36,6 +36,7 @@ from qpke.protocol import (
     swap_test_registers,
 )
 from qpke.quantum_core import AngleIndex, measure_axis, prepare_state
+from qpke.security_analysis import shifted_ensemble
 
 
 def three_se(p: float, trials: int) -> float:
@@ -281,6 +282,38 @@ class TestChosenPlaintext:
         assert report.message_0 == (0, 1)
         assert report.message_1 == (1, 0)
         assert (report.n, report.num_bits, report.alpha) == (4, 2, 1)
+
+    def test_each_flag_probability_builds_its_ensemble_once(self, monkeypatch):
+        calls = []
+        build = qpke.attacks.shifted_ensemble
+
+        def counting(n, flag_probability=0.0):
+            calls.append((n, flag_probability))
+            return build(n, flag_probability)
+
+        monkeypatch.setattr(qpke.attacks, "shifted_ensemble", counting)
+        chosen_plaintext_distinguishability(12, (0,) * 8, (1,) * 8)
+        # one ensemble per distinct flag probability of each of the three
+        # densities, where one per qubit position made 24
+        assert sorted(calls) == [(12, 0.0), (12, 0.0), (12, 1.0)]
+        calls.clear()
+        chosen_plaintext_distinguishability(8, (0, 1, 1, 0), (1, 1, 0, 0), alpha=2)
+        assert sorted(calls) == [(8, 0.0), (8, 0.5), (8, 0.5)]
+
+    @pytest.mark.parametrize(
+        "n, message, alpha",
+        [(1, (0, 1), 1), (6, (1, 0, 1, 1), 1), (12, (0,) * 8, 1), (12, (1,) * 8, 1),
+         (8, (0, 1), 2), (4, (1,), 8)],
+    )
+    def test_message_density_matches_per_position_build(self, n, message, alpha):
+        # the loop that built one ensemble per qubit position, kept as the reference
+        want = np.ones((1, 1), dtype=np.complex128)
+        for bit in message:
+            for _ in range(alpha):
+                p_flag = float(bit) if alpha == 1 else 0.5
+                want = np.kron(want, shifted_ensemble(n, p_flag))
+        got = qpke.attacks._message_density(n, message, alpha).entries
+        assert got.tobytes() == want.tobytes()
 
     def test_caps_and_validation(self):
         with pytest.raises(ValueError, match=str(CPA_PRECISION_CAP)):

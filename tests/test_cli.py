@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from qpke.cli import _parse_message, _parse_range, build_parser, main
+from qpke.cli import CCA_USES_CAP, _parse_message, _parse_range, build_parser, main
 from qpke.protocol import load_private_key
+from qpke.security_analysis import MI_TRIALS_CAP
 
 
 def run_cli(argv, capsys):
@@ -380,6 +381,28 @@ class TestAttackCommand:
         assert sum(1 for t in transcript if t["accepted"]) == 4
         assert payload["results"]["session"]["uses_consumed"] == 4
 
+    @pytest.mark.parametrize("k", [CCA_USES_CAP + 1, 100_000_000_000])
+    def test_cca_uses_beyond_cap_is_usage_error(self, k, tmp_path, capsys):
+        json_path = tmp_path / "cca.json"
+        code, stdout, stderr = run_cli(
+            ["attack", "--attack", "cca", "--k", str(k), "--n", "8", "--N", "2",
+             "--seed", "1", "--json", str(json_path)],
+            capsys,
+        )
+        assert code == 2
+        assert stderr.startswith("error: ") and str(CCA_USES_CAP) in stderr
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cca_at_cap_runs(self, capsys):
+        code, stdout, _ = run_cli(
+            ["attack", "--attack", "cca", "--k", str(CCA_USES_CAP), "--n", "8", "--N", "2",
+             "--seed", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert f"uses:{CCA_USES_CAP}/{CCA_USES_CAP}" in stdout
+
     def test_unknown_attack_is_usage_error(self, capsys):
         code, _, _ = run_cli(["attack", "--attack", "grover"], capsys)
         assert code == 2
@@ -511,6 +534,19 @@ class TestAnalyzeCommand:
         )
         assert code == 2
         assert "copies_per_trial must be in" in stderr
+
+    @pytest.mark.parametrize("trials", [MI_TRIALS_CAP + 1, 1_000_000_000_000])
+    def test_trials_beyond_cap_is_usage_error(self, trials, tmp_path, capsys):
+        paths = [tmp_path / "mi.json", tmp_path / "mi.csv"]
+        code, stdout, stderr = run_cli(
+            ["analyze", "--mi-strategy", "fixed", "--trials", str(trials), "--seed", "1",
+             "--json", str(paths[0]), "--csv", str(paths[1])],
+            capsys,
+        )
+        assert code == 2
+        assert stderr.startswith("error: ") and str(MI_TRIALS_CAP) in stderr
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepCommand:

@@ -20,9 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpke.attacks import FORWARD_SEARCH_CHUNK
-from qpke.cli import main
+from qpke.cli import CCA_USES_CAP, main
 from qpke.protocol import MAX_KEY_LENGTH
-from qpke.security_analysis import MI_COPIES_CAP
+from qpke.security_analysis import MI_COPIES_CAP, MI_TRIALS_CAP
 
 FUZZ = settings(max_examples=40, deadline=None)
 
@@ -209,7 +209,11 @@ def test_roundtrip_rejects_malformed_flags(workdir, args, missing_key):
         ),
         st.tuples(
             st.just(["--attack", "cca"]),
-            st.one_of(flag("k", NOT_POSITIVE), flag("N", NOT_POSITIVE), flag("n", BAD_PRECISION)),
+            st.one_of(
+                flag("k", st.one_of(NOT_POSITIVE, st.integers(CCA_USES_CAP + 1))),
+                flag("N", NOT_POSITIVE),
+                flag("n", BAD_PRECISION),
+            ),
         ),
         st.tuples(st.just([]), flag("attack", NOT_A_NUMBER)),
         st.tuples(st.just(["--attack", "forward-search"]), flag("rule", NOT_A_NUMBER)),
@@ -221,6 +225,7 @@ def test_roundtrip_rejects_malformed_flags(workdir, args, missing_key):
 @example(args=["--attack", "cpa", "--N=10000000000"])
 @example(args=["--attack", "forward-search", "--trials", "10", "--n=1000000000000000000"])
 @example(args=["--attack", "forward-search", "--alpha=1000000000000", "--trials", "1"])
+@example(args=["--attack", "cca", "--k=100000000000", "--n", "8", "--N", "2"])
 def test_attack_rejects_malformed_flags(args):
     assert_clean_failure(["attack", "--seed", "1"] + args)
 
@@ -237,7 +242,7 @@ def test_attack_rejects_malformed_flags(args):
             st.one_of(
                 flag("mi-n", st.one_of(st.integers(max_value=0), st.integers(min_value=17))),
                 flag("mi-copies", st.one_of(NOT_POSITIVE, st.integers(MI_COPIES_CAP + 1))),
-                flag("trials", st.integers(max_value=1)),
+                flag("trials", st.one_of(st.integers(max_value=1), st.integers(MI_TRIALS_CAP + 1))),
             ),
         ).map(lambda t: t[0] + t[1]),
         flag("mi-strategy", NOT_A_NUMBER),
@@ -246,6 +251,7 @@ def test_attack_rejects_malformed_flags(args):
 @example(args=["--threshold=nan"])
 @example(args=["--threshold=inf"])
 @example(args=["--mi-strategy", "fixed", "--mi-copies=1000000000000", "--trials=2"])
+@example(args=["--mi-strategy", "fixed", "--trials=1000000000000"])
 def test_analyze_rejects_malformed_flags(workdir, args):
     assert_clean_failure(["analyze", "--seed", "1", "--json", str(workdir / "a.json")] + args)
 

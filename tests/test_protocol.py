@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpke.protocol
 from qpke.protocol import (
     MAX_GROUP_QUBITS,
     MAX_KEY_LENGTH,
@@ -47,6 +48,7 @@ from qpke.quantum_core import (
     AngleIndex,
     PureState,
     index_amplitudes_batch,
+    outcome_one_probability,
     prepare_state,
     swap_project,
     swap_project_batch,
@@ -709,7 +711,7 @@ class TestRegisterProperties:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_exact_outcome_probability_equals_promoted_born_weight(self, key):
         register = prepare_register(key)
-        p1 = np.square(index_amplitudes_batch(register._indices, key.n)[:, 1])
+        p1 = outcome_one_probability(register._indices, key.n)
         for q in range(key.length):
             amps = register._promote(q).group.amps
             assert abs(float(abs(amps[1]) ** 2) - p1[q]) <= 1e-12
@@ -718,26 +720,44 @@ class TestRegisterProperties:
     def test_z_basis_states_promote_exactly(self, n):
         period = 1 << n
         register = prepare_register(PrivateKey(n=n, s=(0, period >> 1)))
-        p1 = np.square(index_amplitudes_batch(register._indices, n)[:, 1])
+        p1 = outcome_one_probability(register._indices, n)
         assert p1.tolist() == [0.0, 1.0]
         for q in range(2):
             amps = register._promote(q).group.amps
             assert (np.abs(amps) ** 2).tolist() == [1.0 - p1[q], p1[q]]
             assert amps.tolist() == [[1.0, 0.0], [0.0, 1.0]][q]
 
+    def test_exact_measurements_build_no_amplitudes(self, monkeypatch):
+        # measuring exact qubits needs only the Born rule, not the (cos, sin) map
+        def no_map(*args):
+            raise AssertionError("exact measurement built amplitudes")
+
+        monkeypatch.setattr(qpke.protocol, "index_amplitudes_batch", no_map)
+        monkeypatch.setattr(qpke.protocol, "index_amplitudes", no_map)
+        key = PrivateKey(n=40, s=(0, 1 << 39, 12345, 7))
+        rng = np.random.default_rng(3)
+        assert prepare_register(key).measure_z(1, rng) == 1
+        assert prepare_register(key)._measure_all_z(rng)[:2].tolist() == [0, 1]
+        cipher = encrypt(fresh_public(key), (1, 0, 1, 1), rng=rng)
+        assert decrypt(DecryptionOracle(key, 1), cipher, rng) == (1, 0, 1, 1)
+
     @pytest.mark.parametrize("n", [1, 2, 8, 40, MAX_PRECISION_BITS])
     def test_state_builders_agree_bit_for_bit(self, n):
         # prepare_state, QuantumRegister._promote and the batch builder of
-        # the forward search must hand out the same amplitudes
+        # the forward search must hand out the same amplitudes, and the Born
+        # rule of exact measurements the square of their |1> entry
         period = 1 << n
         s = sorted({0, 1, period >> 2, period >> 1, period - 1})
         promoted = prepare_register(PrivateKey(n=n, s=tuple(s)))
         batch = index_amplitudes_batch(np.array(s, dtype=np.int64), n)
+        born = outcome_one_probability(np.array(s, dtype=np.int64), n)
         for q, index in enumerate(s):
             prepared = prepare_state(AngleIndex(index, n)).amplitudes.real.tolist()
             assert promoted._promote(q).group.amps.tolist() == prepared
             assert batch[q].tolist() == prepared
+            assert born[q] == prepared[1] ** 2
         assert batch[s.index(period >> 1)].tolist() == [0.0, 1.0]
+        assert born[s.index(period >> 1)] == 1.0
 
     @given(key=private_keys(), flag_bits=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import qpke.attacks
 import qpke.protocol
+import qpke.security_analysis
 from qpke.quantum_core import (
     ATOL,
     MAX_PRECISION_BITS,
@@ -26,7 +27,9 @@ from qpke.quantum_core import (
     density_from_ensemble,
     draws_outcome_zero,
     index_add,
+    index_amplitudes_batch,
     measure_axis,
+    outcome_one_probability,
     overlap,
     partial_trace,
     prepare_state,
@@ -377,9 +380,26 @@ class TestOutcomeRule:
 class TestKernelOwnsConventions:
     """The index-to-state map lives in the kernel, not in its callers."""
 
-    @pytest.mark.parametrize("module", [qpke.protocol, qpke.attacks])
+    @pytest.mark.parametrize("module", [qpke.protocol, qpke.attacks, qpke.security_analysis])
     def test_module_calls_no_sin_or_cos(self, module):
         assert not re.search(r"\b(sin|cos)\(", inspect.getsource(module))
+
+
+class TestOutcomeOneProbability:
+    """The Born rule of index states in a rotated basis."""
+
+    def test_aligned_basis_is_the_map_column_squared(self):
+        # bit for bit at every precision, so exact register measurements
+        # draw as they did from the squared |1> column
+        rng = np.random.default_rng(0)
+        for n in range(1, MAX_PRECISION_BITS + 1):
+            period = 1 << n
+            special = [0, 1, period >> 2, period >> 1, period - 1]
+            s = np.array(special + rng.integers(0, period, size=200).tolist(), dtype=np.int64)
+            want = np.square(index_amplitudes_batch(s, n)[:, 1])
+            assert outcome_one_probability(s, n).tobytes() == want.tobytes(), n
+            assert outcome_one_probability(s[3], n) == 1.0
+            assert outcome_one_probability(s[0], n) == 0.0
 
 
 class TestMeasureZ:

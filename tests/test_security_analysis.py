@@ -1,5 +1,6 @@
 """Tests for entropy accounting, ensemble densities, and leakage estimation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from qpke.security_analysis import (
     ENSEMBLE_ENUMERATION_CAP,
     MI_COPIES_CAP,
     MI_PRECISION_CAP,
+    MI_TRIALS_CAP,
     KeyParams,
     MeasurementStrategy,
     MutualInfoEstimate,
@@ -31,6 +33,7 @@ from qpke.security_analysis import (
     public_key_density_description,
     secrecy_condition,
     shifted_ensemble,
+    _outcome_probability,
 )
 
 
@@ -290,12 +293,13 @@ class TestMeasurementStrategy:
     def test_fixed_default_angle(self):
         strategy = MeasurementStrategy.fixed()
         assert strategy.kind == "fixed-basis"
-        assert strategy.basis_angle == 0.0
+        assert strategy.settings == ((0.0, 0.0, 1.0),)
 
     def test_random_default_angles(self):
         strategy = MeasurementStrategy.random()
-        assert strategy.basis_angles == DEFAULT_RANDOM_BASIS_ANGLES
-        assert len(strategy.basis_angles) == 8
+        assert [a for a, _, _ in strategy.settings] == list(DEFAULT_RANDOM_BASIS_ANGLES)
+        assert len(strategy.settings) == 8
+        assert all((w0, w1) == (0.0, 1.0) for _, w0, w1 in strategy.settings)
 
     def test_random_needs_angles(self):
         with pytest.raises(ValueError, match="angle"):
@@ -303,13 +307,22 @@ class TestMeasurementStrategy:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            MeasurementStrategy(kind="adaptive")
+            MeasurementStrategy(kind="adaptive", settings=((0.0, 0.0, 1.0),))
 
     def test_projective_povm_accepted(self):
         e0 = np.diag([1.0, 0.0])
         e1 = np.diag([0.0, 1.0])
         strategy = MeasurementStrategy.two_outcome(e0, e1)
         assert strategy.kind == "custom-two-outcome"
+        # the z-basis projector pair is the aligned projective setting
+        assert strategy.settings == ((0.0, 0.0, 1.0),)
+
+    def test_povm_weights_are_the_eigenvalues_of_e1(self):
+        ray = np.array([-math.sin(0.35), math.cos(0.35)])  # R(0.7)|1>
+        e1 = 0.3 * np.outer(ray, ray) + 0.2 * np.eye(2)
+        ((angle, w0, w1),) = MeasurementStrategy.two_outcome(np.eye(2) - e1, e1).settings
+        assert (w0, w1) == pytest.approx((0.2, 0.5), abs=1e-15)
+        assert math.sin((angle - 0.7) / 2.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_povm_must_be_hermitian(self):
         e1 = np.array([[0.5, 0.3], [0.1, 0.5]])
@@ -414,6 +427,14 @@ class TestMutualInformation:
         at_cap = estimate_mutual_information(strategy, 2, MI_COPIES_CAP, 100, rng)
         assert at_cap.copies_per_trial == MI_COPIES_CAP
 
+    def test_trials_cap_enforced_before_any_draw(self):
+        strategy = MeasurementStrategy.fixed(0.0)
+        for trials in (MI_TRIALS_CAP + 1, 10**12):
+            rng = np.random.default_rng(1)
+            with pytest.raises(ValueError, match=str(MI_TRIALS_CAP)):
+                estimate_mutual_information(strategy, 2, 1, trials, rng)
+            assert rng.random() == np.random.default_rng(1).random()
+
     def test_input_validation(self):
         rng = np.random.default_rng(1)
         strategy = MeasurementStrategy.fixed(0.0)
@@ -461,11 +482,9 @@ def _reference_stratified(s, y, strata, y_card) -> tuple[float, int]:
 def reference_mutual_information(strategy, n, copies_per_trial, trials, rng):
     """estimate_mutual_information as it was with one np.unique pass per
     marginal, per stratum and per bootstrap resample; same draws."""
-    from qpke.security_analysis import _outcome_probability
-
     s = rng.integers(0, 1 << n, size=trials, dtype=np.int64)
-    if strategy.kind == "random-basis":
-        strata = rng.integers(0, len(strategy.basis_angles), size=trials)
+    if len(strategy.settings) > 1:
+        strata = rng.integers(0, len(strategy.settings), size=trials)
     else:
         strata = None
     p1 = _outcome_probability(s, n, strategy, strata)
@@ -536,8 +555,6 @@ class TestOutcomeProbabilityConsistency:
     """Vectorized outcome probabilities against the state-level simulator."""
 
     def test_rotated_basis_matches_state_measurement(self):
-        from qpke.security_analysis import _outcome_probability
-
         for n in (1, 2, 4, 8):
             for phi in (0.0, math.pi / 8, math.pi / 3):
                 s_values = np.arange(1 << min(n, 4), dtype=np.int64)
@@ -550,8 +567,6 @@ class TestOutcomeProbabilityConsistency:
                     assert p == pytest.approx(born_one, abs=1e-12)
 
     def test_povm_probability_matches_quadratic_form(self):
-        from qpke.security_analysis import _outcome_probability
-
         phi_vec = np.array([math.cos(0.7), math.sin(0.7)])
         e1 = 0.3 * np.outer(phi_vec, phi_vec) + 0.2 * np.eye(2)
         strategy = MeasurementStrategy.two_outcome(np.eye(2) - e1, e1)
@@ -562,3 +577,76 @@ class TestOutcomeProbabilityConsistency:
             amps = prepare_state(AngleIndex(int(s), n)).amplitudes
             direct = np.vdot(amps, e1 @ amps).real
             assert p == pytest.approx(direct, abs=1e-12)
+
+
+def parent_outcome_probability(s, n, kind, basis_choice, angle=0.0, angles=(), e1=None):
+    """_outcome_probability as it was: a switch on the strategy kind over its
+    own copy of the half-angle map.  The settings form must reproduce it."""
+    half = s.astype(np.float64) * (np.pi / float(1 << n))
+    if kind == "custom-two-outcome":
+        a, b = np.cos(half), np.sin(half)
+        p1 = a * a * e1[0, 0].real + 2.0 * a * b * e1[0, 1].real + b * b * e1[1, 1].real
+    else:
+        if kind == "fixed-basis":
+            phi = angle
+        else:
+            phi = np.asarray(angles, dtype=np.float64)[basis_choice]
+        p1 = np.square(np.sin(half - phi / 2.0))
+    return np.clip(p1, 0.0, 1.0)
+
+
+class TestSettingsReproduceTheKindSwitch:
+    """Strategies as (angle, w0, w1) settings on the kernel's Born rule give
+    the outcome probabilities of the kind switch they replaced."""
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 16])
+    @pytest.mark.parametrize("angle", [0.0, math.pi / 8])
+    def test_fixed_basis_bit_for_bit(self, n, angle):
+        s = np.arange(1 << n, dtype=np.int64)
+        got = _outcome_probability(s, n, MeasurementStrategy.fixed(angle), None)
+        want = parent_outcome_probability(s, n, "fixed-basis", None, angle=angle)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 16])
+    def test_random_basis_bit_for_bit(self, n):
+        # every index under every setting
+        settings = len(DEFAULT_RANDOM_BASIS_ANGLES)
+        s = np.repeat(np.arange(1 << n, dtype=np.int64), settings)
+        strata = np.tile(np.arange(settings), 1 << n)
+        got = _outcome_probability(s, n, MeasurementStrategy.random(), strata)
+        want = parent_outcome_probability(
+            s, n, "random-basis", strata, angles=DEFAULT_RANDOM_BASIS_ANGLES
+        )
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4, 8, 16])
+    @pytest.mark.parametrize(
+        "e1",
+        [
+            np.array([[0.3, -0.2], [-0.2, 0.6]]),
+            np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.25]]),
+            np.eye(2) / 2.0,
+            np.diag([0.0, 1.0]),
+        ],
+        ids=["real", "complex", "uninformative", "projective"],
+    )
+    def test_povm_within_rounding(self, n, e1):
+        s = np.arange(1 << n, dtype=np.int64)
+        strategy = MeasurementStrategy.two_outcome(np.eye(2) - e1, e1)
+        got = _outcome_probability(s, n, strategy, None)
+        want = parent_outcome_probability(s, n, "custom-two-outcome", None, e1=e1)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_lone_random_angle_draws_as_fixed(self):
+        # the parent drew rng.integers(0, 1, size) for one angle: no bits
+        rng = np.random.default_rng(4)
+        rng.integers(0, 1, size=1000)
+        assert rng.random() == np.random.default_rng(4).random()
+        args = (5, 3, 4000)
+        lone = estimate_mutual_information(
+            MeasurementStrategy.random((0.3,)), *args, np.random.default_rng(8)
+        )
+        fixed = estimate_mutual_information(
+            MeasurementStrategy.fixed(0.3), *args, np.random.default_rng(8)
+        )
+        assert lone == dataclasses.replace(fixed, strategy_kind="random-basis")
