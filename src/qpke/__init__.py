@@ -56,12 +56,7 @@ from .quantum_core import (
     AngleIndex,
     DensityMatrix,
     PrecisionMismatchError,
-    PureState,
-    density_from_ensemble,
-    index_add,
     overlap,
-    partial_trace,
-    prepare_state,
     trace_distance,
     von_neumann_entropy,
 )
@@ -69,14 +64,12 @@ from .security_analysis import (
     KeyParams,
     MeasurementStrategy,
     MutualInfoEstimate,
-    PublicKeyDensity,
     SecrecyReport,
     ensemble_density,
     estimate_mutual_information,
     holevo_cap,
     permuted_key_entropy,
     private_key_entropy,
-    public_key_density_description,
     secrecy_condition,
 )
 from .seeding import rng_stream, seed_sequence

@@ -29,7 +29,6 @@ from .quantum_core import (
     AngleIndex,
     MAX_PRECISION_BITS,
     INDEX_SNAP_STEPS,
-    PureState,
     draws_outcome_zero,
     index_amplitudes,
     index_amplitudes_batch,
@@ -275,9 +274,7 @@ class QuantumRegister:
     """
 
     def __init__(self) -> None:
-        raise TypeError(
-            "use QuantumRegister.from_pure_state or QuantumRegister.of_computational"
-        )
+        raise TypeError("use prepare_register or QuantumRegister.of_computational")
 
     @classmethod
     def _from_indices(
@@ -288,20 +285,6 @@ class QuantumRegister:
         reg._indices = np.array(indices, dtype=np.int64)
         reg._slots = {}
         reg._owner_tag = owner_tag
-        reg._retired = False
-        return reg
-
-    @classmethod
-    def from_pure_state(cls, state: PureState) -> "QuantumRegister":
-        """Register initialized to an arbitrary (possibly entangled) state."""
-        k = state.num_qubits
-        reg = cls._from_indices([0] * k, 1, None)
-        slots = [_Slot() for _ in range(k)]
-        group = _Group(slots, np.array(state.amplitudes, dtype=np.complex128).reshape((2,) * k))
-        for axis, slot in enumerate(slots):
-            slot.group = group
-            slot.axis = axis
-        reg._slots = dict(enumerate(slots))
         return reg
 
     @classmethod
@@ -321,12 +304,7 @@ class QuantumRegister:
     def qubit_count(self) -> int:
         return self._indices.size
 
-    def _check_live(self) -> None:
-        if self._retired:
-            raise ValueError("register was partitioned; use the partition results")
-
     def _check_qubit(self, qubit: int) -> None:
-        self._check_live()
         if not 0 <= qubit < self.qubit_count:
             raise ValueError(f"qubit {qubit} out of range for {self.qubit_count} qubits")
 
@@ -366,7 +344,6 @@ class QuantumRegister:
 
     def apply_bit_rotations(self, flags: Sequence[int]) -> None:
         """Apply R(flag * pi) across the leading qubits in one pass."""
-        self._check_live()
         flag_arr = np.asarray(flags, dtype=np.int64)
         if flag_arr.ndim != 1 or flag_arr.size > self.qubit_count:
             raise ValueError("flag vector longer than the register")
@@ -385,14 +362,8 @@ class QuantumRegister:
         self._indices[qubit] = outcome << (self._n - 1)
         return outcome
 
-    def measure_in_rotated_basis(self, qubit: int, phi: float, rng: np.random.Generator) -> int:
-        """Undo R(phi), then measure in z; returns 0 for the R(phi)|0> ray."""
-        self.apply_rotation(qubit, -phi)
-        return self.measure_z(qubit, rng)
-
     def _measure_all_z(self, rng: np.random.Generator) -> np.ndarray:
         """Measure every qubit in z; used by the decryption device."""
-        self._check_live()
         p1 = outcome_one_probability(self._indices, self._n)
         u = rng.random(self.qubit_count)
         outcomes = (~draws_outcome_zero(1.0 - p1, p1, u)).astype(np.int64)
@@ -408,7 +379,6 @@ class QuantumRegister:
         Exact qubits stay exact when their own grid is at least as fine as
         the step grid; otherwise the shifted qubits get slots first.
         """
-        self._check_live()
         length = steps.size
         if self._n < step_precision:
             for pos in range(length):
@@ -419,24 +389,6 @@ class QuantumRegister:
         for pos, slot in self._slots.items():
             if pos < length and steps[pos]:
                 _rotate_slot(slot, math.pi * (int(steps[pos]) / (1 << (step_precision - 1))))
-
-    def partition(self, first_count: int) -> tuple["QuantumRegister", "QuantumRegister"]:
-        """Split into two registers over the same qubits; retires the original.
-
-        The front register gets qubits [0, first_count), the back the rest.
-        Entanglement between the parts survives: the split only changes the
-        bookkeeping, not the joint state.
-        """
-        self._check_live()
-        if not 0 < first_count < self.qubit_count:
-            raise ValueError("partition point must be strictly inside the register")
-        parts = []
-        for lo, hi in ((0, first_count), (first_count, self.qubit_count)):
-            child = QuantumRegister._from_indices(self._indices[lo:hi], self._n, self._owner_tag)
-            child._slots = {pos - lo: slot for pos, slot in self._slots.items() if lo <= pos < hi}
-            parts.append(child)
-        self._retired = True
-        return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -528,7 +480,6 @@ def describe_register(register: QuantumRegister, credential: PrivateKey) -> tupl
     register; anything else is denied.  Raises TamperedRegisterError if
     non-index operations already moved qubits off the exact path.
     """
-    register._check_live()
     if (
         not isinstance(credential, PrivateKey)
         or register._owner_tag is None

@@ -14,9 +14,8 @@ index states measured in a rotated basis (outcome_one_probability), one
 two-outcome sampling rule (draws_outcome_zero), and array functions
 (rotate_axis, measure_axis, swap_project) over tensors of shape (2,)*k, one
 axis per qubit; register amplitude groups run on it.  swap_project_batch runs the symmetry
-test over a leading batch axis for the Monte Carlo forward search.  PureState
-and density matrices are the values that preparation and the ensemble and
-entropy tools exchange.
+test over a leading batch axis for the Monte Carlo forward search.  Density
+matrices are the values the ensemble and entropy tools exchange.
 
 Amplitude-index convention: qubit 0 is the leftmost tensor factor, i.e. the
 most significant bit of the amplitude index.
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -50,7 +49,7 @@ class PrecisionMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class AngleIndex:
-    """Exact rotation index: the state R(s * step_angle)|0> at precision n.
+    """Exact rotation index: the state R(s * pi / 2**(n-1))|0> at precision n.
 
     The index s is reduced modulo 2**n; a full period of 2**n steps
     corresponds to a rotation by 2*pi.
@@ -70,68 +69,8 @@ class AngleIndex:
             raise TypeError("index s must be an integer")
         object.__setattr__(self, "s", self.s % (1 << self.n))
 
-    @property
-    def period(self) -> int:
-        """Number of distinct indices at this precision (2**n)."""
-        return 1 << self.n
 
-    @property
-    def step_angle(self) -> float:
-        """Angular resolution theta_n = pi / 2**(n-1)."""
-        return math.pi * 2.0 ** (1 - self.n)
-
-    @property
-    def angle(self) -> float:
-        """Rotation angle s * theta_n in radians (float approximation)."""
-        return math.pi * (self.s / (1 << (self.n - 1)))
-
-    @property
-    def half_angle(self) -> float:
-        """Half the rotation angle, s * pi / 2**n; the amplitude argument."""
-        return math.pi * (self.s / (1 << self.n))
-
-    def inverse(self) -> "AngleIndex":
-        """Index of the inverse rotation, so index_add(a, a.inverse()) == 0."""
-        return AngleIndex((-self.s) % self.period, self.n)
-
-
-def index_add(a: AngleIndex, b: AngleIndex) -> AngleIndex:
-    """Compose two rotations exactly: (a.s + b.s) mod 2**n at shared n."""
-    if a.n != b.n:
-        raise PrecisionMismatchError(
-            f"cannot add indices at different precisions (n={a.n} vs n={b.n})"
-        )
-    return AngleIndex((a.s + b.s) % a.period, a.n)
-
-
-# --- pure states and density matrices ---
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized state vector over k qubits (length 2**k, complex)."""
-
-    amplitudes: npt.NDArray[np.complex128]
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
-            raise ValueError("amplitude vector length must be a power of two >= 2")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > ATOL:
-            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {ATOL}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def num_qubits(self) -> int:
-        return int(self.amplitudes.size).bit_length() - 1
-
-    def fidelity(self, other: "PureState") -> float:
-        """|<self|other>|^2; equality up to global phase means fidelity 1."""
-        if self.amplitudes.size != other.amplitudes.size:
-            raise ValueError("fidelity requires states of equal dimension")
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
+# --- density matrices ---
 
 
 @dataclass(frozen=True)
@@ -157,18 +96,10 @@ class DensityMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
-    @property
-    def num_qubits(self) -> int:
-        return int(self.entries.shape[0]).bit_length() - 1
-
     def eigenvalues(self) -> npt.NDArray[np.float64]:
         """Ascending eigenvalues with tiny negatives clamped to zero."""
         eigs = np.linalg.eigvalsh(self.entries)
         return np.where((eigs < 0.0) & (eigs >= EIGENVALUE_FLOOR), 0.0, eigs)
-
-    def purity(self) -> float:
-        """tr(rho^2); equals 1 exactly for pure states."""
-        return float(np.trace(self.entries @ self.entries).real)
 
 
 # --- state preparation and unitaries ---
@@ -205,11 +136,6 @@ def index_amplitudes_batch(indices: np.ndarray, n: int) -> np.ndarray:
     amps = np.stack([np.cos(half), np.sin(half)], axis=-1)
     amps[indices == 1 << (n - 1)] = (0.0, 1.0)
     return amps
-
-
-def prepare_state(index: AngleIndex) -> PureState:
-    """Single-qubit state R(s * theta_n)|0> with amplitudes (cos, sin)."""
-    return PureState(np.array(index_amplitudes(index.s, index.n), dtype=np.complex128))
 
 
 def rotate_axis(arr: np.ndarray, axis: int, theta: float) -> np.ndarray:
@@ -272,28 +198,7 @@ def measure_axis(
     return outcome, weights[outcome], moved[outcome] / math.sqrt(weights[outcome])
 
 
-# --- ensemble and entropy tools ---
-
-
-def density_from_ensemble(members: Iterable[tuple[float, PureState]]) -> DensityMatrix:
-    """Mix an ensemble {(p_i, |psi_i>)} into sum_i p_i |psi_i><psi_i|."""
-    total = 0.0
-    acc: npt.NDArray[np.complex128] | None = None
-    for p, state in members:
-        if p < 0.0:
-            raise ValueError("ensemble probabilities must be non-negative")
-        amps = state.amplitudes
-        if acc is None:
-            acc = np.zeros((amps.size, amps.size), dtype=np.complex128)
-        elif acc.shape[0] != amps.size:
-            raise ValueError("ensemble members must share one dimension")
-        acc += p * np.outer(amps, amps.conj())
-        total += p
-    if acc is None:
-        raise ValueError("ensemble must contain at least one member")
-    if abs(total - 1.0) > ATOL:
-        raise ValueError(f"ensemble probabilities sum to {total}, not 1")
-    return DensityMatrix(acc)
+# --- entropy and distance ---
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -308,19 +213,6 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     if a.entries.shape != b.entries.shape:
         raise ValueError("trace distance requires matrices of equal dimension")
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.entries - b.entries))))
-
-
-def partial_trace(rho: DensityMatrix, keep: int, num_qubits: int) -> DensityMatrix:
-    """Reduced 2x2 state of qubit `keep` after tracing out the rest."""
-    if rho.entries.shape[0] != 1 << num_qubits:
-        raise ValueError("density matrix dimension does not match qubit count")
-    if not 0 <= keep < num_qubits:
-        raise ValueError(f"qubit {keep} out of range for {num_qubits} qubits")
-    perm_rows = [keep] + [q for q in range(num_qubits) if q != keep]
-    perm = perm_rows + [num_qubits + q for q in perm_rows]
-    arr = rho.entries.reshape((2,) * (2 * num_qubits)).transpose(perm)
-    arr = arr.reshape(2, 1 << (num_qubits - 1), 2, 1 << (num_qubits - 1))
-    return DensityMatrix(np.einsum("ajbj->ab", arr))
 
 
 # --- symmetry (SWAP) test ---

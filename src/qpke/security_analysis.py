@@ -35,7 +35,8 @@ class KeyParams:
 
     The precision of each key entry is uniform on [n_l, n_u] and the entry
     itself uniform on [0, 2**n).  Entropy accounting stays closed-form, so
-    n_u may exceed the simulator's representable precision.
+    n_u may exceed the simulator's representable precision, as far as the
+    key entropies and the Holevo cap stay finite doubles.
     """
 
     n_l: int
@@ -56,6 +57,14 @@ class KeyParams:
             raise ValueError("N must be at least 1")
         if self.k < 0:
             raise ValueError("k must be non-negative")
+        try:
+            ledger = (private_key_entropy(self), permuted_key_entropy(self), holevo_cap(self))
+        except OverflowError:
+            ledger = (math.inf,)
+        if not all(map(math.isfinite, ledger)):
+            # an infinite entropy would report secrecy it cannot show, and
+            # JSON has no infinity
+            raise ValueError("key parameters put the entropy ledger beyond the float range")
 
     @property
     def mean_precision(self) -> float:
@@ -213,42 +222,6 @@ def ensemble_density_method(n: int) -> str:
     if n < 1:
         raise ValueError("n must be at least 1")
     return "enumerated" if n <= ENSEMBLE_ENUMERATION_CAP else "analytic"
-
-
-@dataclass(frozen=True)
-class PublicKeyDensity:
-    """Eavesdropper's view of a public key with unknown private indices.
-
-    Averaged over the key distribution, each qubit is maximally mixed and
-    the qubits are independent, so the state factorizes and its entropy is
-    one bit per qubit.
-    """
-
-    num_qubits: int
-    per_qubit: DensityMatrix
-    entropy_bits: float
-    factorized: bool = True
-
-    def materialize(self, max_qubits: int = 8) -> DensityMatrix:
-        """Explicit tensor-product density matrix, for small registers."""
-        if self.num_qubits > max_qubits:
-            raise ValueError(
-                f"materializing {self.num_qubits} qubits exceeds the "
-                f"{max_qubits}-qubit limit"
-            )
-        out = self.per_qubit.entries
-        for _ in range(self.num_qubits - 1):
-            out = np.kron(out, self.per_qubit.entries)
-        return DensityMatrix(out)
-
-
-def public_key_density_description(params: KeyParams) -> PublicKeyDensity:
-    """Average state of one public-key copy under the key distribution."""
-    return PublicKeyDensity(
-        num_qubits=params.N,
-        per_qubit=DensityMatrix(np.eye(2) / 2.0),
-        entropy_bits=float(params.N),
-    )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from qpke.protocol import (
     prepare_register,
     swap_test_registers,
 )
-from qpke.quantum_core import AngleIndex, measure_axis, prepare_state
+from qpke.quantum_core import index_amplitudes, measure_axis
 from qpke.security_analysis import shifted_ensemble
 
 
@@ -384,10 +384,11 @@ class TestChosenCiphertext:
     def test_entangled_ancilla_submission_is_decrypted(self):
         rng = np.random.default_rng(54)
         key = PrivateKey(n=4, s=(2, 11))
-        reg = QuantumRegister.of_computational((0, 0, 0))
-        reg.apply_rotation(2, math.pi / 3)
-        swap_test_registers(reg, 1, reg, 2, rng)
-        front, back = reg.partition(2)
+        front = QuantumRegister.of_computational((0, 0))
+        back = QuantumRegister.of_computational((0,))
+        back.apply_rotation(0, math.pi / 3)
+        # the symmetry test entangles qubit 1 of the submission with the ancilla
+        swap_test_registers(front, 1, back, 0, rng)
         cipher = CipherState(register=front, num_bits=2, alpha=1)
         session = chosen_ciphertext_session(key, 1, [("ancilla", cipher)], rng)
         assert session.transcript[0].accepted
@@ -423,7 +424,7 @@ def forward_fidelities(n: int, trials: int, rng: np.random.Generator) -> list[fl
     the original, which is the Born weight of the realized outcome."""
     fidelities = []
     for s in rng.integers(0, 1 << n, size=trials):
-        state = prepare_state(AngleIndex(int(s), n)).amplitudes
+        state = np.array(index_amplitudes(int(s), n), dtype=np.complex128)
         fidelities.append(measure_axis(state, 0, rng)[1])
     return fidelities
 

@@ -252,8 +252,13 @@ def test_attack_rejects_malformed_flags(args):
 @example(args=["--threshold=inf"])
 @example(args=["--mi-strategy", "fixed", "--mi-copies=1000000000000", "--trials=2"])
 @example(args=["--mi-strategy", "fixed", "--trials=1000000000000"])
+@example(args=["--k", "1" + "0" * 400])
+@example(args=["--N", "1" + "0" * 400])
+@example(args=["--n-range", "1:1" + "0" * 400])
+@example(args=["--n-range", f"1:{10**300}", "--N", str(10**300), "--k", "1"])
 def test_analyze_rejects_malformed_flags(workdir, args):
     assert_clean_failure(["analyze", "--seed", "1", "--json", str(workdir / "a.json")] + args)
+    assert not list(workdir.glob("a.json*"))
 
 
 @FUZZ

@@ -46,10 +46,9 @@ from qpke.protocol import (
 from qpke.quantum_core import (
     MAX_PRECISION_BITS,
     AngleIndex,
-    PureState,
+    index_amplitudes,
     index_amplitudes_batch,
     outcome_one_probability,
-    prepare_state,
     swap_project,
     swap_project_batch,
 )
@@ -113,7 +112,7 @@ class TestKeygen:
     def test_known_key_prepares_expected_angles(self):
         key = PrivateKey(n=3, s=(5, 2))
         described = describe_register(prepare_register(key), key)
-        assert [d.angle for d in described] == pytest.approx(
+        assert [math.pi * (d.s / (1 << (d.n - 1))) for d in described] == pytest.approx(
             [5 * math.pi / 4, math.pi / 2], abs=1e-12
         )
 
@@ -257,7 +256,8 @@ class TestRegisterOperations:
         rng = np.random.default_rng(16)
         key = PrivateKey(n=45, s=(2**44 + 12345,))
         register = prepare_register(key)
-        assert register.measure_in_rotated_basis(0, AngleIndex(key.s[0], 45).angle, rng) == 0
+        register.apply_rotation(0, -math.pi * (key.s[0] / (1 << 44)))
+        assert register.measure_z(0, rng) == 0
 
     def test_computational_register_measures_back(self):
         rng = np.random.default_rng(17)
@@ -266,27 +266,13 @@ class TestRegisterOperations:
 
     def test_entangled_register_correlations(self):
         rng = np.random.default_rng(18)
+        branches = set()
         for _ in range(30):
-            pair = QuantumRegister.from_pure_state(
-                PureState(np.array([0, 1.0, 1.0, 0]) / math.sqrt(2))
-            )
+            # |01> projects onto (|01> + |10>)/sqrt(2) or (|01> - |10>)/sqrt(2)
+            pair = QuantumRegister.of_computational([0, 1])
+            branches.add(swap_test_registers(pair, 0, pair, 1, rng))
             assert pair.measure_z(0, rng) + pair.measure_z(1, rng) == 1
-
-    def test_partition_preserves_entanglement(self):
-        rng = np.random.default_rng(19)
-        for _ in range(30):
-            whole = QuantumRegister.from_pure_state(
-                PureState(np.array([1.0, 0, 0, 1.0]) / math.sqrt(2))
-            )
-            front, back = whole.partition(1)
-            assert front.qubit_count == 1 and back.qubit_count == 1
-            assert front.measure_z(0, rng) == back.measure_z(0, rng)
-
-    def test_partitioned_original_is_retired(self):
-        whole = QuantumRegister.of_computational([0, 0])
-        whole.partition(1)
-        with pytest.raises(ValueError, match="partitioned"):
-            whole.measure_z(0, np.random.default_rng(0))
+        assert branches == {True, False}
 
     def test_swap_test_between_fresh_copies_passes(self):
         rng = np.random.default_rng(20)
@@ -743,7 +729,7 @@ class TestRegisterProperties:
 
     @pytest.mark.parametrize("n", [1, 2, 8, 40, MAX_PRECISION_BITS])
     def test_state_builders_agree_bit_for_bit(self, n):
-        # prepare_state, QuantumRegister._promote and the batch builder of
+        # index_amplitudes, QuantumRegister._promote and the batch builder of
         # the forward search must hand out the same amplitudes, and the Born
         # rule of exact measurements the square of their |1> entry
         period = 1 << n
@@ -752,7 +738,7 @@ class TestRegisterProperties:
         batch = index_amplitudes_batch(np.array(s, dtype=np.int64), n)
         born = outcome_one_probability(np.array(s, dtype=np.int64), n)
         for q, index in enumerate(s):
-            prepared = prepare_state(AngleIndex(index, n)).amplitudes.real.tolist()
+            prepared = list(index_amplitudes(index, n))
             assert promoted._promote(q).group.amps.tolist() == prepared
             assert batch[q].tolist() == prepared
             assert born[q] == prepared[1] ** 2
@@ -819,7 +805,8 @@ class TestRegisterProperties:
             elif op == "measure":
                 assert reg.measure_z(q, rng) in (0, 1)
             elif op == "basis":
-                assert reg.measure_in_rotated_basis(q, theta, rng) in (0, 1)
+                reg.apply_rotation(q, -theta)
+                assert reg.measure_z(q, rng) in (0, 1)
             elif op == "swap":
                 swap_test_registers(reg, q, registers[(i + 1) % 2], j % size, rng)
             else:

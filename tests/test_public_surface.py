@@ -4,6 +4,8 @@ Adding a name to or removing one from `qpke.__all__` must show up as a diff
 here, so that every change to the public surface is a deliberate one.
 """
 
+import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -32,8 +34,6 @@ PUBLIC_NAMES = [
     "PrecisionMismatchError",
     "PrivateKey",
     "PublicKey",
-    "PublicKeyDensity",
-    "PureState",
     "QuantumRegister",
     "ScenarioStats",
     "SecrecyReport",
@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "chosen_ciphertext_session",
     "chosen_plaintext_distinguishability",
     "decrypt",
-    "density_from_ensemble",
     "describe_register",
     "encode_redundant",
     "encrypt",
@@ -52,19 +51,15 @@ PUBLIC_NAMES = [
     "forward_search_trial",
     "holevo_cap",
     "identify_rotations",
-    "index_add",
     "key_fingerprint",
     "key_id_of",
     "keygen",
     "load_private_key",
     "overlap",
     "parity_from_fails",
-    "partial_trace",
     "permuted_key_entropy",
     "prepare_register",
-    "prepare_state",
     "private_key_entropy",
-    "public_key_density_description",
     "rng_stream",
     "run_forward_search",
     "save_private_key",
@@ -77,13 +72,43 @@ PUBLIC_NAMES = [
 ]
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def bench_bindings() -> list[tuple[str, str]]:
+    """(module, name) for every qpke name the benchmark tracer looks up: the
+    TRACED and COUNTED literals of bench/tracing.py, read with ast so that
+    nothing under bench/ is imported.  A dotted name is a method on a class;
+    a counted name must resolve both where it is defined and where it is
+    counted."""
+    literals = {}
+    for node in ast.parse((ROOT / "bench" / "tracing.py").read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in ("TRACED", "COUNTED"):
+                literals[target.id] = ast.literal_eval(node.value)
+    bindings = [(layer, name) for layer, names in literals["TRACED"].items() for name in names]
+    for layer, name, caller in literals["COUNTED"]:
+        bindings += [(layer, name), (caller, name)]
+    return bindings
+
+
 def test_all_is_the_pinned_list():
     assert qpke.__all__ == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("module, name", bench_bindings())
+def test_bench_bound_names_resolve(module, name):
+    # a removal the benchmark depends on fails here, not in the benchmark
+    target = importlib.import_module(f"qpke.{module}")
+    for part in name.split("."):
+        target = getattr(target, part)
+    assert callable(target)
 
 
 def test_version_matches_pyproject():
     # the version is part of every payload's run id
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     with open(pyproject, "rb") as handle:
         assert qpke.__version__ == tomllib.load(handle)["project"]["version"]

@@ -23,16 +23,12 @@ from qpke.quantum_core import (
     AngleIndex,
     DensityMatrix,
     PrecisionMismatchError,
-    PureState,
-    density_from_ensemble,
     draws_outcome_zero,
-    index_add,
+    index_amplitudes,
     index_amplitudes_batch,
     measure_axis,
     outcome_one_probability,
     overlap,
-    partial_trace,
-    prepare_state,
     rotate_axis,
     rotation_matrix,
     sample_outcome,
@@ -62,8 +58,22 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def single(s: int, n: int) -> np.ndarray:
-    """Amplitudes of the indexed one-qubit rotation state."""
-    return prepare_state(AngleIndex(s, n)).amplitudes
+    """Amplitudes of the indexed one-qubit rotation state, s reduced mod 2**n."""
+    idx = AngleIndex(s, n)
+    return np.array(index_amplitudes(idx.s, idx.n), dtype=np.complex128)
+
+
+def rotation_angle(s: int, n: int) -> float:
+    """The angle s * pi / 2**(n-1) of R whose |0> image is index state s."""
+    idx = AngleIndex(s, n)
+    return math.pi * (idx.s / (1 << (idx.n - 1)))
+
+
+def reduced_purity(pair: np.ndarray) -> float:
+    """tr(rho^2) of qubit 0 of a two-qubit amplitude tensor."""
+    rho = np.outer(pair, pair.conj()).reshape(2, 2, 2, 2)
+    reduced = np.einsum("ajbj->ab", rho)
+    return float(np.trace(reduced @ reduced).real)
 
 
 class _FixedUniform:
@@ -84,16 +94,6 @@ class TestAngleIndex:
         assert AngleIndex(-1, 4).s == 15
         assert AngleIndex(16, 4).s == 0
 
-    def test_period_and_step_angle(self):
-        idx = AngleIndex(0, 4)
-        assert idx.period == 16
-        assert idx.step_angle == pytest.approx(math.pi / 8, abs=1e-15)
-
-    def test_angle_and_half_angle(self):
-        idx = AngleIndex(5, 3)
-        assert idx.angle == pytest.approx(5 * math.pi / 4, abs=1e-12)
-        assert idx.half_angle == pytest.approx(5 * math.pi / 8, abs=1e-12)
-
     def test_precision_bounds(self):
         with pytest.raises(ValueError, match="precision"):
             AngleIndex(0, 0)
@@ -106,42 +106,6 @@ class TestAngleIndex:
             AngleIndex(0.5, 4)
         with pytest.raises(TypeError):
             AngleIndex(0, 4.0)
-
-    def test_inverse_composes_to_zero(self):
-        a = AngleIndex(7, 4)
-        assert a.inverse().s == 9
-        assert index_add(a, a.inverse()).s == 0
-        assert AngleIndex(0, 4).inverse().s == 0
-
-
-class TestIndexAdd:
-    """Rotation composition as exact modular addition."""
-
-    def test_identity_element(self):
-        assert index_add(AngleIndex(3, 4), AngleIndex(0, 4)).s == 3
-
-    def test_wraparound(self):
-        assert index_add(AngleIndex(12, 4), AngleIndex(7, 4)).s == 3
-
-    def test_inverse_element(self):
-        assert index_add(AngleIndex(7, 4), AngleIndex(9, 4)).s == 0
-
-    def test_precision_mismatch(self):
-        with pytest.raises(PrecisionMismatchError):
-            index_add(AngleIndex(1, 4), AngleIndex(1, 5))
-
-    @given(
-        n=st.integers(1, MAX_PRECISION_BITS),
-        a=st.integers(0, 2**62 - 1),
-        b=st.integers(0, 2**62 - 1),
-        c=st.integers(0, 2**62 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_commutative_and_associative(self, n, a, b, c):
-        x, y, z = (AngleIndex(v, n) for v in (a, b, c))
-        assert index_add(x, y) == index_add(y, x)
-        assert index_add(index_add(x, y), z) == index_add(x, index_add(y, z))
-
 
 class TestRotationMatrix:
     """Matrix form of R(theta) = exp(-i theta Y / 2)."""
@@ -172,53 +136,31 @@ class TestRotationMatrix:
         np.testing.assert_allclose(m.T @ m, np.eye(2), atol=1e-14)
 
 
-class TestPrepareState:
+class TestIndexAmplitudes:
     """Amplitudes of the indexed rotation states."""
 
     def test_zero_index(self):
         for n in (1, 4, 62):
-            amps = prepare_state(AngleIndex(0, n)).amplitudes
-            np.testing.assert_allclose(amps, [1.0, 0.0], atol=1e-12)
+            np.testing.assert_allclose(single(0, n), [1.0, 0.0], atol=1e-12)
 
     def test_antipodal_index(self):
         for n in (1, 4, 32):
-            amps = prepare_state(AngleIndex(1 << (n - 1), n)).amplitudes
-            np.testing.assert_allclose(amps, [0.0, 1.0], atol=1e-12)
+            np.testing.assert_allclose(single(1 << (n - 1), n), [0.0, 1.0], atol=1e-12)
 
     def test_quarter_turn(self):
-        amps = prepare_state(AngleIndex(1, 2)).amplitudes
-        np.testing.assert_allclose(amps, [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
+        np.testing.assert_allclose(single(1, 2), [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
 
     @given(n=st.integers(1, MAX_PRECISION_BITS), s=st.integers(0, 2**62 - 1))
     @settings(max_examples=80, deadline=None)
     def test_normalization(self, n, s):
-        state = prepare_state(AngleIndex(s, n))
-        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= ATOL
+        assert abs(np.linalg.norm(single(s, n)) - 1.0) <= ATOL
 
-
-class TestPureStateValidation:
-    """Constructor invariants of the state-vector wrapper."""
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            PureState(np.array([1.0, 0.0, 0.0]))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="norm"):
-            PureState(np.array([1.0, 1.0]))
-
-    def test_amplitudes_read_only(self):
-        state = prepare_state(AngleIndex(1, 3))
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 0.0
-
-    def test_num_qubits(self):
-        assert PureState(np.array([1.0, 0, 0, 0])).num_qubits == 2
-
-    def test_fidelity_ignores_global_phase(self):
-        a = PureState(np.array([1.0, 0.0]))
-        b = PureState(np.array([-1.0 + 0.0j, 0.0]))
-        assert a.fidelity(b) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_uniform_dyadic_ensemble_is_maximally_mixed(self, n):
+        """The uniform mixture is I/2 at every precision, including n = 1, 2."""
+        states = np.array([single(s, n) for s in range(1 << n)])
+        rho = states.T @ states.conj() / (1 << n)
+        assert np.abs(rho - np.eye(2) / 2).max() <= 1e-12
 
 
 class TestApplyRotation:
@@ -273,7 +215,7 @@ class TestOverlap:
     def test_matches_prepared_inner_product_exhaustively(self):
         # Every index pair at n <= 8 agrees with the prepared-state vectors.
         for n in range(1, 9):
-            states = [prepare_state(AngleIndex(s, n)).amplitudes for s in range(1 << n)]
+            states = [single(s, n) for s in range(1 << n)]
             gram = np.real(np.array(states) @ np.array(states).T)
             for a in range(1 << n):
                 for b in range(1 << n):
@@ -284,12 +226,7 @@ class TestOverlap:
         for n in range(9, 17):
             for _ in range(100):
                 a, b = (int(v) for v in rng.integers(0, 1 << n, 2))
-                inner = float(
-                    np.vdot(
-                        prepare_state(AngleIndex(a, n)).amplitudes,
-                        prepare_state(AngleIndex(b, n)).amplitudes,
-                    ).real
-                )
+                inner = float(np.vdot(single(a, n), single(b, n)).real)
                 assert abs(overlap(AngleIndex(a, n), AngleIndex(b, n)) - inner) <= 1e-12
 
 
@@ -454,15 +391,14 @@ class TestMeasureInRotatedBasis:
     def test_aligned_basis_is_deterministic(self):
         rng = np.random.default_rng(8)
         for s, n in ((3, 4), (1, 1), (2**61 + 17, 62)):
-            idx = AngleIndex(s, n)
-            aligned = rotate_axis(single(s, n), 0, -idx.angle)
+            aligned = rotate_axis(single(s, n), 0, -rotation_angle(s, n))
             outcome, probability, _ = measure_axis(aligned, 0, rng)
             assert outcome == 0
             assert probability == pytest.approx(1.0, abs=1e-12)
 
     def test_antipodal_basis_flips_outcome(self):
         rng = np.random.default_rng(9)
-        phi = AngleIndex(5 + 8, 4).angle
+        phi = rotation_angle(5 + 8, 4)
         outcome, probability, _ = measure_axis(rotate_axis(single(5, 4), 0, -phi), 0, rng)
         assert outcome == 1
         assert probability == pytest.approx(1.0, abs=1e-12)
@@ -473,36 +409,6 @@ class TestMeasureInRotatedBasis:
         b = measure_axis(state, 0, np.random.default_rng(10))
         assert a[0] == b[0]
         assert a[1] == pytest.approx(b[1], abs=1e-12)
-
-
-class TestDensityFromEnsemble:
-    """Mixtures of pure states."""
-
-    def test_single_member_projector(self):
-        rho = density_from_ensemble([(1.0, prepare_state(AngleIndex(0, 3)))])
-        np.testing.assert_allclose(rho.entries, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_two_orthogonal_members(self):
-        rho = density_from_ensemble(
-            [(0.5, prepare_state(AngleIndex(0, 1))), (0.5, prepare_state(AngleIndex(1, 1)))]
-        )
-        np.testing.assert_allclose(rho.entries, np.eye(2) / 2, atol=1e-12)
-
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_uniform_dyadic_ensemble_is_maximally_mixed(self, n):
-        """The uniform mixture is I/2 at every precision, including n = 1, 2."""
-        members = [(2.0**-n, prepare_state(AngleIndex(s, n))) for s in range(1 << n)]
-        rho = density_from_ensemble(members)
-        assert np.abs(rho.entries - np.eye(2) / 2).max() <= 1e-12
-
-    def test_rejects_bad_probabilities(self):
-        zero = prepare_state(AngleIndex(0, 1))
-        with pytest.raises(ValueError, match="sum"):
-            density_from_ensemble([(0.5, zero)])
-        with pytest.raises(ValueError, match="non-negative"):
-            density_from_ensemble([(-0.5, zero), (1.5, zero)])
-        with pytest.raises(ValueError, match="at least one"):
-            density_from_ensemble([])
 
 
 class TestVonNeumannEntropy:
@@ -532,11 +438,11 @@ class TestVonNeumannEntropy:
         rng = np.random.default_rng(12)
         for _ in range(25):
             probs = rng.dirichlet(np.ones(4))
-            members = [
-                (float(p), prepare_state(AngleIndex(int(s), 6)))
+            rho = sum(
+                float(p) * np.outer(single(int(s), 6), single(int(s), 6).conj())
                 for p, s in zip(probs, rng.integers(0, 64, 4))
-            ]
-            entropy = von_neumann_entropy(density_from_ensemble(members))
+            )
+            entropy = von_neumann_entropy(DensityMatrix(rho))
             assert -1e-12 <= entropy <= 1.0 + 1e-12
 
 
@@ -570,44 +476,6 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             trace_distance(DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(4) / 4))
-
-
-class TestPartialTrace:
-    """Reduction to a single qubit."""
-
-    def test_product_state_factors(self):
-        a = prepare_state(AngleIndex(3, 4))
-        b = prepare_state(AngleIndex(11, 4))
-        joint = PureState(np.kron(a.amplitudes, b.amplitudes))
-        rho = DensityMatrix(np.outer(joint.amplitudes, joint.amplitudes.conj()))
-        for keep, factor in ((0, a), (1, b)):
-            reduced = partial_trace(rho, keep, 2)
-            expected = np.outer(factor.amplitudes, factor.amplitudes.conj())
-            np.testing.assert_allclose(reduced.entries, expected, atol=1e-12)
-            assert reduced.purity() == pytest.approx(1.0, abs=1e-12)
-
-    def test_entangled_pair_reduces_to_mixed(self):
-        bell = PureState(np.array([0, 1.0, 1.0, 0]) / math.sqrt(2))
-        rho = DensityMatrix(np.outer(bell.amplitudes, bell.amplitudes.conj()))
-        for keep in (0, 1):
-            np.testing.assert_allclose(
-                partial_trace(rho, keep, 2).entries, np.eye(2) / 2, atol=1e-12
-            )
-
-    def test_three_qubit_reduction(self):
-        a = prepare_state(AngleIndex(1, 2))
-        triple = PureState(np.kron(np.kron(a.amplitudes, a.amplitudes), [0.0, 1.0]))
-        rho = DensityMatrix(np.outer(triple.amplitudes, triple.amplitudes.conj()))
-        np.testing.assert_allclose(
-            partial_trace(rho, 2, 3).entries, np.diag([0.0, 1.0]), atol=1e-12
-        )
-
-    def test_bad_arguments(self):
-        rho = DensityMatrix(np.eye(4) / 4)
-        with pytest.raises(ValueError, match="qubit count"):
-            partial_trace(rho, 0, 3)
-        with pytest.raises(ValueError, match="out of range"):
-            partial_trace(rho, 2, 2)
 
 
 class TestSwapTest:
@@ -658,9 +526,7 @@ class TestSwapTest:
     def test_partial_overlap_pass_leaves_entangled_pair(self):
         rng = np.random.default_rng(19)
         _, _, post = swap_project(product_tensor(single(0, 3), single(1, 3)), 0, 1, rng)
-        amps = post.reshape(-1)
-        purity = partial_trace(DensityMatrix(np.outer(amps, amps.conj())), 0, 2).purity()
-        assert purity < 1.0 - 1e-9
+        assert reduced_purity(post.reshape(-1)) < 1.0 - 1e-9
 
     def test_post_state_has_definite_exchange_symmetry(self):
         rng = np.random.default_rng(20)

@@ -6,13 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qpke.quantum_core import (
-    AngleIndex,
-    density_from_ensemble,
-    prepare_state,
-    rotate_axis,
-    von_neumann_entropy,
-)
+from qpke.quantum_core import index_amplitudes, rotate_axis, von_neumann_entropy
 from qpke.security_analysis import (
     BOOTSTRAP_RESAMPLES,
     DEFAULT_MARGIN_THRESHOLD,
@@ -30,7 +24,6 @@ from qpke.security_analysis import (
     holevo_cap,
     permuted_key_entropy,
     private_key_entropy,
-    public_key_density_description,
     secrecy_condition,
     shifted_ensemble,
     _outcome_probability,
@@ -75,6 +68,20 @@ class TestKeyParams:
             KeyParams(4.0, 4, 1, 1)
         with pytest.raises(TypeError):
             KeyParams(4, 4, True, 1)
+
+    @pytest.mark.parametrize(
+        "n_u, N, k",
+        [(4, 1, 10**400), (4, 10**400, 1), (10**400, 1, 1), (10**300, 10**300, 1)],
+        ids=["k", "N", "n_u", "entropy"],
+    )
+    def test_rejects_a_ledger_beyond_the_float_range(self, n_u, N, k):
+        # the first three overflow a conversion to float, the last a product
+        with pytest.raises(ValueError, match="float range"):
+            KeyParams(1, n_u, N, k)
+
+    def test_accepts_any_finite_ledger(self):
+        report = secrecy_condition(KeyParams(1, 10**300, 1, 1))
+        assert all(math.isfinite(r["value_bits"]) for r in report.to_records())
 
 
 class TestClosedFormEntropy:
@@ -238,14 +245,9 @@ class TestEnsembleDensity:
 
     def test_matches_general_ensemble_average(self):
         for n in range(1, 9):
-            members = [
-                (1.0 / (1 << n), prepare_state(AngleIndex(s, n)))
-                for s in range(1 << n)
-            ]
-            direct = density_from_ensemble(members)
-            np.testing.assert_allclose(
-                ensemble_density(n).entries, direct.entries, atol=1e-12
-            )
+            states = np.array([index_amplitudes(s, n) for s in range(1 << n)])
+            direct = states.T @ states / (1 << n)
+            np.testing.assert_allclose(ensemble_density(n).entries, direct, atol=1e-12)
 
     def test_entropy_is_one_bit(self):
         assert von_neumann_entropy(ensemble_density(8)) == pytest.approx(1.0, abs=1e-9)
@@ -257,34 +259,6 @@ class TestEnsembleDensity:
             ensemble_density(2.0)
         with pytest.raises(TypeError):
             ensemble_density_method(True)
-
-
-class TestPublicKeyDensity:
-    """Factorized description of the eavesdropper's average view."""
-
-    def test_entropy_scales_with_length(self):
-        desc = public_key_density_description(KeyParams(32, 62, 256, 16))
-        assert desc.num_qubits == 256
-        assert desc.entropy_bits == 256.0
-        assert desc.factorized
-
-    def test_per_qubit_maximally_mixed(self):
-        desc = public_key_density_description(KeyParams(4, 4, 2, 1))
-        np.testing.assert_allclose(desc.per_qubit.entries, np.eye(2) / 2.0)
-
-    def test_materialize_small_register(self):
-        desc = public_key_density_description(KeyParams(4, 4, 2, 1))
-        rho = desc.materialize()
-        np.testing.assert_allclose(rho.entries, np.eye(4) / 4.0, atol=1e-15)
-        assert von_neumann_entropy(rho) == pytest.approx(2.0, abs=1e-9)
-
-    def test_materialize_respects_limit(self):
-        desc = public_key_density_description(KeyParams(4, 4, 16, 1))
-        with pytest.raises(ValueError, match="limit"):
-            desc.materialize()
-        wider = public_key_density_description(KeyParams(4, 4, 10, 1))
-        rho = wider.materialize(max_qubits=10)
-        assert rho.entries.shape == (1 << 10, 1 << 10)
 
 
 class TestMeasurementStrategy:
@@ -561,7 +535,7 @@ class TestOutcomeProbabilityConsistency:
                 strategy = MeasurementStrategy.fixed(phi)
                 p1 = _outcome_probability(s_values, n, strategy, None)
                 for s, p in zip(s_values, p1):
-                    state = prepare_state(AngleIndex(int(s), n)).amplitudes
+                    state = np.array(index_amplitudes(int(s), n))
                     # outcome 1 of the rotated basis is outcome 1 after R(phi)^-1
                     born_one = abs(rotate_axis(state, 0, -phi)[1]) ** 2
                     assert p == pytest.approx(born_one, abs=1e-12)
@@ -574,7 +548,7 @@ class TestOutcomeProbabilityConsistency:
         s_values = np.arange(1 << n, dtype=np.int64)
         p1 = _outcome_probability(s_values, n, strategy, None)
         for s, p in zip(s_values, p1):
-            amps = prepare_state(AngleIndex(int(s), n)).amplitudes
+            amps = np.array(index_amplitudes(int(s), n))
             direct = np.vdot(amps, e1 @ amps).real
             assert p == pytest.approx(direct, abs=1e-12)
 
