@@ -297,7 +297,7 @@ def _message_density(n: int, message: Sequence[int], alpha: int) -> DensityMatri
     """
     flag_probabilities = [float(bit) if alpha == 1 else 0.5 for bit in message]
     factors = {p: shifted_ensemble(n, p) for p in set(flag_probabilities)}
-    out = np.ones((1, 1), dtype=np.complex128)
+    out = np.ones((1, 1))
     for p_flag in flag_probabilities:
         for _ in range(alpha):
             out = np.kron(out, factors[p_flag])

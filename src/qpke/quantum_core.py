@@ -15,7 +15,8 @@ two-outcome sampling rule (draws_outcome_zero), and array functions
 (rotate_axis, measure_axis, swap_project) over tensors of shape (2,)*k, one
 axis per qubit; register amplitude groups run on it.  swap_project_batch runs the symmetry
 test over a leading batch axis for the Monte Carlo forward search.  Density
-matrices are the values the ensemble and entropy tools exchange.
+matrices, real symmetric because every state is real, are the values the
+ensemble and entropy tools exchange.
 
 Amplitude-index convention: qubit 0 is the leftmost tensor factor, i.e. the
 most significant bit of the amplitude index.
@@ -75,20 +76,30 @@ class AngleIndex:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over k qubits."""
+    """Real symmetric, unit-trace, positive-semidefinite matrix over k qubits.
 
-    entries: npt.NDArray[np.complex128]
+    Protocol states lie on the x-z great circle, so their densities are
+    real.  Complex input is accepted only when every imaginary part is
+    exactly zero; it is stored as the same float64 values.
+    """
+
+    entries: npt.NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        mat = np.array(self.entries, dtype=np.complex128)
+        mat = np.asarray(self.entries)
+        if np.iscomplexobj(mat):
+            if np.any(mat.imag != 0.0):
+                raise ValueError("density matrix must be real: an imaginary part is nonzero")
+            mat = mat.real
+        mat = np.array(mat, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         dim = mat.shape[0]
         if dim < 2 or dim & (dim - 1):
             raise ValueError("density matrix dimension must be a power of two >= 2")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL):
-            raise ValueError(f"density matrix must be Hermitian within {ATOL}")
-        trace = complex(np.trace(mat))
+        if not np.allclose(mat, mat.T, atol=ATOL):
+            raise ValueError(f"density matrix must be symmetric within {ATOL}")
+        trace = float(np.trace(mat))
         if abs(trace - 1.0) > ATOL:
             raise ValueError(f"density matrix trace {trace} deviates from 1")
         if float(np.linalg.eigvalsh(mat).min()) < EIGENVALUE_FLOOR:

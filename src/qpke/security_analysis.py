@@ -186,7 +186,7 @@ def shifted_ensemble(n: int, flag_probability: float = 0.0) -> np.ndarray:
     """
     period = 1 << n
     amps = index_amplitudes_batch(np.arange(period), n)
-    rho = np.zeros((2, 2), dtype=np.complex128)
+    rho = np.zeros((2, 2))
     for weight, shift in (
         (1.0 - flag_probability, 0),
         (flag_probability, period >> 1),

@@ -254,6 +254,26 @@ class TestSingleUseConstraint:
             single_use_constraint_check(0, np.random.default_rng(1))
 
 
+def complex_reference_distances(n, m0, m1, alpha):
+    """The three CPA trace distances on complex128 densities: complex kron,
+    then Hermitian eigvalsh of the complex differences."""
+
+    def density(message, a):
+        out = np.ones((1, 1), dtype=np.complex128)
+        for bit in message:
+            for _ in range(a):
+                p_flag = float(bit) if a == 1 else 0.5
+                out = np.kron(out, shifted_ensemble(n, p_flag).astype(np.complex128))
+        return out
+
+    def distance(a, b):
+        return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+
+    rho_0, rho_1 = density(m0, alpha), density(m1, alpha)
+    public = density((0,) * (len(m0) * alpha), 1)
+    return distance(rho_0, rho_1), distance(rho_0, public), distance(rho_1, public)
+
+
 class TestChosenPlaintext:
     """Exact indistinguishability of ciphertext ensembles."""
 
@@ -307,13 +327,37 @@ class TestChosenPlaintext:
     )
     def test_message_density_matches_per_position_build(self, n, message, alpha):
         # the loop that built one ensemble per qubit position, kept as the reference
-        want = np.ones((1, 1), dtype=np.complex128)
+        want = np.ones((1, 1))
         for bit in message:
             for _ in range(alpha):
                 p_flag = float(bit) if alpha == 1 else 0.5
                 want = np.kron(want, shifted_ensemble(n, p_flag))
         got = qpke.attacks._message_density(n, message, alpha).entries
         assert got.tobytes() == want.tobytes()
+
+    def test_message_density_is_real(self):
+        for message, alpha in [((0, 1, 1), 1), ((1, 0), 2)]:
+            entries = qpke.attacks._message_density(6, message, alpha).entries
+            assert entries.dtype == np.float64
+
+    @pytest.mark.parametrize("alpha", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 8, 12])
+    def test_distances_match_complex_reference(self, n, alpha):
+        rng = np.random.default_rng([n, alpha])
+        for _ in range(3):
+            length = int(rng.integers(1, CPA_TOTAL_QUBIT_CAP // alpha + 1))
+            m0 = tuple(int(b) for b in rng.integers(0, 2, size=length))
+            m1 = tuple(int(b) for b in rng.integers(0, 2, size=length))
+            report = chosen_plaintext_distinguishability(n, m0, m1, alpha)
+            got = (
+                report.distance_between_messages,
+                report.distance_m0_to_public,
+                report.distance_m1_to_public,
+            )
+            want = complex_reference_distances(n, m0, m1, alpha)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-15
+                assert g < 1e-12
 
     def test_caps_and_validation(self):
         with pytest.raises(ValueError, match=str(CPA_PRECISION_CAP)):

@@ -11,14 +11,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qpke.attacks
 import qpke.protocol
 import qpke.security_analysis
 from qpke.quantum_core import (
     ATOL,
+    EIGENVALUE_FLOOR,
     MAX_PRECISION_BITS,
     AngleIndex,
     DensityMatrix,
@@ -409,6 +411,77 @@ class TestMeasureInRotatedBasis:
         b = measure_axis(state, 0, np.random.default_rng(10))
         assert a[0] == b[0]
         assert a[1] == pytest.approx(b[1], abs=1e-12)
+
+
+@st.composite
+def real_densities(draw, k=None):
+    """Real symmetric PSD unit-trace matrix over k qubits (1 to 4 if not given),
+    the normalized Gram matrix of a random real square matrix."""
+    if k is None:
+        k = draw(st.integers(1, 4))
+    dim = 1 << k
+    factor = draw(arrays(np.float64, (dim, dim), elements=st.floats(-1.0, 1.0)))
+    gram = factor @ factor.T
+    trace = float(np.trace(gram))
+    assume(trace > 1e-6)
+    rho = gram / trace
+    return 0.5 * (rho + rho.T)
+
+
+def complex_spectrum(mat: np.ndarray) -> np.ndarray:
+    """Hermitian eigenvalues of the matrix cast to complex128."""
+    return np.linalg.eigvalsh(mat.astype(np.complex128))
+
+
+class TestDensityMatrix:
+    """Density matrices are stored real."""
+
+    def test_complex_with_zero_imaginary_part_stores_real_bytes(self):
+        real = np.array([[0.75, 0.25], [0.25, 0.25]])
+        from_real = DensityMatrix(real).entries
+        from_complex = DensityMatrix(real.astype(np.complex128)).entries
+        assert from_real.dtype == from_complex.dtype == np.float64
+        assert from_real.tobytes() == from_complex.tobytes() == real.tobytes()
+
+    def test_entries_are_a_read_only_copy(self):
+        real = np.eye(2) / 2
+        entries = DensityMatrix(real).entries
+        assert not entries.flags.writeable
+        assert real.flags.writeable
+
+    @pytest.mark.parametrize("imag", [1e-300, -1e-17, 0.25, np.nan])
+    def test_rejects_nonzero_imaginary_part(self, imag):
+        mat = (np.eye(2) / 2).astype(np.complex128)
+        mat[0, 1] += 1j * imag
+        mat[1, 0] -= 1j * imag
+        with pytest.raises(ValueError, match="real"):
+            DensityMatrix(mat)
+
+    def test_rejects_asymmetric_and_off_trace(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            DensityMatrix(np.array([[0.5, 0.25], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.eye(2))
+        with pytest.raises(ValueError, match="eigenvalue"):
+            DensityMatrix(np.diag([1.5, -0.5]))
+
+    @given(a=real_densities(), data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_real_spectra_match_complex_cast(self, a, data):
+        k = a.shape[0].bit_length() - 1
+        b = data.draw(real_densities(k))
+        rho_a, rho_b = DensityMatrix(a), DensityMatrix(b)
+        d = trace_distance(rho_a, rho_b)
+        assert d == pytest.approx(
+            0.5 * np.sum(np.abs(complex_spectrum(a - b))), abs=1e-13
+        )
+        assert d == pytest.approx(trace_distance(rho_b, rho_a), abs=1e-13)
+        assert 0.0 <= d <= 1.0 + 1e-13
+        eigs = complex_spectrum(a)
+        eigs = np.where((eigs < 0.0) & (eigs >= EIGENVALUE_FLOOR), 0.0, eigs)
+        positive = eigs[eigs > 0.0]
+        entropy = float(-np.sum(positive * np.log2(positive)))
+        assert von_neumann_entropy(rho_a) == pytest.approx(entropy, abs=1e-13)
 
 
 class TestVonNeumannEntropy:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qpke.quantum_core import index_amplitudes, rotate_axis, von_neumann_entropy
+from qpke.quantum_core import DensityMatrix, index_amplitudes, rotate_axis, von_neumann_entropy
 from qpke.security_analysis import (
     BOOTSTRAP_RESAMPLES,
     DEFAULT_MARGIN_THRESHOLD,
@@ -237,6 +237,17 @@ class TestEnsembleDensity:
     def test_analytic_route_above_cap(self):
         rho = ensemble_density(30).entries
         np.testing.assert_allclose(rho, np.eye(2) / 2.0, atol=0.0)
+
+    @pytest.mark.parametrize("n", list(range(1, ENSEMBLE_ENUMERATION_CAP + 1)) + [30])
+    def test_entries_are_real(self, n):
+        assert ensemble_density(n).entries.dtype == np.float64
+
+    def test_rejects_complex_ensemble(self):
+        rho = shifted_ensemble(4).astype(np.complex128)
+        rho[0, 1] += 1e-3j
+        rho[1, 0] -= 1e-3j
+        with pytest.raises(ValueError, match="real"):
+            DensityMatrix(rho)
 
     def test_method_selection(self):
         assert ensemble_density_method(1) == "enumerated"
