@@ -23,6 +23,7 @@ from .protocol import (
     DecryptionOracle,
     OracleDeactivatedError,
     PrivateKey,
+    _bit_array,
     _parity_masks,
     decrypt,
     encode_redundant,
@@ -30,7 +31,7 @@ from .protocol import (
     swap_test_encrypted_copies,
     swap_test_registers,
 )
-from .quantum_core import MAX_PRECISION_BITS, STDERR_VARIANCE_FLOOR, DensityMatrix, overlap, trace_distance
+from .quantum_core import STDERR_VARIANCE_FLOOR, DensityMatrix, check_precision, overlap, trace_distance
 from .security_analysis import shifted_ensemble
 
 FORWARD_SEARCH_RULES = ("identify-all", "parity-aware")
@@ -140,9 +141,8 @@ def run_forward_search(
         raise ValueError(f"alpha must be at most {FORWARD_SEARCH_CHUNK}, got {alpha}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not 1 <= precision <= MAX_PRECISION_BITS:
-        # checked before 1 << precision, which a huge precision cannot afford
-        raise ValueError(f"precision n must be in [1, {MAX_PRECISION_BITS}], got {precision}")
+    # checked before 1 << precision, which a huge precision cannot afford
+    check_precision(precision)
     key = PrivateKey(
         n=precision, s=tuple(int(v) for v in rng.integers(0, 1 << precision, size=alpha))
     )
@@ -318,17 +318,14 @@ def chosen_plaintext_distinguishability(
     so every distance is numerically zero: encryption is a phase-free
     relabeling of an already maximally mixed ensemble.
     """
-    if not 1 <= n <= CPA_PRECISION_CAP:
-        raise ValueError(f"n must be in [1, {CPA_PRECISION_CAP}] for exact enumeration")
+    check_precision(n, cap=CPA_PRECISION_CAP)
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
-    m0 = tuple(int(b) for b in message_0)
-    m1 = tuple(int(b) for b in message_1)
-    if len(m0) != len(m1) or len(m0) < 1:
+    bits_0 = _bit_array(message_0, "message bits")
+    bits_1 = _bit_array(message_1, "message bits")
+    if bits_0.ndim != 1 or bits_0.shape != bits_1.shape or not bits_0.size:
         raise ValueError("messages must be non-empty and of equal length")
-    for bit in m0 + m1:
-        if bit not in (0, 1):
-            raise ValueError("message bits must be 0 or 1")
+    m0, m1 = tuple(bits_0.tolist()), tuple(bits_1.tolist())
     total_qubits = len(m0) * alpha
     if total_qubits > CPA_TOTAL_QUBIT_CAP:
         raise ValueError(

@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -213,12 +214,12 @@ def _parse_message(text: str) -> tuple[int, ...]:
     """Message as bits ('0110') or hex ('0xD6', four bits per digit)."""
     if text.lower().startswith("0x"):
         digits = text[2:]
-        if not digits or any(c not in "0123456789abcdefABCDEF" for c in digits):
+        # int() alone would also take signs, spaces, underscores and non-ASCII digits
+        if not re.fullmatch("[0-9a-fA-F]+", digits):
             raise ValueError(f"invalid hex message {text!r}")
-        width = 4 * len(digits)
-        return tuple((int(digits, 16) >> (width - 1 - i)) & 1 for i in range(width))
-    if text and all(c in "01" for c in text):
-        return tuple(int(c) for c in text)
+        text = format(int(digits, 16), f"0{4 * len(digits)}b")
+    if re.fullmatch("[01]+", text):
+        return tuple(map(int, text))
     raise ValueError(f"message must be bits or 0x-prefixed hex, got {text!r}")
 
 

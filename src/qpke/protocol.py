@@ -29,6 +29,7 @@ from .quantum_core import (
     AngleIndex,
     MAX_PRECISION_BITS,
     INDEX_SNAP_STEPS,
+    check_precision,
     draws_outcome_zero,
     index_amplitudes,
     index_amplitudes_batch,
@@ -44,8 +45,8 @@ DEFAULT_KEY_LENGTH = 256
 DEFAULT_COPY_CAP = 16
 RECOMMENDED_MIN_PRECISION = 32
 KEY_FILE_VERSION = 1
-# largest amplitude group a symmetry test may build: 2**20 complex128
-# amplitudes, 16 MB, before the projection's temporary copies
+# largest amplitude group a symmetry test may build: 2**20 float64
+# amplitudes, 8 MB, before the projection's temporary copies
 MAX_GROUP_QUBITS = 20
 # longest key keygen draws: 8 MB of int64 indices, far above any length used
 MAX_KEY_LENGTH = 1 << 20
@@ -75,6 +76,15 @@ class TamperedRegisterError(RuntimeError):
     """Register descriptors requested after non-index operations."""
 
 
+def _bit_array(values, name: str) -> np.ndarray:
+    """The one bit-vector rule: values as int64, each equal to 0 or 1 (True, 1.0
+    and np.int64(1) count as 1); 0.5, 1.7, 2, -1 and "1" are refused, never truncated."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
+        raise ValueError(f"{name} must be 0 or 1")
+    return arr.astype(np.int64, copy=False)
+
+
 # --- classical key material ---
 
 
@@ -87,14 +97,12 @@ class PrivateKey:
     perm: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_PRECISION_BITS:
-            raise ValueError(
-                f"precision n must be in [1, {MAX_PRECISION_BITS}], got {self.n}"
-            )
+        check_precision(self.n)
         if len(self.s) < 1:
             raise ValueError("key must contain at least one index")
-        if not all(type(v) is int for v in self.s):
-            raise TypeError("key indices must be integers")
+        # a bool or numpy integer here would make a key file that cannot be saved or loaded
+        if not all(type(v) is int for v in (*self.s, *(self.perm or ()))):
+            raise TypeError("key indices and perm entries must be integers")
         try:
             arr = np.fromiter(self.s, dtype=np.int64, count=len(self.s))
         except OverflowError:
@@ -137,8 +145,6 @@ def private_key_from_json(payload: dict) -> PrivateKey:
     if payload.get("version") != KEY_FILE_VERSION:
         raise ValueError(f"unsupported key file version {payload.get('version')!r}")
     n, s, perm = payload.get("n"), payload.get("s"), payload.get("perm")
-    if type(n) is not int:
-        raise TypeError(f"key file field 'n' must be an integer, got {n!r}")
     if not isinstance(s, list) or not set(map(type, s)) <= {int, str}:
         raise TypeError("key file field 's' must be a list of integers or decimal strings")
     strings = [v for v in s if type(v) is str]
@@ -220,7 +226,7 @@ class _Group:
 
 
 def _make_singleton(slot: _Slot, amps: np.ndarray) -> None:
-    slot.group = _Group([slot], np.asarray(amps, dtype=np.complex128))
+    slot.group = _Group([slot], amps)
     slot.axis = 0
 
 
@@ -244,7 +250,7 @@ def _measure_slot_z(slot: _Slot, rng: np.random.Generator) -> int:
     group.slots.pop(axis)
     for survivor in group.slots[axis:]:
         survivor.axis -= 1
-    basis = np.zeros(2, dtype=np.complex128)
+    basis = np.zeros(2)
     basis[outcome] = 1.0
     _make_singleton(slot, basis)
     if group.slots:
@@ -290,12 +296,11 @@ class QuantumRegister:
     @classmethod
     def of_computational(cls, bits: Sequence[int]) -> "QuantumRegister":
         """Register of unentangled z-basis states |b_0>...|b_k-1>."""
-        if len(bits) < 1:
-            raise ValueError("register needs at least one qubit")
-        if any(bit not in (0, 1) for bit in bits):
-            raise ValueError("computational bits must be 0 or 1")
+        arr = _bit_array(bits, "computational bits")
+        if arr.ndim != 1 or not arr.size:
+            raise ValueError("register needs a flat sequence of at least one bit")
         # at n = 1 index 1 is the half period, R(pi)|0> = |1>
-        return cls._from_indices(bits, 1, None)
+        return cls._from_indices(arr, 1, None)
 
     def __repr__(self) -> str:
         return f"QuantumRegister(qubits={self.qubit_count})"
@@ -344,11 +349,9 @@ class QuantumRegister:
 
     def apply_bit_rotations(self, flags: Sequence[int]) -> None:
         """Apply R(flag * pi) across the leading qubits in one pass."""
-        flag_arr = np.asarray(flags, dtype=np.int64)
+        flag_arr = _bit_array(flags, "flags")
         if flag_arr.ndim != 1 or flag_arr.size > self.qubit_count:
             raise ValueError("flag vector longer than the register")
-        if flag_arr.size and not np.all((flag_arr == 0) | (flag_arr == 1)):
-            raise ValueError("flags must be 0 or 1")
         self._apply_index_steps(flag_arr, 1)
 
     def measure_z(self, qubit: int, rng: np.random.Generator) -> int:
@@ -451,9 +454,10 @@ def keygen(
         lo, hi = n
         if not 1 <= lo <= hi <= MAX_PRECISION_BITS:
             raise ValueError(f"precision range must satisfy 1 <= n_l <= n_u <= {MAX_PRECISION_BITS}")
+        check_precision(lo)
+        check_precision(hi)
         n = int(rng.integers(lo, hi + 1))
-    if not 1 <= n <= MAX_PRECISION_BITS:
-        raise ValueError(f"precision n must be in [1, {MAX_PRECISION_BITS}], got {n}")
+    check_precision(n)
     if not 1 <= N <= MAX_KEY_LENGTH:
         # checked before the draw, which a huge N cannot afford
         raise ValueError(f"key length N must be in [1, {MAX_KEY_LENGTH}], got {N}")
@@ -548,14 +552,12 @@ def swap_test_encrypted_copies(
     swap_test_registers in row order, from one rng.random(B * alpha) draw.
     Nothing else leaves: no descriptor, no pass probability.
     """
-    flags = np.asarray(flags)
+    flags = _bit_array(flags, "flags")
     if flags.ndim != 2 or not 1 <= flags.shape[1] <= key.length:
         raise ValueError(
             f"flags must have shape (B, alpha) with 1 <= alpha <= {key.length}"
         )
-    if not np.all((flags == 0) | (flags == 1)):
-        raise ValueError("flags must be 0 or 1")
-    pairs = _encrypted_copy_pairs(key, flags.astype(np.intp, copy=False))
+    pairs = _encrypted_copy_pairs(key, flags)
     passed, _, _ = swap_project_batch(pairs, 0, 1, rng)
     return passed.reshape(flags.shape)
 
@@ -572,13 +574,14 @@ def _parity_masks(bits: np.ndarray, alpha: int, rng: np.random.Generator | None)
 
 def encode_redundant(bit: int, alpha: int, rng: np.random.Generator | None) -> tuple[int, ...]:
     """Uniform alpha-bit mask whose parity equals the message bit."""
-    if bit not in (0, 1):
-        raise ValueError("message bit must be 0 or 1")
+    bits = _bit_array(bit, "message bit")
+    if bits.ndim:
+        raise ValueError("message bit must be a single 0 or 1")
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     if alpha > 1 and rng is None:
         raise ValueError("redundant encoding with alpha > 1 needs an rng")
-    return tuple(_parity_masks(np.array([bit], dtype=np.int64), alpha, rng).tolist())
+    return tuple(_parity_masks(bits.reshape(1), alpha, rng).tolist())
 
 
 def apply_encryption_flags(pk: PublicKey, flags: Sequence[int], alpha: int = 1) -> CipherState:
@@ -612,11 +615,9 @@ def encrypt(
     (rng required when alpha > 1), and masked qubits are flipped with
     R(pi).  The input register is consumed: its qubits become the cipher.
     """
-    bits = [int(b) for b in message]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("message must be a sequence of bits")
-    if not bits:
-        raise ValueError("message must contain at least one bit")
+    bits = _bit_array(message, "message bits")
+    if bits.ndim != 1 or not bits.size:
+        raise ValueError("message must be a sequence of at least one bit")
     if alpha < 1:
         raise ValueError("alpha must be at least 1")
     if len(bits) * alpha > pk.register.qubit_count:
@@ -628,7 +629,7 @@ def encrypt(
         )
     if alpha > 1 and rng is None:
         raise ValueError("encryption with alpha > 1 needs an rng for the parity masks")
-    flags = _parity_masks(np.fromiter(bits, dtype=np.int64, count=len(bits)), alpha, rng)
+    flags = _parity_masks(bits, alpha, rng)
     return apply_encryption_flags(pk, flags, alpha)
 
 

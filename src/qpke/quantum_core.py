@@ -45,6 +45,14 @@ class PrecisionMismatchError(ValueError):
     """Raised when index arithmetic mixes two different precisions n."""
 
 
+def check_precision(n: int, cap: int = MAX_PRECISION_BITS) -> None:
+    """The one precision rule: n is an int, not a bool or numpy integer, in [1, cap]."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"precision n must be an integer, got {n!r}")
+    if not 1 <= n <= cap:
+        raise ValueError(f"precision n must be in [1, {cap}], got {n}")
+
+
 # --- exact rotation indices ---
 
 
@@ -60,12 +68,7 @@ class AngleIndex:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise TypeError("precision n must be an integer")
-        if not 1 <= self.n <= MAX_PRECISION_BITS:
-            raise ValueError(
-                f"precision n must be in [1, {MAX_PRECISION_BITS}], got {self.n}"
-            )
+        check_precision(self.n)
         if not isinstance(self.s, int) or isinstance(self.s, bool):
             raise TypeError("index s must be an integer")
         object.__setattr__(self, "s", self.s % (1 << self.n))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import DensityMatrix, index_amplitudes_batch, outcome_one_probability
+from .quantum_core import DensityMatrix, check_precision, index_amplitudes_batch, outcome_one_probability
 
 ENSEMBLE_ENUMERATION_CAP = 16
 MI_PRECISION_CAP = 16
@@ -419,10 +419,7 @@ def estimate_mutual_information(
     estimate is flagged undersampled when trials are scarce relative to
     the observed joint support.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("n must be an integer")
-    if not 1 <= n <= MI_PRECISION_CAP:
-        raise ValueError(f"n must be in [1, {MI_PRECISION_CAP}] for estimation")
+    check_precision(n, cap=MI_PRECISION_CAP)
     if not 1 <= copies_per_trial <= MI_COPIES_CAP:
         raise ValueError(f"copies_per_trial must be in [1, {MI_COPIES_CAP}]")
     if not 2 <= trials <= MI_TRIALS_CAP:

@@ -4,6 +4,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpke.cli import CCA_USES_CAP, _parse_message, _parse_range, build_parser, main
 from qpke.protocol import load_private_key
@@ -26,6 +28,18 @@ class TestFlagParsing:
     def test_hex_message(self):
         assert _parse_message("0xd6") == (1, 1, 0, 1, 0, 1, 1, 0)
         assert _parse_message("0x1") == (0, 0, 0, 1)
+
+    @given(
+        digits=st.text(alphabet="0123456789abcdefABCDEF", min_size=1, max_size=1024),
+        zeros=st.integers(0, 8),
+        prefix=st.sampled_from(["0x", "0X"]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_hex_message_is_every_digit_as_four_bits(self, digits, zeros, prefix):
+        digits = ("0" * zeros + digits)[:1024]
+        bits = _parse_message(prefix + digits)
+        assert len(bits) == 4 * len(digits)
+        assert int("".join(map(str, bits)), 2) == int(digits, 16)
 
     def test_invalid_message(self):
         for bad in ("", "012", "0x", "0xZZ", "abc"):
@@ -175,6 +189,17 @@ class TestRoundtripCommand:
         code, stdout, _ = run_cli(
             ["roundtrip", "--key", str(key_file), "--message", "0xA5", "--seed", "2"],
             capsys,
+        )
+        assert code == 0
+        assert "match=true" in stdout
+
+    def test_full_length_hex_message(self, tmp_path, capsys):
+        key = tmp_path / "key4096.json"
+        code = main(["keygen", "--n", "40", "--N", "4096", "--seed", "6", "--out", str(key)])
+        assert code == 0
+        message = "0x" + "".join(f"{(37 * i) % 256:02X}" for i in range(512))
+        code, stdout, _ = run_cli(
+            ["roundtrip", "--key", str(key), "--message", message, "--seed", "7"], capsys
         )
         assert code == 0
         assert "match=true" in stdout

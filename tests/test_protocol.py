@@ -74,6 +74,21 @@ class TestPrivateKey:
         with pytest.raises(ValueError, match="at least one"):
             PrivateKey(n=2, s=())
 
+    @pytest.mark.parametrize(
+        "perm", [(True, False), (np.int64(1), np.int64(0))], ids=["bool", "int64"]
+    )
+    def test_perm_entries_must_be_plain_ints(self, perm):
+        # either would be accepted here but break save_private_key or load_private_key
+        with pytest.raises(TypeError, match="perm"):
+            PrivateKey(n=3, s=(1, 2), perm=perm)
+
+    @pytest.mark.parametrize("n", [True, np.int64(3)], ids=["bool", "int64"])
+    def test_precision_a_key_file_cannot_hold_is_refused(self, n):
+        with pytest.raises(TypeError, match="precision"):
+            PrivateKey(n=n, s=(1, 2))
+        with pytest.raises(TypeError, match="precision"):
+            keygen(n, 2, rng=np.random.default_rng(0))
+
     def test_length_and_angle_indices(self):
         key = PrivateKey(n=3, s=(5, 2))
         assert key.length == 2
@@ -812,6 +827,8 @@ class TestRegisterProperties:
             else:
                 decrypt(DecryptionOracle(other, 1), CipherState(reg, size, 1), rng)
             for group in _groups(*registers):
+                # protocol states are real: every group keeps the index map's float64
+                assert group.amps.dtype == np.float64
                 assert np.linalg.norm(group.amps) == pytest.approx(1.0, abs=1e-12)
             for r in registers:
                 assert np.all((r._indices >= 0) & (r._indices < 1 << key.n))
