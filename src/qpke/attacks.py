@@ -31,7 +31,9 @@ from .protocol import (
     swap_test_encrypted_copies,
     swap_test_registers,
 )
-from .quantum_core import STDERR_VARIANCE_FLOOR, DensityMatrix, check_precision, overlap, trace_distance
+from .quantum_core import (
+    STDERR_VARIANCE_FLOOR, DensityMatrix, check_integer, check_precision, overlap, trace_distance
+)
 from .security_analysis import shifted_ensemble
 
 FORWARD_SEARCH_RULES = ("identify-all", "parity-aware")
@@ -134,13 +136,9 @@ def run_forward_search(
     FORWARD_SEARCH_CHUNK symmetry tests; each chunk draws its message bits,
     then their parity masks, then one uniform per symmetry test.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
-    if alpha > FORWARD_SEARCH_CHUNK:
-        # checked before the key draw, which a huge alpha cannot afford
-        raise ValueError(f"alpha must be at most {FORWARD_SEARCH_CHUNK}, got {alpha}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    # checked before the key draw, which a huge alpha cannot afford
+    check_integer(alpha, "alpha", 1, FORWARD_SEARCH_CHUNK)
+    check_integer(trials, "trials")
     # checked before 1 << precision, which a huge precision cannot afford
     check_precision(precision)
     key = PrivateKey(
@@ -170,8 +168,7 @@ def enumerate_forward_search_success(alpha: int, rule: str) -> Fraction:
     and every symmetry-test branch: unrotated qubits always pass, rotated
     qubits fail with probability exactly 1/2.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
+    check_integer(alpha, "alpha")
     if rule not in FORWARD_SEARCH_RULES:
         raise ValueError(f"unknown rule: {rule!r}")
     total = Fraction(0)
@@ -230,8 +227,7 @@ def single_use_constraint_check(
     first test follows (1 + overlap^2)/2; the projected pair then answers
     deterministically, so a second test on the same pair is worthless.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_integer(trials, "trials")
     scenarios = []
     for offset in index_offsets:
         key_a = PrivateKey(n=precision, s=(0,))
@@ -319,8 +315,7 @@ def chosen_plaintext_distinguishability(
     relabeling of an already maximally mixed ensemble.
     """
     check_precision(n, cap=CPA_PRECISION_CAP)
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
+    check_integer(alpha, "alpha")
     bits_0 = _bit_array(message_0, "message bits")
     bits_1 = _bit_array(message_1, "message bits")
     if bits_0.ndim != 1 or bits_0.shape != bits_1.shape or not bits_0.size:

@@ -54,7 +54,7 @@ from .protocol import (
     load_private_key,
     save_private_key,
 )
-from .quantum_core import von_neumann_entropy
+from .quantum_core import check_integer, von_neumann_entropy
 from .security_analysis import (
     KeyParams,
     MeasurementStrategy,
@@ -314,8 +314,7 @@ def _forward_search_records(args, seed: int, run_id: str) -> list[dict]:
 
 def _cpa_records(args, seed: int, run_id: str) -> list[dict]:
     # bounded before the messages below are built, so a huge N allocates nothing
-    if not 1 <= args.N <= CPA_TOTAL_QUBIT_CAP:
-        raise ValueError(f"--N must be in [1, {CPA_TOTAL_QUBIT_CAP}] for cpa, got {args.N}")
+    check_integer(args.N, "cpa --N", 1, CPA_TOTAL_QUBIT_CAP)
     report = chosen_plaintext_distinguishability(
         args.n, (0,) * args.N, (1,) * args.N, alpha=args.alpha
     )
@@ -330,8 +329,7 @@ def _cpa_records(args, seed: int, run_id: str) -> list[dict]:
 
 def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
     # bounded before keygen and the submissions, which a huge k cannot afford
-    if args.k > CCA_USES_CAP:
-        raise ValueError(f"--k must be at most {CCA_USES_CAP} for cca, got {args.k}")
+    check_integer(args.k, "cca --k", 1, CCA_USES_CAP)
     rng = rng_stream(seed, "attack", "cca")
     with warnings.catch_warnings():
         # attack experiments run at reduced precision on purpose
@@ -341,7 +339,7 @@ def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
     registry.add(key, copy_cap=args.k + 2)
     submissions = []
     for i in range(args.k + 2):
-        message = tuple(int(b) for b in rng.integers(0, 2, size=args.N))
+        message = rng.integers(0, 2, size=args.N)
         public = registry.issue_copy(key_id_of(key))
         cipher = encrypt(public, message, rng=rng)
         submissions.append((f"probe-{i}", cipher))
@@ -355,7 +353,7 @@ def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
     }
     row = _row(
         f"uses:{session.uses_consumed}/{session.uses_allowed}", len(session.transcript),
-        session.uses_consumed / max(session.uses_allowed, 1), 0.0, 1.0, seed, run_id,
+        session.uses_consumed / session.uses_allowed, 0.0, 1.0, seed, run_id,
         attack="cca", alpha=1, n=args.n, N=args.N,
     )
     return [row], detail
@@ -441,7 +439,6 @@ def cmd_sweep(args) -> int:
     }
     manifest = _make_manifest(args, seed, params)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"sweep-{args.experiment}.csv"
 
     if args.experiment == "forward-search":
@@ -481,6 +478,8 @@ def cmd_sweep(args) -> int:
                 }
             )
 
+    # made once every cell has run, so a refused cell leaves nothing behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     _emit(args, manifest, csv_rows=rows, csv_fields=fields, csv_path=str(csv_path))
     print(f"wrote {csv_path} ({len(rows)} rows)")
     print(f"seed={seed} ({seed_source}) run_id={manifest.run_id}")

@@ -29,6 +29,7 @@ from .quantum_core import (
     AngleIndex,
     MAX_PRECISION_BITS,
     INDEX_SNAP_STEPS,
+    check_integer,
     check_precision,
     draws_outcome_zero,
     index_amplitudes,
@@ -413,8 +414,8 @@ class CipherState:
     alpha: int
 
     def __post_init__(self) -> None:
-        if self.num_bits < 1 or self.alpha < 1:
-            raise ValueError("cipher needs at least one message bit and alpha >= 1")
+        check_integer(self.num_bits, "num_bits")
+        check_integer(self.alpha, "alpha")
         if self.num_bits * self.alpha > self.register.qubit_count:
             raise ValueError("message framing exceeds the register size")
 
@@ -458,9 +459,8 @@ def keygen(
         check_precision(hi)
         n = int(rng.integers(lo, hi + 1))
     check_precision(n)
-    if not 1 <= N <= MAX_KEY_LENGTH:
-        # checked before the draw, which a huge N cannot afford
-        raise ValueError(f"key length N must be in [1, {MAX_KEY_LENGTH}], got {N}")
+    # checked before the draw, which a huge N cannot afford
+    check_integer(N, "key length N", 1, MAX_KEY_LENGTH)
     if n < RECOMMENDED_MIN_PRECISION:
         warnings.warn(
             f"precision n={n} is below the recommended minimum "
@@ -577,8 +577,7 @@ def encode_redundant(bit: int, alpha: int, rng: np.random.Generator | None) -> t
     bits = _bit_array(bit, "message bit")
     if bits.ndim:
         raise ValueError("message bit must be a single 0 or 1")
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
+    check_integer(alpha, "alpha")
     if alpha > 1 and rng is None:
         raise ValueError("redundant encoding with alpha > 1 needs an rng")
     return tuple(_parity_masks(bits.reshape(1), alpha, rng).tolist())
@@ -590,7 +589,8 @@ def apply_encryption_flags(pk: PublicKey, flags: Sequence[int], alpha: int = 1) 
     flags is the already-masked per-qubit vector; its block parities are
     the message.  Qubits beyond the flag vector are left untouched.
     """
-    if alpha < 1 or len(flags) % alpha:
+    check_integer(alpha, "alpha")
+    if len(flags) % alpha:
         raise ValueError("flag vector length must be a positive multiple of alpha")
     if len(flags) > pk.register.qubit_count:
         raise MessageTooLongError(
@@ -618,8 +618,7 @@ def encrypt(
     bits = _bit_array(message, "message bits")
     if bits.ndim != 1 or not bits.size:
         raise ValueError("message must be a sequence of at least one bit")
-    if alpha < 1:
-        raise ValueError("alpha must be at least 1")
+    check_integer(alpha, "alpha")
     if len(bits) * alpha > pk.register.qubit_count:
         raise MessageTooLongError(
             f"message of {len(bits)} bits at redundancy {alpha} needs "
@@ -653,8 +652,8 @@ class KeyRegistry:
         self._lock = threading.Lock()
 
     def add(self, key: PrivateKey, copy_cap: int = DEFAULT_COPY_CAP) -> str:
-        if copy_cap < 1:
-            raise ValueError("copy cap must be at least 1")
+        """Register a key; copy_cap, a positive plain int, bounds its copies."""
+        check_integer(copy_cap, "copy cap")
         key_id = key_id_of(key)
         with self._lock:
             if key_id in self._entries:
@@ -693,13 +692,13 @@ class KeyRegistry:
 class DecryptionOracle:
     """Decryption device bound to one private key, good for k uses total.
 
-    Every accepted decryption call consumes one use, successful or not;
-    after the last one the device is permanently inactive.
+    uses_allowed is a positive plain int.  Every accepted decryption call
+    consumes one use, successful or not; after the last one the device is
+    permanently inactive.
     """
 
     def __init__(self, key: PrivateKey, uses_allowed: int = DEFAULT_COPY_CAP) -> None:
-        if uses_allowed < 1:
-            raise ValueError("uses_allowed must be at least 1")
+        check_integer(uses_allowed, "uses_allowed")
         self.__key = key
         self._remaining = uses_allowed
         self._uses_allowed = uses_allowed

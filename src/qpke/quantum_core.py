@@ -45,12 +45,21 @@ class PrecisionMismatchError(ValueError):
     """Raised when index arithmetic mixes two different precisions n."""
 
 
+def check_integer(value: int, name: str, lo: int = 1, hi: int | None = None) -> None:
+    """The one rule for every count, cap and precision: value is an int, not
+    a bool, float or numpy integer, in [lo, hi] (no upper bound if hi is None)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if hi is None:
+        if value < lo:
+            raise ValueError(f"{name} must be at least {lo}, got {value}")
+    elif not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+
+
 def check_precision(n: int, cap: int = MAX_PRECISION_BITS) -> None:
-    """The one precision rule: n is an int, not a bool or numpy integer, in [1, cap]."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"precision n must be an integer, got {n!r}")
-    if not 1 <= n <= cap:
-        raise ValueError(f"precision n must be in [1, {cap}], got {n}")
+    """The precision rule: n is an integer in [1, cap]."""
+    check_integer(n, "precision n", 1, cap)
 
 
 # --- exact rotation indices ---

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_core import DensityMatrix, check_precision, index_amplitudes_batch, outcome_one_probability
+from .quantum_core import (
+    DensityMatrix, check_integer, check_precision, index_amplitudes_batch, outcome_one_probability
+)
 
 ENSEMBLE_ENUMERATION_CAP = 16
 MI_PRECISION_CAP = 16
@@ -45,18 +47,10 @@ class KeyParams:
     k: int
 
     def __post_init__(self) -> None:
-        for name in ("n_l", "n_u", "N", "k"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer")
-        if self.n_l < 1:
-            raise ValueError("n_l must be at least 1")
-        if self.n_u < self.n_l:
-            raise ValueError("n_u must be at least n_l")
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
+        check_integer(self.n_l, "n_l")
+        check_integer(self.n_u, "n_u", self.n_l)
+        check_integer(self.N, "N")
+        check_integer(self.k, "k", 0)
         try:
             ledger = (private_key_entropy(self), permuted_key_entropy(self), holevo_cap(self))
         except OverflowError:
@@ -217,10 +211,7 @@ def ensemble_density(n: int) -> DensityMatrix:
 
 def ensemble_density_method(n: int) -> str:
     """Which route ensemble_density takes at precision n."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("n must be an integer")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    check_integer(n, "n")
     return "enumerated" if n <= ENSEMBLE_ENUMERATION_CAP else "analytic"
 
 
@@ -420,11 +411,9 @@ def estimate_mutual_information(
     the observed joint support.
     """
     check_precision(n, cap=MI_PRECISION_CAP)
-    if not 1 <= copies_per_trial <= MI_COPIES_CAP:
-        raise ValueError(f"copies_per_trial must be in [1, {MI_COPIES_CAP}]")
-    if not 2 <= trials <= MI_TRIALS_CAP:
-        # checked before the draws, which a huge trial count cannot afford
-        raise ValueError(f"trials must be in [2, {MI_TRIALS_CAP}]")
+    check_integer(copies_per_trial, "copies_per_trial", 1, MI_COPIES_CAP)
+    # checked before the draws, which a huge trial count cannot afford
+    check_integer(trials, "trials", 2, MI_TRIALS_CAP)
 
     s = rng.integers(0, 1 << n, size=trials, dtype=np.int64)
     settings = len(strategy.settings)

@@ -182,7 +182,9 @@ class TestRunForwardSearch:
         with pytest.raises(ValueError, match="trials"):
             run_forward_search(1, 0, rng)
         for alpha in (FORWARD_SEARCH_CHUNK + 1, 10**12):
-            with pytest.raises(ValueError, match="alpha must be at most"):
+            with pytest.raises(
+                ValueError, match=rf"alpha must be in \[1, {FORWARD_SEARCH_CHUNK}\], got {alpha}"
+            ):
                 run_forward_search(alpha, 1, rng)
 
     def test_memory_does_not_grow_with_trials(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpke.cli
 from qpke.cli import CCA_USES_CAP, _parse_message, _parse_range, build_parser, main
 from qpke.protocol import load_private_key
 from qpke.security_analysis import MI_TRIALS_CAP
@@ -419,6 +420,23 @@ class TestAttackCommand:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("k", ["0", "-5"])
+    def test_cca_uses_below_one_is_refused_before_keygen(self, k, tmp_path, capsys, monkeypatch):
+        def no_keygen(*args, **kwargs):
+            raise AssertionError("keygen ran before --k was checked")
+
+        monkeypatch.setattr(qpke.cli, "keygen", no_keygen)
+        json_path = tmp_path / "cca.json"
+        code, stdout, stderr = run_cli(
+            ["attack", "--attack", "cca", "--k", k, "--n", "8", "--N", "2",
+             "--seed", "1", "--json", str(json_path)],
+            capsys,
+        )
+        assert code == 2
+        assert stderr == f"error: cca --k must be in [1, {CCA_USES_CAP}], got {k}\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_cca_at_cap_runs(self, capsys):
         code, stdout, _ = run_cli(
             ["attack", "--attack", "cca", "--k", str(CCA_USES_CAP), "--n", "8", "--N", "2",
@@ -668,6 +686,17 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "cap" in stderr
+
+    def test_refused_cell_writes_nothing(self, tmp_path, capsys):
+        code, stdout, stderr = run_cli(
+            ["sweep", "--experiment", "forward-search", "--alphas", "1:2", "--trials", "0",
+             "--seed", "1", "--out", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 2
+        assert stderr == "error: trials must be at least 1, got 0\n"
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_is_byte_deterministic(self, tmp_path, capsys):
         blobs = []

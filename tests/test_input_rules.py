@@ -1,26 +1,57 @@
 """One rule per protocol input.
 
 Every entry point that takes a precision n applies quantum_core.check_precision,
-and every entry point that takes message bits or rotation flags applies the
-protocol's one bit-vector rule, so they all refuse and accept the same values.
+every count or cap goes through quantum_core.check_integer, and every entry
+point that takes message bits or rotation flags applies the protocol's one
+bit-vector rule, so they all refuse and accept the same values.
 """
+
+import argparse
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qpke.attacks import CPA_PRECISION_CAP, chosen_plaintext_distinguishability, run_forward_search
+from qpke.attacks import (
+    CPA_PRECISION_CAP,
+    CPA_TOTAL_QUBIT_CAP,
+    FORWARD_SEARCH_CHUNK,
+    chosen_plaintext_distinguishability,
+    enumerate_forward_search_success,
+    run_forward_search,
+    single_use_constraint_check,
+)
+from qpke.cli import CCA_USES_CAP, _cca_records, _cpa_records
 from qpke.protocol import (
+    MAX_KEY_LENGTH,
+    CipherState,
+    CopyCapExceededError,
     DecryptionOracle,
+    KeyRegistry,
+    OracleDeactivatedError,
     PrivateKey,
     QuantumRegister,
+    apply_encryption_flags,
     decrypt,
     encode_redundant,
     encrypt,
     keygen,
+    prepare_register,
     swap_test_encrypted_copies,
 )
-from qpke.quantum_core import MAX_PRECISION_BITS, AngleIndex, check_precision
-from qpke.security_analysis import MI_PRECISION_CAP, MeasurementStrategy, estimate_mutual_information
+from qpke.quantum_core import MAX_PRECISION_BITS, AngleIndex, check_integer, check_precision
+from qpke.security_analysis import (
+    MI_COPIES_CAP,
+    MI_PRECISION_CAP,
+    MI_TRIALS_CAP,
+    KeyParams,
+    MeasurementStrategy,
+    ensemble_density_method,
+    estimate_mutual_information,
+)
 
 
 def _rng():
@@ -68,6 +99,133 @@ def test_precision_bounds_are_accepted(entry):
     call, cap = PRECISION_ENTRY_POINTS[entry]
     call(1)
     call(cap)
+
+
+def _public_key():
+    return keygen(40, 2, rng=_rng())[1]
+
+
+def _cli_args(**flags):
+    return argparse.Namespace(**{"n": 8, "N": 2, "alpha": 1, "k": 4, **flags})
+
+
+# name -> (call with one count, least value, greatest value or None)
+COUNT_ENTRY_POINTS = {
+    "check_integer": (lambda v: check_integer(v, "value", 1, 9), 1, 9),
+    "keygen N": (lambda v: keygen(40, v, rng=_rng()), 1, MAX_KEY_LENGTH),
+    "CipherState num_bits": (
+        lambda v: CipherState(QuantumRegister.of_computational([0, 0]), num_bits=v, alpha=1),
+        1,
+        None,
+    ),
+    "CipherState alpha": (
+        lambda v: CipherState(QuantumRegister.of_computational([0, 0]), num_bits=1, alpha=v),
+        1,
+        None,
+    ),
+    "encode_redundant alpha": (lambda v: encode_redundant(1, v, _rng()), 1, None),
+    "apply_encryption_flags alpha": (
+        lambda v: apply_encryption_flags(_public_key(), [1], alpha=v), 1, None
+    ),
+    "encrypt alpha": (lambda v: encrypt(_public_key(), [1], alpha=v, rng=_rng()), 1, None),
+    "KeyRegistry.add copy_cap": (
+        lambda v: KeyRegistry().add(PrivateKey(n=4, s=(1,)), copy_cap=v), 1, None
+    ),
+    "DecryptionOracle uses_allowed": (
+        lambda v: DecryptionOracle(PrivateKey(n=4, s=(1,)), uses_allowed=v), 1, None
+    ),
+    "run_forward_search alpha": (
+        lambda v: run_forward_search(v, 1, _rng(), precision=4), 1, FORWARD_SEARCH_CHUNK
+    ),
+    "run_forward_search trials": (lambda v: run_forward_search(1, v, _rng()), 1, None),
+    "enumerate_forward_search_success alpha": (
+        lambda v: enumerate_forward_search_success(v, "parity-aware"), 1, None
+    ),
+    "chosen_plaintext_distinguishability alpha": (
+        lambda v: chosen_plaintext_distinguishability(4, (0,), (1,), alpha=v), 1, None
+    ),
+    "single_use_constraint_check trials": (
+        lambda v: single_use_constraint_check(v, _rng(), index_offsets=(0,)), 1, None
+    ),
+    "KeyParams n_l": (lambda v: KeyParams(v, 62, 1, 1), 1, None),
+    "KeyParams n_u": (lambda v: KeyParams(3, v, 1, 1), 3, None),
+    "KeyParams N": (lambda v: KeyParams(1, 1, v, 1), 1, None),
+    "KeyParams k": (lambda v: KeyParams(1, 1, 1, v), 0, None),
+    "ensemble_density_method n": (ensemble_density_method, 1, None),
+    "estimate_mutual_information copies": (
+        lambda v: estimate_mutual_information(MeasurementStrategy.fixed(), 1, v, 2, _rng()),
+        1,
+        MI_COPIES_CAP,
+    ),
+    "estimate_mutual_information trials": (
+        lambda v: estimate_mutual_information(MeasurementStrategy.fixed(), 1, 1, v, _rng()),
+        2,
+        MI_TRIALS_CAP,
+    ),
+    "attack cpa --N": (lambda v: _cpa_records(_cli_args(N=v), 1, "run"), 1, CPA_TOTAL_QUBIT_CAP),
+    "attack cca --k": (lambda v: _cca_records(_cli_args(k=v), 1, "run"), 1, CCA_USES_CAP),
+}
+
+
+def _count_bounds(entry):
+    """(value, expected message) for lo - 1 and, when there is one, hi + 1."""
+    _, lo, hi = COUNT_ENTRY_POINTS[entry]
+    if hi is None:
+        return [(lo - 1, f"must be at least {lo}, got {lo - 1}")]
+    return [(v, f"must be in [{lo}, {hi}], got {v}") for v in (lo - 1, hi + 1)]
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "value",
+    [True, 1.5, 2.0, np.int64(2), math.nan, math.inf],
+    ids=["bool", "fraction", "float", "int64", "nan", "inf"],
+)
+def test_count_must_be_a_plain_int(entry, value):
+    call, _, _ = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match="must be an integer"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_count_outside_its_range_is_refused(entry):
+    call, _, _ = COUNT_ENTRY_POINTS[entry]
+    for value, message in _count_bounds(entry):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_count_bounds_are_accepted(entry):
+    call, lo, hi = COUNT_ENTRY_POINTS[entry]
+    call(lo)
+    if hi is not None:
+        call(hi)
+
+
+def test_precision_keeps_its_messages():
+    with pytest.raises(TypeError, match=re.escape("precision n must be an integer, got 3.0")):
+        check_precision(3.0)
+    with pytest.raises(ValueError, match=re.escape("precision n must be in [1, 12], got 13")):
+        check_precision(13, cap=12)
+
+
+@settings(max_examples=32, deadline=None)
+@given(cap=st.integers(1, 32))
+def test_exactly_cap_copies_and_decryptions_succeed(cap):
+    key = PrivateKey(n=4, s=(1,))
+    registry = KeyRegistry()
+    key_id = registry.add(key, copy_cap=cap)
+    oracle = DecryptionOracle(key, uses_allowed=cap)
+    rng = _rng()
+    for _ in range(cap):
+        registry.issue_copy(key_id)
+        decrypt(oracle, CipherState(prepare_register(key), num_bits=1, alpha=1), rng)
+    assert registry.issued_count(key_id) == cap and oracle.remaining_uses == 0
+    with pytest.raises(CopyCapExceededError):
+        registry.issue_copy(key_id)
+    with pytest.raises(OracleDeactivatedError):
+        decrypt(oracle, CipherState(prepare_register(key), num_bits=1, alpha=1), rng)
 
 
 def _encrypt(bit):

@@ -493,7 +493,7 @@ class TestEncrypt:
         register = QuantumRegister.of_computational([0, 0])
         with pytest.raises(ValueError, match="framing"):
             CipherState(register=register, num_bits=3, alpha=1)
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="num_bits must be at least 1, got 0"):
             CipherState(register=register, num_bits=0, alpha=1)
 
 
