@@ -347,13 +347,41 @@ def chosen_plaintext_distinguishability(
 
 @dataclass(frozen=True)
 class OracleSubmission:
-    """Transcript entry for one decryption request."""
+    """Transcript entry for one decryption request.
+
+    An accepted request keeps its result_length decoded bits packed eight
+    to a byte (np.packbits); result expands them.
+    """
 
     label: str
     label_digest: str
     accepted: bool
-    result: tuple[int, ...] | None
+    packed_result: bytes | None
+    result_length: int
     error: str | None
+
+    def _result_bits(self) -> np.ndarray | None:
+        if self.packed_result is None:
+            return None
+        packed = np.frombuffer(self.packed_result, dtype=np.uint8)
+        return np.unpackbits(packed, count=self.result_length)
+
+    @property
+    def result(self) -> tuple[int, ...] | None:
+        """The decoded bits, or None for a refused request."""
+        bits = self._result_bits()
+        return None if bits is None else tuple(bits.tolist())
+
+    def to_record(self) -> dict:
+        """JSON form: the fields, with result as a list of bits or None."""
+        bits = self._result_bits()
+        return {
+            "label": self.label,
+            "label_digest": self.label_digest,
+            "accepted": self.accepted,
+            "result": None if bits is None else bits.tolist(),
+            "error": self.error,
+        }
 
 
 @dataclass(frozen=True)
@@ -401,12 +429,11 @@ def chosen_ciphertext_session(
         try:
             result = decrypt(oracle, cipher, rng)
         except (OracleDeactivatedError, ValueError) as exc:
-            transcript.append(
-                OracleSubmission(label, digest, False, None, str(exc))
-            )
+            transcript.append(OracleSubmission(label, digest, False, None, 0, str(exc)))
         else:
             bits_received += len(result)
-            transcript.append(OracleSubmission(label, digest, True, result, None))
+            packed = np.packbits(np.array(result, dtype=np.uint8)).tobytes()
+            transcript.append(OracleSubmission(label, digest, True, packed, len(result), None))
     return CcaSessionResult(
         key_length=key.length,
         uses_allowed=uses_allowed,

@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .attacks import (
     CPA_TOTAL_QUBIT_CAP,
+    CcaSessionResult,
     chosen_ciphertext_session,
     chosen_plaintext_distinguishability,
     run_forward_search,
@@ -157,9 +158,11 @@ def _resolve_seed(flag_value: int | None) -> tuple[int, str]:
 
 def _write_envelope(path: str, **body) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **body}
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # json.dump writes as it encodes; json.dumps with indent would first hold
+    # every chunk of the text, tens of bytes per bit of a cca transcript
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _emit(
@@ -210,8 +213,9 @@ def _output_path(text: str) -> str:
     return text
 
 
-def _parse_message(text: str) -> tuple[int, ...]:
-    """Message as bits ('0110') or hex ('0xD6', four bits per digit)."""
+def _parse_message(text: str) -> np.ndarray:
+    """Message as an int64 bit array, from bits ('0110') or hex ('0xD6',
+    four bits per digit)."""
     if text.lower().startswith("0x"):
         digits = text[2:]
         # int() alone would also take signs, spaces, underscores and non-ASCII digits
@@ -219,7 +223,7 @@ def _parse_message(text: str) -> tuple[int, ...]:
             raise ValueError(f"invalid hex message {text!r}")
         text = format(int(digits, 16), f"0{4 * len(digits)}b")
     if re.fullmatch("[01]+", text):
-        return tuple(map(int, text))
+        return np.frombuffer(text.encode(), dtype=np.uint8).astype(np.int64) - ord("0")
     raise ValueError(f"message must be bits or 0x-prefixed hex, got {text!r}")
 
 
@@ -263,7 +267,7 @@ def cmd_roundtrip(args) -> int:
     decoded = decrypt(oracle, cipher, rng_stream(seed, "decrypt"))
     t2 = time.perf_counter()
 
-    match = decoded == message
+    match = np.array_equal(decoded, message)
     results = {
         "match": match,
         "num_bits": len(message),
@@ -327,9 +331,9 @@ def _cpa_records(args, seed: int, run_id: str) -> list[dict]:
                  attack="cpa", alpha=args.alpha, n=args.n, N=args.N)]
 
 
-def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
-    # bounded before keygen and the submissions, which a huge k cannot afford
-    check_integer(args.k, "cca --k", 1, CCA_USES_CAP)
+def _cca_session(args, seed: int) -> CcaSessionResult:
+    """Encrypt k + 2 random messages under a fresh key and submit them all.
+    The ciphertexts are freed on return, before the transcript is expanded."""
     rng = rng_stream(seed, "attack", "cca")
     with warnings.catch_warnings():
         # attack experiments run at reduced precision on purpose
@@ -343,13 +347,19 @@ def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
         public = registry.issue_copy(key_id_of(key))
         cipher = encrypt(public, message, rng=rng)
         submissions.append((f"probe-{i}", cipher))
-    session = chosen_ciphertext_session(key, args.k, submissions, rng)
+    return chosen_ciphertext_session(key, args.k, submissions, rng)
+
+
+def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
+    # bounded before keygen and the submissions, which a huge k cannot afford
+    check_integer(args.k, "cca --k", 1, CCA_USES_CAP)
+    session = _cca_session(args, seed)
     summary = session.to_record()
     summary["seed"] = seed
     summary["run_id"] = run_id
     detail = {
         "session": summary,
-        "transcript": [dataclasses.asdict(entry) for entry in session.transcript],
+        "transcript": [entry.to_record() for entry in session.transcript],
     }
     row = _row(
         f"uses:{session.uses_consumed}/{session.uses_allowed}", len(session.transcript),

@@ -89,6 +89,16 @@ def _bit_array(values, name: str) -> np.ndarray:
 # --- classical key material ---
 
 
+def _int64_entries(values: Sequence[int], message: str) -> np.ndarray:
+    """Plain ints as a read-only int64 array; one beyond int64 is a ValueError."""
+    try:
+        arr = np.fromiter(values, dtype=np.int64, count=len(values))
+    except OverflowError:
+        raise ValueError(message) from None
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class PrivateKey:
     """Classical key: precision n, indices s_1..s_N, optional permutation."""
@@ -102,18 +112,27 @@ class PrivateKey:
         if len(self.s) < 1:
             raise ValueError("key must contain at least one index")
         # a bool or numpy integer here would make a key file that cannot be saved or loaded
-        if not all(type(v) is int for v in (*self.s, *(self.perm or ()))):
+        if not set(map(type, self.s)) <= {int} or not set(map(type, self.perm or ())) <= {int}:
             raise TypeError("key indices and perm entries must be integers")
-        try:
-            arr = np.fromiter(self.s, dtype=np.int64, count=len(self.s))
-        except OverflowError:
-            raise ValueError(f"key index outside [0, 2**{self.n})") from None
-        if bool(np.any((arr < 0) | (arr >> self.n != 0))):
-            raise ValueError(f"key index outside [0, 2**{self.n})")
-        if self.perm is not None and sorted(self.perm) != list(range(len(self.s))):
-            raise ValueError("perm must be a permutation of the qubit positions")
-        arr.flags.writeable = False
+        outside = f"key index outside [0, 2**{self.n})"
+        arr = _int64_entries(self.s, outside)
+        # the arithmetic shift leaves a negative index nonzero too
+        if (arr >> self.n).any():
+            raise ValueError(outside)
+        perm = None
+        if self.perm is not None:
+            not_perm = "perm must be a permutation of the qubit positions"
+            perm = _int64_entries(self.perm, not_perm)
+            N = arr.size
+            if (
+                perm.size != N
+                or perm.min() < 0
+                or perm.max() >= N
+                or np.bincount(perm, minlength=N).max() > 1
+            ):
+                raise ValueError(not_perm)
         object.__setattr__(self, "_index_array", arr)
+        object.__setattr__(self, "_perm_array", perm)
 
     @property
     def length(self) -> int:
@@ -136,7 +155,18 @@ def private_key_to_json(key: PrivateKey) -> dict:
     return payload
 
 
-_DECIMAL_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
+def _is_decimal_list(text: str, count: int) -> bool:
+    """text is count nonempty runs of ASCII digits joined by single commas."""
+    return (
+        text.isascii()
+        # count - 1 commas join count strings, so no string holds a comma
+        and text.count(",") == count - 1
+        and not text.encode().translate(None, b"0123456789,")
+        and ",," not in f",{text},"
+    )
+
+
+_LEADING_ZERO = re.compile(",0[0-9]")
 
 
 def private_key_from_json(payload: dict) -> PrivateKey:
@@ -146,18 +176,49 @@ def private_key_from_json(payload: dict) -> PrivateKey:
     if payload.get("version") != KEY_FILE_VERSION:
         raise ValueError(f"unsupported key file version {payload.get('version')!r}")
     n, s, perm = payload.get("n"), payload.get("s"), payload.get("perm")
-    if not isinstance(s, list) or not set(map(type, s)) <= {int, str}:
+    if not isinstance(s, list) or not (kinds := set(map(type, s))) <= {int, str}:
         raise TypeError("key file field 's' must be a list of integers or decimal strings")
-    strings = [v for v in s if type(v) is str]
-    if strings and not _DECIMAL_LIST.fullmatch(",".join(strings)):
+    all_strings = kinds == {str}
+    strings = s if all_strings else [v for v in s if type(v) is str]
+    text = ",".join(strings)
+    if strings and not _is_decimal_list(text, len(strings)):
         raise ValueError("key file field 's' holds a string that is not a decimal integer")
     if "perm" in payload and not (isinstance(perm, list) and set(map(type, perm)) <= {int}):
         raise TypeError("key file field 'perm' must be a list of integers")
-    return PrivateKey(n=n, s=tuple(map(int, s)), perm=None if perm is None else tuple(perm))
+    if all_strings:
+        # strtoll saturates an entry beyond int64 at 2**63 - 1, which no
+        # precision up to MAX_PRECISION_BITS = 62 admits
+        values = tuple(np.fromstring(text, dtype=np.int64, sep=",").tolist())
+    else:
+        values = tuple(map(int, s))
+    key = PrivateKey(n=n, s=values, perm=None if perm is None else tuple(perm))
+    if all_strings and not _LEADING_ZERO.search(f",{text}"):
+        # without leading zeros the file's own digits are the key's decimal text
+        object.__setattr__(key, "_s_text", text)
+    return key
+
+
+def _decimal_text(key: PrivateKey, field: str) -> str:
+    """Key field "s" or "perm" as comma-joined decimal text, built once per key."""
+    name = f"_{field}_text"
+    text = key.__dict__.get(name)
+    if text is None:
+        text = ",".join(map(str, getattr(key, field)))
+        object.__setattr__(key, name, text)
+    return text
 
 
 def save_private_key(key: PrivateKey, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(private_key_to_json(key), indent=2) + "\n")
+    """Write json.dumps(private_key_to_json(key), indent=2) plus a newline."""
+    parts = [
+        f'{{\n  "version": {KEY_FILE_VERSION},\n  "n": {key.n},\n  "s": [\n    "',
+        _decimal_text(key, "s").replace(",", '",\n    "'),
+        '"\n  ]',
+    ]
+    if key.perm is not None:
+        parts += [',\n  "perm": [\n    ', _decimal_text(key, "perm").replace(",", ",\n    "), "\n  ]"]
+    parts.append("\n}\n")
+    Path(path).write_text("".join(parts))
 
 
 def load_private_key(path: str | Path) -> PrivateKey:
@@ -169,11 +230,12 @@ def load_private_key(path: str | Path) -> PrivateKey:
 
 
 def _canonical_key_bytes(key: PrivateKey) -> bytes:
+    """json.dumps(private_key_to_json(key), sort_keys=True, separators=(",", ":"))."""
     cached = key.__dict__.get("_canonical_bytes")
     if cached is None:
-        cached = json.dumps(
-            private_key_to_json(key), sort_keys=True, separators=(",", ":")
-        ).encode()
+        perm = "" if key.perm is None else f'"perm":[{_decimal_text(key, "perm")}],'
+        s = _decimal_text(key, "s").replace(",", '","')
+        cached = f'{{"n":{key.n},{perm}"s":["{s}"],"version":{KEY_FILE_VERSION}}}'.encode()
         object.__setattr__(key, "_canonical_bytes", cached)
     return cached
 
@@ -425,11 +487,11 @@ class CipherState:
 
 def _position_indices(key: PrivateKey) -> np.ndarray:
     """Rotation index prepared at each register position (perm applied)."""
-    arr = key.__dict__["_index_array"]
-    if key.perm is None:
+    arr, perm = key.__dict__["_index_array"], key.__dict__["_perm_array"]
+    if perm is None:
         return arr.copy()
     placed = np.empty_like(arr)
-    placed[np.fromiter(key.perm, dtype=np.int64, count=len(key.perm))] = arr
+    placed[perm] = arr
     return placed
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,12 +24,14 @@ class TestFlagParsing:
     """Message and range parsing helpers."""
 
     def test_bit_message(self):
-        assert _parse_message("0110") == (0, 1, 1, 0)
-        assert _parse_message("1") == (1,)
+        bits = _parse_message("0110")
+        assert bits.dtype == np.int64
+        assert bits.tolist() == [0, 1, 1, 0]
+        assert _parse_message("1").tolist() == [1]
 
     def test_hex_message(self):
-        assert _parse_message("0xd6") == (1, 1, 0, 1, 0, 1, 1, 0)
-        assert _parse_message("0x1") == (0, 0, 0, 1)
+        assert _parse_message("0xd6").tolist() == [1, 1, 0, 1, 0, 1, 1, 0]
+        assert _parse_message("0x1").tolist() == [0, 0, 0, 1]
 
     @given(
         digits=st.text(alphabet="0123456789abcdefABCDEF", min_size=1, max_size=1024),

@@ -1,0 +1,187 @@
+"""Key files against reference implementations.
+
+The protocol layer checks, parses, hashes and writes key files with array
+and string operations.  The references below are the plain definitions they
+must match byte for byte: the regex-and-int loader, json.dumps(indent=2) for
+the key file, and the sort_keys json.dumps whose bytes key_id_of and
+key_fingerprint hash.
+"""
+
+import hashlib
+import json
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpke.attacks import chosen_ciphertext_session
+from qpke.protocol import (
+    KEY_FILE_VERSION,
+    KeyRegistry,
+    PrivateKey,
+    encrypt,
+    key_fingerprint,
+    key_id_of,
+    load_private_key,
+    private_key_from_json,
+    private_key_to_json,
+    save_private_key,
+)
+
+_REFERENCE_DECIMAL_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
+
+def reference_from_json(payload: dict) -> PrivateKey:
+    if not isinstance(payload, dict):
+        raise TypeError("key file must hold a JSON object")
+    if payload.get("version") != KEY_FILE_VERSION:
+        raise ValueError(f"unsupported key file version {payload.get('version')!r}")
+    n, s, perm = payload.get("n"), payload.get("s"), payload.get("perm")
+    if not isinstance(s, list) or not set(map(type, s)) <= {int, str}:
+        raise TypeError("key file field 's' must be a list of integers or decimal strings")
+    strings = [v for v in s if type(v) is str]
+    if strings and not _REFERENCE_DECIMAL_LIST.fullmatch(",".join(strings)):
+        raise ValueError("key file field 's' holds a string that is not a decimal integer")
+    if "perm" in payload and not (isinstance(perm, list) and set(map(type, perm)) <= {int}):
+        raise TypeError("key file field 'perm' must be a list of integers")
+    return PrivateKey(n=n, s=tuple(map(int, s)), perm=None if perm is None else tuple(perm))
+
+
+def reference_key_file(key: PrivateKey) -> bytes:
+    return (json.dumps(private_key_to_json(key), indent=2) + "\n").encode()
+
+
+def reference_canonical(key: PrivateKey) -> bytes:
+    return json.dumps(private_key_to_json(key), sort_keys=True, separators=(",", ":")).encode()
+
+
+def reference_key_id(key: PrivateKey) -> str:
+    return hashlib.sha256(b"qpke:key-id:" + reference_canonical(key)).hexdigest()[:16]
+
+
+def reference_fingerprint(key: PrivateKey) -> str:
+    return hashlib.sha256(b"qpke:fingerprint:" + reference_canonical(key)).hexdigest()
+
+
+@st.composite
+def key_payloads(draw) -> dict:
+    """A valid key file payload: s as decimal strings, with or without
+    leading zeros, as plain ints, or mixed; perm present or not."""
+    n = draw(st.integers(1, 62))
+    N = draw(st.integers(1, 64))
+    values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=N, max_size=N))
+    form = draw(st.sampled_from(["strings", "leading-zeros", "ints", "mixed"]))
+    if form == "strings":
+        s = [str(v) for v in values]
+    elif form == "leading-zeros":
+        # 25 zeros put even a one-digit index past int64's 19 digits
+        s = ["0" * draw(st.sampled_from([0, 1, 2, 25])) + str(v) for v in values]
+    elif form == "ints":
+        s = list(values)
+    else:
+        s = [draw(st.sampled_from([v, str(v), "00" + str(v)])) for v in values]
+    payload = {"version": KEY_FILE_VERSION, "n": n, "s": s}
+    if draw(st.booleans()):
+        payload["perm"] = draw(st.permutations(range(N)))
+    return payload
+
+
+@given(payload=key_payloads())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_key_files_match_the_references(payload, tmp_path_factory):
+    key = private_key_from_json(payload)
+    reference = reference_from_json(payload)
+    assert key == reference
+    assert key_id_of(key) == reference_key_id(reference)
+    assert key_fingerprint(key) == reference_fingerprint(reference)
+    path = tmp_path_factory.mktemp("keys") / "key.json"
+    save_private_key(key, path)
+    assert path.read_bytes() == reference_key_file(reference)
+    # a file written as plain JSON loads to the same key and the same hashes
+    path.write_text(json.dumps(payload))
+    loaded = load_private_key(path)
+    assert loaded == reference
+    assert key_id_of(loaded) == reference_key_id(reference)
+    assert key_fingerprint(loaded) == reference_fingerprint(reference)
+
+
+def test_large_keys_match_the_references(tmp_path):
+    rng = np.random.default_rng(16)
+    for N, n in ((4096, 48), (1 << 16, 62)):
+        s = tuple(rng.integers(0, 1 << n, size=N, dtype=np.int64).tolist())
+        key = PrivateKey(n=n, s=s, perm=tuple(rng.permutation(N).tolist()))
+        path = tmp_path / f"key-{N}.json"
+        save_private_key(key, path)
+        assert path.read_bytes() == reference_key_file(key)
+        loaded = load_private_key(path)
+        assert loaded == key
+        assert key_id_of(loaded) == reference_key_id(key)
+        assert key_fingerprint(loaded) == reference_fingerprint(key)
+
+
+def _base(**fields) -> dict:
+    return {"version": KEY_FILE_VERSION, "n": 8, "s": ["1", "2", "3"], **fields}
+
+
+MALFORMED = {
+    "empty string": (_base(s=["1", "", "3"]), ValueError),
+    "empty last string": (_base(s=["1", "2", ""]), ValueError),
+    "comma inside a string": (_base(s=["1", "1,2"]), ValueError),
+    "plus sign": (_base(s=["1", "+1", "3"]), ValueError),
+    "leading space": (_base(s=["1", " 1", "3"]), ValueError),
+    "non-ASCII digit": (_base(s=["1", "١", "3"]), ValueError),
+    "2**63 as a string": (_base(s=["1", str(2**63), "3"]), ValueError),
+    "10**22 as a string": (_base(s=["1", str(10**22), "3"]), ValueError),
+    "2**63 as an int": (_base(s=["1", 2**63, "3"]), ValueError),
+    "10**22 as an int": (_base(s=[1, 10**22, 3]), ValueError),
+    "index 2**n": (_base(s=["1", "256", "3"]), ValueError),
+    "index 2**n as an int": (_base(s=[1, 256, 3]), ValueError),
+    "negative int index": (_base(s=[1, -1, 3]), ValueError),
+    "duplicate perm": (_base(perm=[0, 0, 1]), ValueError),
+    "perm out of range": (_base(perm=[0, 1, 3]), ValueError),
+    "negative perm": (_base(perm=[-1, 0, 1]), ValueError),
+    "perm beyond int64": (_base(perm=[0, 1, 2**64]), ValueError),
+    "perm of the wrong length": (_base(perm=[0, 1]), ValueError),
+    "perm holds a bool": (_base(perm=[0, 1, True]), TypeError),
+    "null perm": (_base(perm=None), TypeError),
+    "boolean precision": (_base(n=True), TypeError),
+    "precision above the cap": (_base(n=63), ValueError),
+    "empty s": (_base(s=[]), ValueError),
+    "s not a list": (_base(s="1,2,3"), TypeError),
+    "bool in s": (_base(s=["1", True]), TypeError),
+}
+
+
+def _raised(load, payload) -> type | None:
+    try:
+        load(payload)
+    except Exception as exc:  # the type is what the test compares
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("payload, expected", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_key_files_raise_what_the_reference_raises(payload, expected):
+    assert _raised(reference_from_json, payload) is expected
+    assert _raised(private_key_from_json, payload) is expected
+
+
+def test_cca_transcript_keeps_result_bits_packed():
+    rng = np.random.default_rng(17)
+    key = PrivateKey(n=16, s=tuple(range(1, 12)))
+    registry = KeyRegistry()
+    key_id = registry.add(key, copy_cap=3)
+    messages = [rng.integers(0, 2, size=11) for _ in range(3)]
+    submissions = [
+        (f"m{i}", encrypt(registry.issue_copy(key_id), m)) for i, m in enumerate(messages)
+    ]
+    session = chosen_ciphertext_session(key, 2, submissions, rng)
+    for entry, message in zip(session.transcript[:2], messages):
+        assert entry.packed_result == np.packbits(message.astype(np.uint8)).tobytes()
+        assert entry.result == tuple(message.tolist())
+        assert entry.to_record()["result"] == message.tolist()
+    refused = session.transcript[2]
+    assert refused.packed_result is None and refused.result is None
+    assert refused.to_record()["result"] is None
