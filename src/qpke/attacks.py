@@ -40,9 +40,11 @@ FORWARD_SEARCH_RULES = ("identify-all", "parity-aware")
 CPA_PRECISION_CAP = 12
 CPA_TOTAL_QUBIT_CAP = 8
 DEFAULT_ATTACK_PRECISION = 8
-# symmetry tests per batched call of run_forward_search: bounds the memory of
-# one chunk (a few MB), and so the largest alpha, whatever the trial count
+# symmetry tests per batched call of run_forward_search, and the largest alpha:
+# it fixes the seeded draw order, and only a chunk's flags and uniforms grow with it
 FORWARD_SEARCH_CHUNK = 1 << 14
+# enumerate_forward_search_success walks 3^alpha branches: 4 s at 12, hours at 20
+ENUMERATION_ALPHA_CAP = 12
 
 
 # --- forward search over public-key copies ---
@@ -168,7 +170,7 @@ def enumerate_forward_search_success(alpha: int, rule: str) -> Fraction:
     and every symmetry-test branch: unrotated qubits always pass, rotated
     qubits fail with probability exactly 1/2.
     """
-    check_integer(alpha, "alpha")
+    check_integer(alpha, "alpha", 1, ENUMERATION_ALPHA_CAP)
     if rule not in FORWARD_SEARCH_RULES:
         raise ValueError(f"unknown rule: {rule!r}")
     total = Fraction(0)
@@ -226,12 +228,18 @@ def single_use_constraint_check(
     the same pair, and tallies the conditional second-test outcomes.  The
     first test follows (1 + overlap^2)/2; the projected pair then answers
     deterministically, so a second test on the same pair is worthless.
+    Each offset is an index in [0, 2^precision); at least one is given.
     """
     check_integer(trials, "trials")
+    # checks the precision before 1 << precision, which a huge one cannot afford
+    key_a = PrivateKey(n=precision, s=(0,))
+    if not index_offsets:
+        raise ValueError("index_offsets must hold at least one offset")
+    for offset in index_offsets:
+        check_integer(offset, "index offset", 0, (1 << precision) - 1)
     scenarios = []
     for offset in index_offsets:
-        key_a = PrivateKey(n=precision, s=(0,))
-        key_b = PrivateKey(n=precision, s=(int(offset) % (1 << precision),))
+        key_b = PrivateKey(n=precision, s=(offset,))
         inner = overlap(key_b.angle_indices()[0], key_a.angle_indices()[0])
         first_passes = 0
         second_given_pass = [0, 0]

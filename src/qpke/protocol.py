@@ -38,8 +38,8 @@ from .quantum_core import (
     outcome_one_probability,
     rotate_axis,
     sample_outcome,
+    swap_parts,
     swap_project,
-    swap_project_batch,
 )
 
 DEFAULT_KEY_LENGTH = 256
@@ -326,14 +326,6 @@ def _group_size(slot: _Slot | None) -> int:
     return 1 if slot is None else len(slot.group.slots)
 
 
-def _swap_project(slot_a: _Slot, slot_b: _Slot, rng: np.random.Generator) -> bool:
-    if slot_a.group is not slot_b.group:
-        _merge_groups(slot_a.group, slot_b.group)
-    group = slot_a.group
-    passed, _, group.amps = swap_project(group.amps, slot_a.axis, slot_b.axis, rng)
-    return passed
-
-
 class QuantumRegister:
     """Opaque register of simulated qubits.
 
@@ -584,13 +576,18 @@ def swap_test_registers(
                 f"symmetry test would entangle {merged} qubits in one group; "
                 f"the cap is MAX_GROUP_QUBITS = {MAX_GROUP_QUBITS}"
             )
-    return _swap_project(reg_a._promote(pos_a), reg_b._promote(pos_b), rng)
+    slot_a, slot_b = reg_a._promote(pos_a), reg_b._promote(pos_b)
+    if slot_a.group is not slot_b.group:
+        _merge_groups(slot_a.group, slot_b.group)
+    group = slot_a.group
+    passed, _, group.amps = swap_project(group.amps, slot_a.axis, slot_b.axis, rng)
+    return passed
 
 
-def _encrypted_copy_pairs(key: PrivateKey, flags: np.ndarray) -> np.ndarray:
-    """Joint (B * alpha, 2, 2) amplitudes of the symmetry tests that
-    swap_test_encrypted_copies runs: axis 0 is qubit q of a fresh copy
-    rotated by flag * pi, axis 1 qubit q of another fresh copy."""
+def _encrypted_copy_weights(key: PrivateKey, flags: np.ndarray) -> np.ndarray:
+    """Pass and fail weights (2, B, alpha) of swap_test_encrypted_copies' tests,
+    from its 2 * alpha distinct pairs split once: qubit q of a fresh copy turned
+    by flag * pi (flag 0 or 1) against qubit q of another fresh copy."""
     alpha = flags.shape[1]
     period = 1 << key.n
     fresh = _position_indices(key)[:alpha]
@@ -599,7 +596,9 @@ def _encrypted_copy_pairs(key: PrivateKey, flags: np.ndarray) -> np.ndarray:
     cipher = index_amplitudes_batch(shifted, key.n)
     reference = index_amplitudes_batch(fresh, key.n)
     pairs = cipher[:, :, :, np.newaxis] * reference[:, np.newaxis, np.newaxis, :]
-    return pairs[np.arange(alpha), flags].reshape(-1, 2, 2)
+    parts = np.stack(swap_parts(pairs, 2, 3)).reshape(-1, 4)
+    weights = np.einsum("bi,bi->b", parts, parts).reshape(2, alpha, 2)
+    return weights[:, np.arange(alpha), flags]
 
 
 def swap_test_encrypted_copies(
@@ -611,7 +610,7 @@ def swap_test_encrypted_copies(
     (qubit q rotated by flags[b, q] * pi), and each of its first alpha
     qubits meets the same qubit of another fresh copy in a symmetry test.
     Returns the (B, alpha) pass pattern: the outcomes of B * alpha calls of
-    swap_test_registers in row order, from one rng.random(B * alpha) draw.
+    swap_test_registers in row order, from one rng.random((B, alpha)) draw.
     Nothing else leaves: no descriptor, no pass probability.
     """
     flags = _bit_array(flags, "flags")
@@ -619,9 +618,8 @@ def swap_test_encrypted_copies(
         raise ValueError(
             f"flags must have shape (B, alpha) with 1 <= alpha <= {key.length}"
         )
-    pairs = _encrypted_copy_pairs(key, flags)
-    passed, _, _ = swap_project_batch(pairs, 0, 1, rng)
-    return passed.reshape(flags.shape)
+    p_pass, p_fail = _encrypted_copy_weights(key, flags)
+    return draws_outcome_zero(p_pass, p_fail, rng.random(flags.shape))
 
 
 def _parity_masks(bits: np.ndarray, alpha: int, rng: np.random.Generator | None) -> np.ndarray:

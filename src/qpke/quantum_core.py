@@ -11,10 +11,10 @@ to floating-point amplitudes at measurement or analysis boundaries.
 The kernel owns the qubit conventions: one index-to-state map
 (index_amplitudes, array form index_amplitudes_batch), one Born rule for
 index states measured in a rotated basis (outcome_one_probability), one
-two-outcome sampling rule (draws_outcome_zero), and array functions
-(rotate_axis, measure_axis, swap_project) over tensors of shape (2,)*k, one
-axis per qubit; register amplitude groups run on it.  swap_project_batch runs the symmetry
-test over a leading batch axis for the Monte Carlo forward search.  Density
+two-outcome sampling rule (draws_outcome_zero), one symmetry-test split
+(swap_parts), and array functions (rotate_axis, measure_axis, swap_project)
+over tensors of shape (2,)*k, one axis per qubit; register amplitude groups
+and the forward search's distinct pairs run on them.  Density
 matrices, real symmetric because every state is real, are the values the
 ensemble and entropy tools exchange.
 
@@ -241,44 +241,23 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 # --- symmetry (SWAP) test ---
 
 
+def swap_parts(arr: np.ndarray, axis_a: int, axis_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel: the parts 0.5 * (arr +- swapped) of a tensor under the exchange
+    of two axes, whose squared norms are the symmetry test's pass and fail
+    weights.  The axes are explicit, so leading axes may index states."""
+    swapped = np.swapaxes(arr, axis_a, axis_b)
+    return 0.5 * (arr + swapped), 0.5 * (arr - swapped)
+
+
 def swap_project(
     arr: np.ndarray, axis_a: int, axis_b: int, rng: np.random.Generator
 ) -> tuple[bool, float, np.ndarray]:
     """Kernel: symmetry test of the qubits on two axes; returns whether it
     passed, the pass probability, and the normalized projection.  Each branch
     is weighted by its own norm, so a zero-weight branch is never sampled."""
-    swapped = np.swapaxes(arr, axis_a, axis_b)
-    symmetric = 0.5 * (arr + swapped)
-    antisymmetric = 0.5 * (arr - swapped)
+    symmetric, antisymmetric = swap_parts(arr, axis_a, axis_b)
     p_pass = float(np.vdot(symmetric, symmetric).real)
     p_fail = float(np.vdot(antisymmetric, antisymmetric).real)
     if sample_outcome([p_pass, p_fail], rng) == 0:
         return True, p_pass, symmetric / math.sqrt(p_pass)
     return False, p_pass, antisymmetric / math.sqrt(p_fail)
-
-
-def swap_project_batch(
-    arr: np.ndarray, axis_a: int, axis_b: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel: swap_project on each state of a (B, 2, ..., 2) batch, with one
-    draw rng.random(B); axes count qubits, not the batch axis.  Returns the
-    pass flags, the pass probabilities and the normalized projections.
-
-    swap_project stays separate because register groups test one state at
-    a time, where the batch bookkeeping would cost more than the projection.
-    """
-    swapped = np.swapaxes(arr, axis_a + 1, axis_b + 1)
-    symmetric = 0.5 * (arr + swapped)
-    antisymmetric = 0.5 * (arr - swapped)
-    sym_flat = symmetric.reshape(len(arr), -1)
-    anti_flat = antisymmetric.reshape(len(arr), -1)
-    p_pass = np.einsum("bi,bi->b", sym_flat.conj(), sym_flat).real
-    p_fail = np.einsum("bi,bi->b", anti_flat.conj(), anti_flat).real
-    if not np.all((p_pass > 0.0) | (p_fail > 0.0)):
-        raise ValueError("no outcome has positive probability")
-    u = rng.random(len(arr))
-    passed = draws_outcome_zero(p_pass, p_fail, u)
-    column = (-1,) + (1,) * (arr.ndim - 1)
-    branch = np.where(passed.reshape(column), symmetric, antisymmetric)
-    norms = np.sqrt(np.where(passed, p_pass, p_fail))
-    return passed, p_pass, branch / norms.reshape(column)

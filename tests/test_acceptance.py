@@ -33,7 +33,7 @@ from qpke.protocol import (
     keygen,
     prepare_register,
 )
-from qpke.quantum_core import index_amplitudes, swap_project_batch
+from qpke.quantum_core import draws_outcome_zero, index_amplitudes, swap_parts
 from qpke.security_analysis import (
     KeyParams,
     MeasurementStrategy,
@@ -245,14 +245,15 @@ class TestAcceptance:
             ov = math.cos(offset * math.pi / 8.0)
             expected = (1.0 + ov * ov) / 2.0
             joint = np.kron(reference, other).reshape(2, 2)
-            # one batched call draws the same uniforms as `trials` scalar calls
-            passed, _, post = swap_project_batch(
-                np.broadcast_to(joint, (trials, 2, 2)), 0, 1, rng
-            )
+            # the pair is split once; rng.random(trials) draws the same
+            # uniforms as `trials` scalar symmetry tests
+            parts = dict(zip(("pass", "fail"), swap_parts(joint, 0, 1)))
+            weights = {o: float(np.vdot(p, p).real) for o, p in parts.items()}
+            passed = draws_outcome_zero(weights["pass"], weights["fail"], rng.random(trials))
             posts = {}
             for outcome, hits in (("pass", passed), ("fail", ~passed)):
                 if hits.any():
-                    posts[outcome] = post[np.flatnonzero(hits)[-1]].reshape(-1)
+                    posts[outcome] = (parts[outcome] / math.sqrt(weights[outcome])).reshape(-1)
             rate = int(np.count_nonzero(passed)) / trials
             rates.append(f"|<a|b>|={ov:.3f}: {rate:.4f} vs {expected:.4f}")
             tolerance = three_se(expected, trials)

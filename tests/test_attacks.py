@@ -244,13 +244,6 @@ class TestSingleUseConstraint:
             0.0,
         ]
 
-    def test_offsets_one_period_apart_report_one_overlap(self):
-        # offset 9 and -7 prepare index 1 at n=3, the same pair as offset 1
-        rng = np.random.default_rng(35)
-        result = single_use_constraint_check(10, rng, index_offsets=(1, 9, -7))
-        assert len({(s.overlap, s.predicted_first_pass) for s in result.scenarios}) == 1
-        assert result.scenarios[0].overlap > 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError, match="trials"):
             single_use_constraint_check(0, np.random.default_rng(1))

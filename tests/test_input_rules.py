@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from qpke.attacks import (
     CPA_PRECISION_CAP,
     CPA_TOTAL_QUBIT_CAP,
+    ENUMERATION_ALPHA_CAP,
     FORWARD_SEARCH_CHUNK,
     chosen_plaintext_distinguishability,
     enumerate_forward_search_success,
@@ -70,6 +71,10 @@ PRECISION_ENTRY_POINTS = {
     ),
     "chosen_plaintext_distinguishability": (
         lambda n: chosen_plaintext_distinguishability(n, (0,), (1,)), CPA_PRECISION_CAP
+    ),
+    "single_use_constraint_check": (
+        lambda n: single_use_constraint_check(1, _rng(), precision=n, index_offsets=(0,)),
+        MAX_PRECISION_BITS,
     ),
     "estimate_mutual_information": (
         lambda n: estimate_mutual_information(MeasurementStrategy.fixed(), n, 1, 2, _rng()),
@@ -139,13 +144,17 @@ COUNT_ENTRY_POINTS = {
     ),
     "run_forward_search trials": (lambda v: run_forward_search(1, v, _rng()), 1, None),
     "enumerate_forward_search_success alpha": (
-        lambda v: enumerate_forward_search_success(v, "parity-aware"), 1, None
+        lambda v: enumerate_forward_search_success(v, "parity-aware"), 1, ENUMERATION_ALPHA_CAP
     ),
     "chosen_plaintext_distinguishability alpha": (
         lambda v: chosen_plaintext_distinguishability(4, (0,), (1,), alpha=v), 1, None
     ),
     "single_use_constraint_check trials": (
         lambda v: single_use_constraint_check(v, _rng(), index_offsets=(0,)), 1, None
+    ),
+    # every offset is checked, before any trial runs; default precision 3
+    "single_use_constraint_check index offset": (
+        lambda v: single_use_constraint_check(1, _rng(), index_offsets=(0, v)), 0, 7
     ),
     "KeyParams n_l": (lambda v: KeyParams(v, 62, 1, 1), 1, None),
     "KeyParams n_u": (lambda v: KeyParams(3, v, 1, 1), 3, None),
@@ -201,6 +210,11 @@ def test_count_bounds_are_accepted(entry):
     call(lo)
     if hi is not None:
         call(hi)
+
+
+def test_single_use_check_needs_an_offset():
+    with pytest.raises(ValueError, match="at least one offset"):
+        single_use_constraint_check(1, _rng(), index_offsets=())
 
 
 def test_precision_keeps_its_messages():

@@ -41,7 +41,7 @@ from qpke.protocol import (
     save_private_key,
     swap_test_encrypted_copies,
     swap_test_registers,
-    _encrypted_copy_pairs,
+    _encrypted_copy_weights,
 )
 from qpke.quantum_core import (
     MAX_PRECISION_BITS,
@@ -50,7 +50,6 @@ from qpke.quantum_core import (
     index_amplitudes_batch,
     outcome_one_probability,
     swap_project,
-    swap_project_batch,
 )
 
 
@@ -760,24 +759,32 @@ class TestRegisterProperties:
         assert batch[s.index(period >> 1)].tolist() == [0.0, 1.0]
         assert born[s.index(period >> 1)] == 1.0
 
-    @given(key=private_keys(), flag_bits=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
+    @given(
+        key=private_keys(),
+        rows=st.integers(1, 4),
+        flag_bits=st.integers(0, (1 << 24) - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
     @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_encrypted_copy_tests_equal_register_tests(self, key, flag_bits, seed):
-        flags = np.array([[(flag_bits >> q) & 1 for q in range(key.length)]])
-        passes = swap_test_encrypted_copies(key, flags, np.random.default_rng(seed))
-        _, p_batch, _ = swap_project_batch(
-            _encrypted_copy_pairs(key, flags), 0, 1, np.random.default_rng(seed)
+    def test_encrypted_copy_tests_equal_register_tests(self, key, rows, flag_bits, seed):
+        # row r takes bits 6r.. of flag_bits; the register loop runs the rows
+        # in order, so it pins the row-major order of the uniforms
+        flags = np.array(
+            [[(flag_bits >> (6 * r + q)) & 1 for q in range(key.length)] for r in range(rows)]
         )
-        cipher, reference = prepare_register(key), prepare_register(key)
-        cipher.apply_bit_rotations(flags[0])
+        passes = swap_test_encrypted_copies(key, flags, np.random.default_rng(seed))
+        p_pass, _ = _encrypted_copy_weights(key, flags)
         loop_rng = np.random.default_rng(seed)
-        for q in range(key.length):
-            joint = np.multiply.outer(
-                cipher._promote(q).group.amps, reference._promote(q).group.amps
-            )
-            p_register = swap_project(joint, 0, 1, np.random.default_rng(0))[1]
-            assert abs(p_batch[q] - p_register) <= 1e-12
-            assert passes[0, q] == swap_test_registers(cipher, q, reference, q, loop_rng)
+        for r in range(rows):
+            cipher, reference = prepare_register(key), prepare_register(key)
+            cipher.apply_bit_rotations(flags[r])
+            for q in range(key.length):
+                joint = np.multiply.outer(
+                    cipher._promote(q).group.amps, reference._promote(q).group.amps
+                )
+                p_register = swap_project(joint, 0, 1, np.random.default_rng(0))[1]
+                assert abs(p_pass[r, q] - p_register) <= 1e-12
+                assert passes[r, q] == swap_test_registers(cipher, q, reference, q, loop_rng)
 
     @given(key=private_keys(max_length=9), alpha=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -34,8 +34,8 @@ from qpke.quantum_core import (
     rotate_axis,
     rotation_matrix,
     sample_outcome,
+    swap_parts,
     swap_project,
-    swap_project_batch,
     trace_distance,
     von_neumann_entropy,
 )
@@ -269,7 +269,7 @@ def _cumulative_rule(probabilities, u):
 
 
 def _batch_mask_rule(p_pass, p_fail, u):
-    """Reference: swap_project_batch's own pass mask, outcome 0 = pass."""
+    """Reference: the pass mask of the former batched symmetry test, outcome 0 = pass."""
     return 0 if (p_pass > 0.0) & ((u <= p_pass) | (p_fail <= 0.0)) else 1
 
 
@@ -610,41 +610,54 @@ class TestSwapTest:
             np.testing.assert_allclose(post, sign * post.T, atol=1e-12)
 
 
-class TestSwapProjectBatch:
-    """The batched symmetry test against a loop of swap_project calls."""
+class TestSwapParts:
+    """The draw-free symmetry-test split that swap_project and the forward
+    search share."""
 
     @pytest.mark.parametrize("k, axes", [(2, (0, 1)), (3, (0, 2))])
-    def test_matches_loop_of_swap_project(self, k, axes):
-        shape = (64,) + (2,) * k
-        states = np.random.default_rng(21).normal(size=shape + (2,)).view(np.complex128)
+    def test_parts_of_one_state(self, k, axes):
+        state = np.random.default_rng(21).normal(size=(2,) * k)
+        state /= np.linalg.norm(state)
+        symmetric, antisymmetric = swap_parts(state, *axes)
+        np.testing.assert_allclose(symmetric + antisymmetric, state, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(np.swapaxes(symmetric, *axes), symmetric)
+        np.testing.assert_array_equal(np.swapaxes(antisymmetric, *axes), -antisymmetric)
+        weight = np.vdot(symmetric, symmetric) + np.vdot(antisymmetric, antisymmetric)
+        assert abs(weight - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("k, axes", [(2, (0, 1)), (3, (0, 2))])
+    def test_leading_axes_index_states(self, k, axes):
+        shape = (8, 8) + (2,) * k
+        states = np.random.default_rng(22).normal(size=shape + (2,)).view(np.complex128)
         states = states.reshape(shape)
-        # a symmetric and an antisymmetric state: one branch has zero weight
-        states[0] = np.swapaxes(states[0], *axes) + states[0]
-        states[1] = np.swapaxes(states[1], *axes) - states[1]
-        states /= np.linalg.norm(states.reshape(64, -1), axis=1).reshape((64,) + (1,) * k)
-        passed, p_pass, post = swap_project_batch(states, *axes, np.random.default_rng(5))
-        loop_rng = np.random.default_rng(5)
-        for b, state in enumerate(states):
-            ref_passed, ref_p, ref_post = swap_project(state, *axes, loop_rng)
-            assert passed[b] == ref_passed
-            assert abs(p_pass[b] - ref_p) <= 1e-12
-            np.testing.assert_allclose(post[b], ref_post, rtol=0.0, atol=1e-12)
-        assert passed[0] and not passed[1]
-        assert 0 < passed.sum() < len(states)
+        # a symmetric and an antisymmetric state: one part has zero weight
+        states[0, 0] = np.swapaxes(states[0, 0], *axes) + states[0, 0]
+        states[0, 1] = np.swapaxes(states[0, 1], *axes) - states[0, 1]
+        states /= np.linalg.norm(states.reshape(8, 8, -1), axis=2).reshape((8, 8) + (1,) * k)
+        symmetric, antisymmetric = swap_parts(states, *(a + 2 for a in axes))
+        rng = np.random.default_rng(5)
+        for b in np.ndindex(8, 8):
+            alone = swap_parts(states[b], *axes)
+            np.testing.assert_array_equal(symmetric[b], alone[0])
+            np.testing.assert_array_equal(antisymmetric[b], alone[1])
+            passed, p_pass, post = swap_project(states[b], *axes, rng)
+            assert p_pass == np.vdot(symmetric[b], symmetric[b]).real
+            part = symmetric[b] if passed else antisymmetric[b]
+            np.testing.assert_array_equal(post, part / math.sqrt(np.vdot(part, part).real))
+        assert not antisymmetric[0, 0].any() and not symmetric[0, 1].any()
 
     @pytest.mark.parametrize("u", [0.0, 0.5, 1.0])
-    def test_outcome_rule_matches_sample_outcome(self, u):
+    def test_weights_draw_as_swap_project(self, u):
         pairs = np.stack([
             product_tensor(single(5, 4), single(5, 4)),  # p_fail = 0
             product_tensor(single(0, 1), single(1, 1)),  # p_pass = 0.5 exactly
             np.array([[0, 1.0], [-1.0, 0]]) / math.sqrt(2),  # p_pass = 0
         ])
-        passed, _, _ = swap_project_batch(pairs, 0, 1, _FixedUniform(u))
+        symmetric, antisymmetric = swap_parts(pairs, 1, 2)
+        p_pass = np.einsum("bij,bij->b", symmetric.conj(), symmetric).real
+        p_fail = np.einsum("bij,bij->b", antisymmetric.conj(), antisymmetric).real
+        passed = draws_outcome_zero(p_pass, p_fail, u)
         expected = [swap_project(pair, 0, 1, _FixedUniform(u))[0] for pair in pairs]
         assert passed.tolist() == expected
         assert passed[0] and not passed[2]
         assert passed[1] == (u <= 0.5)
-
-    def test_zero_state_rejected(self):
-        with pytest.raises(ValueError, match="positive probability"):
-            swap_project_batch(np.zeros((2, 2, 2)), 0, 1, np.random.default_rng(0))
