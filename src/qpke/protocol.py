@@ -86,6 +86,23 @@ def _bit_array(values, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _flag_vector(flags, qubit_count: int, alpha: int = 1) -> np.ndarray:
+    """The one flag-vector rule, applied before any qubit turns: a flat,
+    non-empty bit vector whose length is a multiple of alpha and fits the register."""
+    arr = _bit_array(flags, "flags")
+    if arr.ndim != 1:
+        raise ValueError(f"flag vector must be flat, got shape {arr.shape}")
+    if not arr.size:
+        raise ValueError("flag vector must hold at least one flag")
+    if arr.size % alpha:
+        raise ValueError(f"flag vector length {arr.size} is not a multiple of alpha = {alpha}")
+    if arr.size > qubit_count:
+        raise MessageTooLongError(
+            f"flag vector of {arr.size} flags is longer than the register of {qubit_count} qubits"
+        )
+    return arr
+
+
 # --- classical key material ---
 
 
@@ -261,69 +278,23 @@ def key_fingerprint(key: PrivateKey) -> str:
 # --- simulated qubit storage ---
 #
 # Every register qubit has an exact rotation index at the register's
-# precision (the protocol path).  A qubit that a float operation touched
-# also has a slot in an amplitude group: a shared, possibly entangled state
-# over every qubit that float operations have coupled together, stored as an
-# amplitude tensor with one axis per member slot.  A qubit is exact if and
-# only if it has no slot; the index of a slotted qubit is stale and never
-# read.  Groups may span registers, which is how symmetry tests entangle a
-# ciphertext qubit with an adversary's public-key copy.  The amplitude math
-# is quantum_core's kernel; the helpers here only merge groups and keep slot
-# axes in step.
-
-
-class _Slot:
-    __slots__ = ("group", "axis")
-
-    def __init__(self) -> None:
-        self.group: _Group | None = None
-        self.axis = 0
+# precision (the protocol path).  A float operation (a symmetry test, an
+# off-grid rotation) moves a qubit into an amplitude group: the possibly
+# entangled state of every qubit such operations have coupled, an amplitude
+# tensor with one axis per member.  A group lists its members as (register,
+# position) pairs in axis order and may span registers, which is how symmetry
+# tests entangle a ciphertext qubit with an adversary's public-key copy.  A
+# qubit is exact if and only if it is in no group (a grouped qubit's index is
+# stale); measuring a grouped qubit puts it back on the grid at its collapsed
+# index.  The amplitude math is quantum_core's kernel.
 
 
 class _Group:
-    __slots__ = ("slots", "amps")
+    __slots__ = ("members", "amps")
 
-    def __init__(self, slots: list[_Slot], amps: np.ndarray) -> None:
-        self.slots = slots
+    def __init__(self, members: list, amps: np.ndarray) -> None:
+        self.members = members
         self.amps = amps
-
-
-def _make_singleton(slot: _Slot, amps: np.ndarray) -> None:
-    slot.group = _Group([slot], amps)
-    slot.axis = 0
-
-
-def _merge_groups(target: _Group, other: _Group) -> None:
-    target.amps = np.multiply.outer(target.amps, other.amps)
-    base = len(target.slots)
-    for slot in other.slots:
-        slot.group = target
-        slot.axis += base
-    target.slots.extend(other.slots)
-
-
-def _rotate_slot(slot: _Slot, theta: float) -> None:
-    slot.group.amps = rotate_axis(slot.group.amps, slot.axis, theta)
-
-
-def _measure_slot_z(slot: _Slot, rng: np.random.Generator) -> int:
-    group = slot.group
-    axis = slot.axis
-    outcome, _, remainder = measure_axis(group.amps, axis, rng)
-    group.slots.pop(axis)
-    for survivor in group.slots[axis:]:
-        survivor.axis -= 1
-    basis = np.zeros(2)
-    basis[outcome] = 1.0
-    _make_singleton(slot, basis)
-    if group.slots:
-        group.amps = remainder
-    return outcome
-
-
-def _group_size(slot: _Slot | None) -> int:
-    """Qubits in a slot's group; an exact qubit (no slot) is a group of one."""
-    return 1 if slot is None else len(slot.group.slots)
 
 
 class QuantumRegister:
@@ -344,8 +315,9 @@ class QuantumRegister:
         reg = object.__new__(cls)
         reg._n = n
         reg._indices = np.array(indices, dtype=np.int64)
-        reg._slots = {}
+        reg._groups = {}
         reg._owner_tag = owner_tag
+        reg._carries_cipher = False
         return reg
 
     @classmethod
@@ -368,15 +340,27 @@ class QuantumRegister:
         if not 0 <= qubit < self.qubit_count:
             raise ValueError(f"qubit {qubit} out of range for {self.qubit_count} qubits")
 
-    def _promote(self, qubit: int) -> _Slot:
-        """Give an exact qubit an amplitude slot (analysis/attack path)."""
-        slot = self._slots.get(qubit)
-        if slot is None:
+    def _promote(self, qubit: int) -> _Group:
+        """The qubit's amplitude group; an exact qubit first gets a group of
+        its own (analysis/attack path)."""
+        group = self._groups.get(qubit)
+        if group is None:
             amps = np.array(index_amplitudes(int(self._indices[qubit]), self._n))
-            slot = _Slot()
-            _make_singleton(slot, amps)
-            self._slots[qubit] = slot
-        return slot
+            group = self._groups[qubit] = _Group([(self, qubit)], amps)
+        return group
+
+    def _rotate_amplitudes(self, qubit: int, theta: float) -> None:
+        group = self._promote(qubit)
+        group.amps = rotate_axis(group.amps, group.members.index((self, qubit)), theta)
+
+    def _measure_grouped(self, qubit: int, rng: np.random.Generator) -> int:
+        """Measure a grouped qubit: it leaves its group for the index grid."""
+        group = self._groups.pop(qubit)
+        axis = group.members.index((self, qubit))
+        outcome, _, group.amps = measure_axis(group.amps, axis, rng)
+        del group.members[axis]
+        self._indices[qubit] = outcome << (self._n - 1)
+        return outcome
 
     def apply_rotation(self, qubit: int, theta: float) -> None:
         """Rotate one qubit by R(theta).
@@ -394,27 +378,23 @@ class QuantumRegister:
         self._check_qubit(qubit)
         if not math.isfinite(theta):
             raise ValueError("rotation angle must be finite")
-        if qubit not in self._slots:
+        if qubit not in self._groups:
             ratio = theta / (math.pi * 2.0 ** (1 - self._n))
             if math.isfinite(ratio) and abs(ratio - round(ratio)) <= INDEX_SNAP_STEPS:
                 period = 1 << self._n
                 self._indices[qubit] = (int(self._indices[qubit]) + round(ratio)) % period
                 return
-        _rotate_slot(self._promote(qubit), theta)
+        self._rotate_amplitudes(qubit, theta)
 
     def apply_bit_rotations(self, flags: Sequence[int]) -> None:
         """Apply R(flag * pi) across the leading qubits in one pass."""
-        flag_arr = _bit_array(flags, "flags")
-        if flag_arr.ndim != 1 or flag_arr.size > self.qubit_count:
-            raise ValueError("flag vector longer than the register")
-        self._apply_index_steps(flag_arr, 1)
+        self._apply_index_steps(_flag_vector(flags, self.qubit_count), 1)
 
     def measure_z(self, qubit: int, rng: np.random.Generator) -> int:
         """Projective z measurement of one qubit; returns 0 or 1."""
         self._check_qubit(qubit)
-        slot = self._slots.get(qubit)
-        if slot is not None:
-            return _measure_slot_z(slot, rng)
+        if qubit in self._groups:
+            return self._measure_grouped(qubit, rng)
         p1 = float(outcome_one_probability(self._indices[qubit], self._n))
         outcome = sample_outcome([1.0 - p1, p1], rng)
         self._indices[qubit] = outcome << (self._n - 1)
@@ -426,8 +406,8 @@ class QuantumRegister:
         u = rng.random(self.qubit_count)
         outcomes = (~draws_outcome_zero(1.0 - p1, p1, u)).astype(np.int64)
         self._indices = outcomes << (self._n - 1)
-        for pos in sorted(self._slots):
-            outcomes[pos] = _measure_slot_z(self._slots[pos], rng)
+        for pos in sorted(self._groups):
+            outcomes[pos] = self._measure_grouped(pos, rng)
         return outcomes
 
     def _apply_index_steps(self, steps: np.ndarray, step_precision: int) -> None:
@@ -435,7 +415,7 @@ class QuantumRegister:
 
         Steps must already be reduced, |steps[j]| < 2**step_precision.
         Exact qubits stay exact when their own grid is at least as fine as
-        the step grid; otherwise the shifted qubits get slots first.
+        the step grid; otherwise the shifted qubits join amplitude groups first.
         """
         length = steps.size
         if self._n < step_precision:
@@ -444,9 +424,10 @@ class QuantumRegister:
         else:
             scaled = steps * (1 << (self._n - step_precision))
             self._indices[:length] = (self._indices[:length] + scaled) % (1 << self._n)
-        for pos, slot in self._slots.items():
+        for pos in self._groups:
             if pos < length and steps[pos]:
-                _rotate_slot(slot, math.pi * (int(steps[pos]) / (1 << (step_precision - 1))))
+                theta = math.pi * (int(steps[pos]) / (1 << (step_precision - 1)))
+                self._rotate_amplitudes(pos, theta)
 
 
 @dataclass(frozen=True)
@@ -535,8 +516,10 @@ def describe_register(register: QuantumRegister, credential: PrivateKey) -> tupl
     """Owner-only view of the hidden descriptors.
 
     The credential must be the private key whose preparation produced the
-    register; anything else is denied.  Raises TamperedRegisterError if
-    non-index operations already moved qubits off the exact path.
+    register; anything else is denied.  Raises TamperedRegisterError while
+    any qubit is in an amplitude group, moved off the exact path by a
+    non-index operation; a measured qubit is back on the grid and reads as
+    its collapsed index.
     """
     if (
         not isinstance(credential, PrivateKey)
@@ -544,7 +527,7 @@ def describe_register(register: QuantumRegister, credential: PrivateKey) -> tupl
         or _key_tag(credential) != register._owner_tag
     ):
         raise AccessDeniedError("register descriptors require the generating private key")
-    if register._slots:
+    if register._groups:
         raise TamperedRegisterError("register no longer carries exact index descriptors")
     return tuple(AngleIndex(int(v), register._n) for v in register._indices)
 
@@ -568,37 +551,49 @@ def swap_test_registers(
         raise ValueError("cannot run a symmetry test of a qubit against itself")
     # the cap is checked before promotion, so a refused test leaves both
     # qubits as they were
-    slot_a, slot_b = reg_a._slots.get(pos_a), reg_b._slots.get(pos_b)
-    if slot_a is None or slot_b is None or slot_a.group is not slot_b.group:
-        merged = _group_size(slot_a) + _group_size(slot_b)
+    group_a, group_b = reg_a._groups.get(pos_a), reg_b._groups.get(pos_b)
+    if group_a is None or group_a is not group_b:
+        # an exact qubit joins as a group of one
+        merged = (1 if group_a is None else len(group_a.members)) + (
+            1 if group_b is None else len(group_b.members)
+        )
         if merged > MAX_GROUP_QUBITS:
             raise ValueError(
                 f"symmetry test would entangle {merged} qubits in one group; "
                 f"the cap is MAX_GROUP_QUBITS = {MAX_GROUP_QUBITS}"
             )
-    slot_a, slot_b = reg_a._promote(pos_a), reg_b._promote(pos_b)
-    if slot_a.group is not slot_b.group:
-        _merge_groups(slot_a.group, slot_b.group)
-    group = slot_a.group
-    passed, _, group.amps = swap_project(group.amps, slot_a.axis, slot_b.axis, rng)
+        group_a, group_b = reg_a._promote(pos_a), reg_b._promote(pos_b)
+        if group_a is not group_b:
+            group_a.amps = np.multiply.outer(group_a.amps, group_b.amps)
+            group_a.members += group_b.members
+            for reg, pos in group_b.members:
+                reg._groups[pos] = group_a
+    members = group_a.members
+    passed, _, group_a.amps = swap_project(
+        group_a.amps, members.index((reg_a, pos_a)), members.index((reg_b, pos_b)), rng
+    )
     return passed
 
 
 def _encrypted_copy_weights(key: PrivateKey, flags: np.ndarray) -> np.ndarray:
     """Pass and fail weights (2, B, alpha) of swap_test_encrypted_copies' tests,
-    from its 2 * alpha distinct pairs split once: qubit q of a fresh copy turned
-    by flag * pi (flag 0 or 1) against qubit q of another fresh copy."""
+    from its 2 * alpha distinct pairs: qubit q of a fresh copy turned by
+    flag * pi (flag 0 or 1) against qubit q of another fresh copy.  The pairs
+    are split once per key and alpha; the table is cached on the key."""
     alpha = flags.shape[1]
-    period = 1 << key.n
-    fresh = _position_indices(key)[:alpha]
-    # a qubit of the encrypted copy is in one of two states, flag 0 or 1
-    shifted = (fresh[:, np.newaxis] + np.array([0, period >> 1])) % period
-    cipher = index_amplitudes_batch(shifted, key.n)
-    reference = index_amplitudes_batch(fresh, key.n)
-    pairs = cipher[:, :, :, np.newaxis] * reference[:, np.newaxis, np.newaxis, :]
-    parts = np.stack(swap_parts(pairs, 2, 3)).reshape(-1, 4)
-    weights = np.einsum("bi,bi->b", parts, parts).reshape(2, alpha, 2)
-    return weights[:, np.arange(alpha), flags]
+    cached = key.__dict__.get("_pair_weights")
+    if cached is None or cached.shape[1] != alpha:
+        period = 1 << key.n
+        fresh = _position_indices(key)[:alpha]
+        # a qubit of the encrypted copy is in one of two states, flag 0 or 1
+        shifted = (fresh[:, np.newaxis] + np.array([0, period >> 1])) % period
+        cipher = index_amplitudes_batch(shifted, key.n)
+        reference = index_amplitudes_batch(fresh, key.n)
+        pairs = cipher[:, :, :, np.newaxis] * reference[:, np.newaxis, np.newaxis, :]
+        parts = np.stack(swap_parts(pairs, 2, 3)).reshape(-1, 4)
+        cached = np.einsum("bi,bi->b", parts, parts).reshape(2, alpha, 2)
+        object.__setattr__(key, "_pair_weights", cached)
+    return cached[:, np.arange(alpha), flags]
 
 
 def swap_test_encrypted_copies(
@@ -647,19 +642,21 @@ def apply_encryption_flags(pk: PublicKey, flags: Sequence[int], alpha: int = 1) 
     """Deterministic encryption core: rotate qubit j by flag_j * pi.
 
     flags is the already-masked per-qubit vector; its block parities are
-    the message.  Qubits beyond the flag vector are left untouched.
+    the message.  Qubits beyond the flag vector are left untouched.  A
+    public-key copy carries one ciphertext: a second encryption on it is
+    refused, since the two ciphertexts would share one register.
     """
     check_integer(alpha, "alpha")
-    if len(flags) % alpha:
-        raise ValueError("flag vector length must be a positive multiple of alpha")
-    if len(flags) > pk.register.qubit_count:
-        raise MessageTooLongError(
-            f"message needs {len(flags)} qubits but the public key has "
-            f"{pk.register.qubit_count}; ask Alice to increase the length of "
-            f"her public key"
+    register = pk.register
+    flag_arr = _flag_vector(flags, register.qubit_count, alpha)
+    if register._carries_cipher:
+        raise ValueError(
+            f"public-key copy {pk.copy_index} already carries a ciphertext; "
+            f"encrypt each message on a fresh copy"
         )
-    pk.register.apply_bit_rotations(flags)
-    return CipherState(register=pk.register, num_bits=len(flags) // alpha, alpha=alpha)
+    register._carries_cipher = True
+    register._apply_index_steps(flag_arr, 1)
+    return CipherState(register=register, num_bits=flag_arr.size // alpha, alpha=alpha)
 
 
 def encrypt(

@@ -37,6 +37,7 @@ from qpke.protocol import (
     QuantumRegister,
     apply_encryption_flags,
     decrypt,
+    describe_register,
     encode_redundant,
     encrypt,
     keygen,
@@ -312,3 +313,31 @@ def test_fractional_bits_are_refused_rather_than_truncated():
 def test_nested_bit_vectors_are_refused(call):
     with pytest.raises(ValueError):
         call()
+
+
+# name -> (call on a two-qubit public-key copy, the message of its refusal)
+FLAG_VECTOR_FAULTS = {
+    "apply_encryption_flags matrix": (
+        lambda pk: apply_encryption_flags(pk, np.array([[1, 0], [0, 1]]), 2), "must be flat"
+    ),
+    "apply_bit_rotations nested": (lambda pk: pk.register.apply_bit_rotations([[1]]), "must be flat"),
+    "apply_encryption_flags empty": (lambda pk: apply_encryption_flags(pk, []), "at least one flag"),
+    "apply_bit_rotations empty": (lambda pk: pk.register.apply_bit_rotations([]), "at least one flag"),
+    "apply_encryption_flags alpha": (
+        lambda pk: apply_encryption_flags(pk, [1], 2), "not a multiple of alpha"
+    ),
+    "apply_encryption_flags long": (lambda pk: apply_encryption_flags(pk, [1, 0, 1]), "longer"),
+    "apply_bit_rotations long": (lambda pk: pk.register.apply_bit_rotations([1, 0, 1]), "longer"),
+}
+
+
+@pytest.mark.parametrize("entry", FLAG_VECTOR_FAULTS)
+def test_flag_vector_faults_are_refused_before_the_register_turns(entry):
+    call, message = FLAG_VECTOR_FAULTS[entry]
+    key, public = keygen(40, 2, rng=_rng())
+    with pytest.raises(ValueError, match=message):
+        call(public)
+    assert describe_register(public.register, key) == key.angle_indices()
+    # a refused encryption leaves the copy free to carry one
+    cipher = apply_encryption_flags(public, [1, 0])
+    assert decrypt(DecryptionOracle(key, 1), cipher, _rng()) == (1, 0)

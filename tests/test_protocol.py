@@ -328,7 +328,7 @@ class TestRegisterOperations:
             key = PrivateKey(n=8, s=(s,))
             a, b = prepare_register(key), prepare_register(key)
             assert swap_test_registers(a, 0, b, 0, TopDraw()), s
-            amps = a._slots[0].group.amps
+            amps = a._groups[0].amps
             assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12), s
 
     @pytest.mark.parametrize(
@@ -353,7 +353,7 @@ class TestRegisterOperations:
         register.apply_rotation(0, 1e300)
         with pytest.raises(TamperedRegisterError):
             describe_register(register, key)
-        amps = register._slots[0].group.amps
+        amps = register._groups[0].amps
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_test_chain_stops_at_the_group_cap(self):
@@ -363,18 +363,78 @@ class TestRegisterOperations:
         cipher.apply_bit_rotations([1])
         for _ in range(MAX_GROUP_QUBITS - 1):
             swap_test_registers(cipher, 0, prepare_register(key), 0, rng)
-        group = cipher._slots[0].group
-        assert len(group.slots) == MAX_GROUP_QUBITS
+        group = cipher._groups[0]
+        assert len(group.members) == MAX_GROUP_QUBITS
         amps = group.amps.copy()
         extra = prepare_register(key)
         with pytest.raises(ValueError, match="MAX_GROUP_QUBITS"):
             swap_test_registers(cipher, 0, extra, 0, rng)
-        assert cipher._slots[0].group is group
-        assert len(group.slots) == MAX_GROUP_QUBITS
+        assert cipher._groups[0] is group
+        assert len(group.members) == MAX_GROUP_QUBITS
         assert np.array_equal(group.amps, amps)
         # the refused test promotes nothing: the fresh copy stays exact
-        assert extra._slots == {}
+        assert extra._groups == {}
         assert describe_register(extra, key) == (AngleIndex(3, 8),)
+
+    def test_measured_grouped_qubit_leaves_its_group(self):
+        rng = np.random.default_rng(40)
+        key = PrivateKey(n=8, s=(3, 77))
+        for _ in range(20):
+            a, b = prepare_register(key), prepare_register(key)
+            a.apply_bit_rotations([1])
+            swap_test_registers(a, 0, b, 0, rng)
+            group = a._groups[0]
+            outcome = a.measure_z(0, rng)
+            assert 0 not in a._groups
+            assert group.members == [(b, 0)]
+            assert b._groups[0] is group
+            assert a._indices[0] == outcome << 7
+            assert a._indices[0] in (0, 1 << 7)
+
+    def test_grid_rotation_after_measurement_stays_exact(self):
+        rng = np.random.default_rng(41)
+        key = PrivateKey(n=8, s=(5,))
+        register = prepare_register(key)
+        register.apply_rotation(0, 0.3)
+        outcome = register.measure_z(0, rng)
+        # three index steps of pi / 2**7
+        register.apply_rotation(0, 3 * math.pi / 2**7)
+        assert register._groups == {}
+        assert describe_register(register, key) == (AngleIndex((outcome << 7) + 3, 8),)
+
+    def test_describe_register_raises_while_any_qubit_is_grouped(self):
+        rng = np.random.default_rng(42)
+        key = PrivateKey(n=8, s=(5, 9, 200))
+        register = prepare_register(key)
+        register.apply_rotation(0, 0.3)
+        register.apply_rotation(2, -1.1)
+        outcomes = {}
+        for q in (0, 2):
+            with pytest.raises(TamperedRegisterError):
+                describe_register(register, key)
+            outcomes[q] = register.measure_z(q, rng)
+        assert describe_register(register, key) == (
+            AngleIndex(outcomes[0] << 7, 8), AngleIndex(9, 8), AngleIndex(outcomes[2] << 7, 8)
+        )
+
+    @pytest.mark.parametrize("measure_all", [False, True])
+    def test_measuring_a_swap_tested_pair_empties_both_registers_groups(self, measure_all):
+        rng = np.random.default_rng(43)
+        key = PrivateKey(n=8, s=(3, 100))
+        a, b = prepare_register(key), prepare_register(key)
+        a.apply_bit_rotations([1, 1])
+        for q in range(2):
+            swap_test_registers(a, q, b, q, rng)
+        swap_test_registers(a, 0, b, 1, rng)
+        assert len(a._groups[0].members) == 4
+        for reg in (a, b):
+            if measure_all:
+                outcomes = reg._measure_all_z(rng)
+                assert reg._indices.tolist() == (outcomes << 7).tolist()
+            else:
+                for q in range(2):
+                    reg.measure_z(q, rng)
+        assert a._groups == {} and b._groups == {}
 
     def test_self_swap_rejected(self):
         register = QuantumRegister.of_computational([0])
@@ -487,6 +547,18 @@ class TestEncrypt:
         _, public = keygen(36, 4, rng=np.random.default_rng(30))
         with pytest.raises(ValueError, match="multiple of alpha"):
             apply_encryption_flags(public, [1, 0, 1], alpha=2)
+
+    def test_a_copy_is_encrypted_once(self):
+        key = PrivateKey(n=8, s=(3, 77, 140, 9))
+        public = fresh_public(key)
+        first = encrypt(public, [1, 0, 1, 1])
+        with pytest.raises(ValueError, match="already carries a ciphertext"):
+            encrypt(public, [1, 1, 0, 0])
+        with pytest.raises(ValueError, match="already carries a ciphertext"):
+            apply_encryption_flags(public, [1, 1, 0, 0])
+        # the refused encryptions left the first ciphertext as it was
+        rng = np.random.default_rng(44)
+        assert decrypt(DecryptionOracle(key, 1), first, rng) == (1, 0, 1, 1)
 
     def test_cipher_state_framing(self):
         register = QuantumRegister.of_computational([0, 0])
@@ -701,7 +773,7 @@ def private_keys(draw, max_length=6):
 
 
 def _groups(*registers):
-    return {id(s.group): s.group for r in registers for s in r._slots.values()}.values()
+    return {id(g): g for r in registers for g in r._groups.values()}.values()
 
 
 class TestRegisterProperties:
@@ -713,7 +785,7 @@ class TestRegisterProperties:
         register = prepare_register(key)
         p1 = outcome_one_probability(register._indices, key.n)
         for q in range(key.length):
-            amps = register._promote(q).group.amps
+            amps = register._promote(q).amps
             assert abs(float(abs(amps[1]) ** 2) - p1[q]) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 8, 40, MAX_PRECISION_BITS])
@@ -723,7 +795,7 @@ class TestRegisterProperties:
         p1 = outcome_one_probability(register._indices, n)
         assert p1.tolist() == [0.0, 1.0]
         for q in range(2):
-            amps = register._promote(q).group.amps
+            amps = register._promote(q).amps
             assert (np.abs(amps) ** 2).tolist() == [1.0 - p1[q], p1[q]]
             assert amps.tolist() == [[1.0, 0.0], [0.0, 1.0]][q]
 
@@ -753,7 +825,7 @@ class TestRegisterProperties:
         born = outcome_one_probability(np.array(s, dtype=np.int64), n)
         for q, index in enumerate(s):
             prepared = list(index_amplitudes(index, n))
-            assert promoted._promote(q).group.amps.tolist() == prepared
+            assert promoted._promote(q).amps.tolist() == prepared
             assert batch[q].tolist() == prepared
             assert born[q] == prepared[1] ** 2
         assert batch[s.index(period >> 1)].tolist() == [0.0, 1.0]
@@ -780,7 +852,7 @@ class TestRegisterProperties:
             cipher.apply_bit_rotations(flags[r])
             for q in range(key.length):
                 joint = np.multiply.outer(
-                    cipher._promote(q).group.amps, reference._promote(q).group.amps
+                    cipher._promote(q).amps, reference._promote(q).amps
                 )
                 p_register = swap_project(joint, 0, 1, np.random.default_rng(0))[1]
                 assert abs(p_pass[r, q] - p_register) <= 1e-12
