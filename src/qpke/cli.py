@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import hashlib
 import json
@@ -50,7 +49,6 @@ from .protocol import (
     decrypt,
     encrypt,
     key_fingerprint,
-    key_id_of,
     keygen,
     load_private_key,
     save_private_key,
@@ -96,10 +94,10 @@ class RunManifest:
     seed: int
     tool_version: str
     timestamp: str
-    outputs: tuple[str, ...] = ()
 
-    @property
+    @functools.cached_property
     def run_id(self) -> str:
+        """Hashed once per manifest; no command changes params after building it."""
         canonical = json.dumps(
             {
                 "command": self.command,
@@ -122,10 +120,10 @@ class RunManifest:
             "tool_version": self.tool_version,
         }
 
-    def to_json(self) -> dict:
+    def to_json(self, outputs: list[str]) -> dict:
         body = self.payload_header()
         body["timestamp"] = self.timestamp
-        body["outputs"] = list(self.outputs)
+        body["outputs"] = outputs
         return body
 
 
@@ -187,8 +185,7 @@ def _emit(
     if manifest_path is None and outputs:
         manifest_path = outputs[0] + ".manifest.json"
     if manifest_path:
-        finished = dataclasses.replace(manifest, outputs=tuple(outputs))
-        _write_envelope(manifest_path, manifest=finished.to_json())
+        _write_envelope(manifest_path, manifest=manifest.to_json(outputs))
 
 
 # --- flag parsing helpers ---
@@ -257,8 +254,7 @@ def cmd_roundtrip(args) -> int:
     key = load_private_key(args.key)
     message = _parse_message(args.message)
     registry = KeyRegistry()
-    registry.add(key, copy_cap=1)
-    public = registry.issue_copy(key_id_of(key))
+    public = registry.issue_copy(registry.add(key, copy_cap=1))
     oracle = DecryptionOracle(key, uses_allowed=1)
 
     t0 = time.perf_counter()
@@ -267,7 +263,7 @@ def cmd_roundtrip(args) -> int:
     decoded = decrypt(oracle, cipher, rng_stream(seed, "decrypt"))
     t2 = time.perf_counter()
 
-    match = np.array_equal(decoded, message)
+    match = decoded == tuple(message.tolist())
     results = {
         "match": match,
         "num_bits": len(message),
@@ -340,11 +336,11 @@ def _cca_session(args, seed: int) -> CcaSessionResult:
         warnings.simplefilter("ignore", LowPrecisionWarning)
         key, _ = keygen(args.n, args.N, rng=rng)
     registry = KeyRegistry()
-    registry.add(key, copy_cap=args.k + 2)
+    key_id = registry.add(key, copy_cap=args.k + 2)
     submissions = []
     for i in range(args.k + 2):
         message = rng.integers(0, 2, size=args.N)
-        public = registry.issue_copy(key_id_of(key))
+        public = registry.issue_copy(key_id)
         cipher = encrypt(public, message, rng=rng)
         submissions.append((f"probe-{i}", cipher))
     return chosen_ciphertext_session(key, args.k, submissions, rng)

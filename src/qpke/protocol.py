@@ -116,9 +116,24 @@ def _int64_entries(values: Sequence[int], message: str) -> np.ndarray:
     return arr
 
 
+def _integer_entries(values) -> bool:
+    """A 1-D int64 array, checked by its dtype, or a sequence of plain ints,
+    checked entry by entry."""
+    if isinstance(values, np.ndarray):
+        return values.dtype == np.int64 and values.ndim == 1
+    return set(map(type, values)) <= {int}
+
+
+_NOT_PERM = "perm must be a permutation of the qubit positions"
+
+
 @dataclass(frozen=True)
 class PrivateKey:
-    """Classical key: precision n, indices s_1..s_N, optional permutation."""
+    """Classical key: precision n, indices s_1..s_N, optional permutation.
+
+    s and perm may be given as sequences of plain ints or as 1-D int64
+    arrays; the fields always hold tuples.
+    """
 
     n: int
     s: tuple[int, ...]
@@ -129,17 +144,18 @@ class PrivateKey:
         if len(self.s) < 1:
             raise ValueError("key must contain at least one index")
         # a bool or numpy integer here would make a key file that cannot be saved or loaded
-        if not set(map(type, self.s)) <= {int} or not set(map(type, self.perm or ())) <= {int}:
+        if not _integer_entries(self.s) or (
+            self.perm is not None and not _integer_entries(self.perm)
+        ):
             raise TypeError("key indices and perm entries must be integers")
         outside = f"key index outside [0, 2**{self.n})"
-        arr = _int64_entries(self.s, outside)
+        arr = self._entry_array("s", outside)
         # the arithmetic shift leaves a negative index nonzero too
         if (arr >> self.n).any():
             raise ValueError(outside)
         perm = None
         if self.perm is not None:
-            not_perm = "perm must be a permutation of the qubit positions"
-            perm = _int64_entries(self.perm, not_perm)
+            perm = self._entry_array("perm", _NOT_PERM)
             N = arr.size
             if (
                 perm.size != N
@@ -147,9 +163,20 @@ class PrivateKey:
                 or perm.max() >= N
                 or np.bincount(perm, minlength=N).max() > 1
             ):
-                raise ValueError(not_perm)
+                raise ValueError(_NOT_PERM)
         object.__setattr__(self, "_index_array", arr)
         object.__setattr__(self, "_perm_array", perm)
+
+    def _entry_array(self, field: str, message: str) -> np.ndarray:
+        """Field s or perm as a read-only int64 array; an array given for it
+        is copied, and the field becomes its tuple."""
+        values = getattr(self, field)
+        if not isinstance(values, np.ndarray):
+            return _int64_entries(values, message)
+        arr = values.copy()
+        arr.flags.writeable = False
+        object.__setattr__(self, field, tuple(arr.tolist()))
+        return arr
 
     @property
     def length(self) -> int:
@@ -205,10 +232,12 @@ def private_key_from_json(payload: dict) -> PrivateKey:
     if all_strings:
         # strtoll saturates an entry beyond int64 at 2**63 - 1, which no
         # precision up to MAX_PRECISION_BITS = 62 admits
-        values = tuple(np.fromstring(text, dtype=np.int64, sep=",").tolist())
+        values = np.fromstring(text, dtype=np.int64, sep=",")
     else:
         values = tuple(map(int, s))
-    key = PrivateKey(n=n, s=values, perm=None if perm is None else tuple(perm))
+    if perm is not None:
+        perm = _int64_entries(perm, _NOT_PERM)
+    key = PrivateKey(n=n, s=values, perm=perm)
     if all_strings and not _LEADING_ZERO.search(f",{text}"):
         # without leading zeros the file's own digits are the key's decimal text
         object.__setattr__(key, "_s_text", text)
@@ -220,7 +249,9 @@ def _decimal_text(key: PrivateKey, field: str) -> str:
     name = f"_{field}_text"
     text = key.__dict__.get(name)
     if text is None:
-        text = ",".join(map(str, getattr(key, field)))
+        values = getattr(key, field)
+        # one C-level format; "%d" of a plain int is its str
+        text = ("%d," * len(values) % values)[:-1]
         object.__setattr__(key, name, text)
     return text
 
@@ -414,16 +445,16 @@ class QuantumRegister:
         """Shift qubit j < steps.size by steps[j] units of pi / 2**(step_precision - 1).
 
         Steps must already be reduced, |steps[j]| < 2**step_precision.
-        Exact qubits stay exact when their own grid is at least as fine as
-        the step grid; otherwise the shifted qubits join amplitude groups first.
+        A register grid coarser than the step grid is refined first, exactly
+        (index i at precision n is index i << d at precision n + d), so exact
+        qubits stay exact; grouped qubits turn by the step angle.
         """
         length = steps.size
         if self._n < step_precision:
-            for pos in range(length):
-                self._promote(pos)
-        else:
-            scaled = steps * (1 << (self._n - step_precision))
-            self._indices[:length] = (self._indices[:length] + scaled) % (1 << self._n)
+            self._indices <<= step_precision - self._n
+            self._n = step_precision
+        scaled = steps * (1 << (self._n - step_precision))
+        self._indices[:length] = (self._indices[:length] + scaled) % (1 << self._n)
         for pos in self._groups:
             if pos < length and steps[pos]:
                 theta = math.pi * (int(steps[pos]) / (1 << (step_precision - 1)))
@@ -503,8 +534,8 @@ def keygen(
             LowPrecisionWarning,
             stacklevel=2,
         )
-    s = tuple(rng.integers(0, 1 << n, size=N, dtype=np.int64).tolist())
-    perm = tuple(rng.permutation(N).tolist()) if permute else None
+    s = rng.integers(0, 1 << n, size=N, dtype=np.int64)
+    perm = rng.permutation(N).astype(np.int64, copy=False) if permute else None
     key = PrivateKey(n=n, s=s, perm=perm)
     public = PublicKey(
         key_id=key_id_of(key), N=N, register=prepare_register(key), copy_index=0

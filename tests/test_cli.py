@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -814,6 +815,25 @@ class TestDeterminism:
             assert code == 0
             ids.append(json.loads(json_path.read_text())["manifest"]["run_id"])
         assert ids[0] == ids[1]
+
+    def test_run_id_is_hashed_once_per_command(self, tmp_path, capsys, monkeypatch):
+        # keygen prints the run id and writes it into its manifest
+        hashes = []
+
+        class CountingHashlib:
+            @staticmethod
+            def sha256(data):
+                hashes.append(data)
+                return hashlib.sha256(data)
+
+        monkeypatch.setattr(qpke.cli, "hashlib", CountingHashlib)
+        key_path = tmp_path / "key.json"
+        argv = ["keygen", "--n", "40", "--N", "8", "--seed", "3", "--out", str(key_path)]
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0
+        manifest = json.loads((tmp_path / "key.json.manifest.json").read_text())["manifest"]
+        assert f"run_id={manifest['run_id']}" in stdout
+        assert len(hashes) == 1
 
     def test_different_seeds_differ(self, tmp_path, capsys):
         outs = []

@@ -42,6 +42,7 @@ from qpke.protocol import (
     encrypt,
     keygen,
     prepare_register,
+    private_key_from_json,
     swap_test_encrypted_copies,
 )
 from qpke.quantum_core import MAX_PRECISION_BITS, AngleIndex, check_integer, check_precision
@@ -341,3 +342,75 @@ def test_flag_vector_faults_are_refused_before_the_register_turns(entry):
     # a refused encryption leaves the copy free to carry one
     cipher = apply_encryption_flags(public, [1, 0])
     assert decrypt(DecryptionOracle(key, 1), cipher, _rng()) == (1, 0)
+
+
+# key fields given as arrays: a 1-D int64 array is checked by its dtype, any
+# other array is refused with the message of a non-integer entry
+KEY_ARRAYS_OF_ANOTHER_KIND = {
+    "bool": np.array([True, False]),
+    "float": np.array([1.0, 0.0]),
+    "int32": np.array([1, 0], dtype=np.int32),
+    "uint64": np.array([1, 0], dtype=np.uint64),
+    "object": np.array([1, 0], dtype=object),
+    "2-D": np.array([[1, 0]], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("field", ["s", "perm"])
+@pytest.mark.parametrize(
+    "values", KEY_ARRAYS_OF_ANOTHER_KIND.values(), ids=KEY_ARRAYS_OF_ANOTHER_KIND.keys()
+)
+def test_key_arrays_other_than_int64_vectors_are_refused(field, values):
+    fields = {"s": (1, 0), "perm": (1, 0), field: values}
+    with pytest.raises(TypeError, match="key indices and perm entries must be integers"):
+        PrivateKey(n=3, **fields)
+
+
+def test_int64_key_arrays_are_accepted_as_their_tuples():
+    s = np.array([5, 0, 7], dtype=np.int64)
+    perm = np.array([2, 0, 1], dtype=np.int64)
+    key = PrivateKey(n=3, s=s, perm=perm)
+    from_tuples = PrivateKey(n=3, s=(5, 0, 7), perm=(2, 0, 1))
+    assert key == from_tuples and hash(key) == hash(from_tuples)
+    assert repr(key) == repr(from_tuples)
+    assert all(type(v) is int for v in key.s + key.perm)
+    # the key holds its own copy of the entries
+    s[:] = 1
+    perm[:] = 0
+    assert key.s == (5, 0, 7) and key.perm == (2, 0, 1)
+    assert describe_register(prepare_register(key), key) == describe_register(
+        prepare_register(from_tuples), from_tuples
+    )
+
+
+_OUTSIDE = "key index outside [0, 2**3)"
+_NOT_PERM = "perm must be a permutation of the qubit positions"
+
+# name -> (fields replacing s = [1, 0], the message today's tuple form raises)
+KEY_ARRAY_VALUE_FAULTS = {
+    "empty s": ({"s": np.array([], dtype=np.int64)}, "at least one index"),
+    "index 2**n": ({"s": np.array([8, 0])}, _OUTSIDE),
+    "negative index": ({"s": np.array([-1, 0])}, _OUTSIDE),
+    "duplicate perm": ({"perm": np.array([0, 0])}, _NOT_PERM),
+    "perm out of range": ({"perm": np.array([0, 2])}, _NOT_PERM),
+    "negative perm": ({"perm": np.array([-1, 0])}, _NOT_PERM),
+    "perm of the wrong length": ({"perm": np.array([0])}, _NOT_PERM),
+}
+
+
+@pytest.mark.parametrize(
+    "fields, message", KEY_ARRAY_VALUE_FAULTS.values(), ids=KEY_ARRAY_VALUE_FAULTS.keys()
+)
+def test_key_array_values_are_refused_as_their_tuples_are(fields, message):
+    as_arrays = {"s": np.array([1, 0]), **fields}
+    as_tuples = {name: tuple(values.tolist()) for name, values in as_arrays.items()}
+    for form in (as_arrays, as_tuples):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PrivateKey(n=3, **form)
+
+
+def test_perm_beyond_int64_is_a_value_error():
+    with pytest.raises(ValueError, match=re.escape(_NOT_PERM)):
+        PrivateKey(n=3, s=(1, 0), perm=(0, 2**64))
+    with pytest.raises(ValueError, match=re.escape(_NOT_PERM)):
+        private_key_from_json({"version": 1, "n": 3, "s": ["1", "0"], "perm": [0, 2**64]})

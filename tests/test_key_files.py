@@ -21,9 +21,11 @@ from qpke.protocol import (
     KEY_FILE_VERSION,
     KeyRegistry,
     PrivateKey,
+    _decimal_text,
     encrypt,
     key_fingerprint,
     key_id_of,
+    keygen,
     load_private_key,
     private_key_from_json,
     private_key_to_json,
@@ -119,6 +121,42 @@ def test_large_keys_match_the_references(tmp_path):
         assert loaded == key
         assert key_id_of(loaded) == reference_key_id(key)
         assert key_fingerprint(loaded) == reference_fingerprint(key)
+
+
+@pytest.mark.parametrize("N", [1, 7, 4096])
+@pytest.mark.parametrize("permute", [False, True], ids=["plain", "permuted"])
+@pytest.mark.parametrize("precision", [48, (32, 62)], ids=["fixed-n", "n-range"])
+def test_keygen_keys_match_the_references(precision, permute, N, tmp_path):
+    # keygen hands its draws to PrivateKey as int64 arrays
+    key, public = keygen(precision, N, permute=permute, rng=np.random.default_rng(N))
+    draws = np.random.default_rng(N)
+    n = precision if isinstance(precision, int) else int(draws.integers(32, 63))
+    s = tuple(draws.integers(0, 1 << n, size=N, dtype=np.int64).tolist())
+    perm = tuple(draws.permutation(N).tolist()) if permute else None
+    from_tuples = PrivateKey(n=n, s=s, perm=perm)
+    assert key == from_tuples
+    assert public.key_id == key_id_of(key) == reference_key_id(from_tuples)
+    assert key_fingerprint(key) == reference_fingerprint(from_tuples)
+    path = tmp_path / "key.json"
+    save_private_key(key, path)
+    assert path.read_bytes() == reference_key_file(from_tuples)
+
+
+@pytest.mark.parametrize("n", range(1, 63))
+@given(data=st.data())
+@settings(max_examples=5, deadline=None, derandomize=True)
+def test_decimal_text_is_the_str_join(n, data):
+    top = (1 << n) - 1
+    # 0 and 2**n - 1 are in every key
+    middle = data.draw(st.lists(st.integers(0, top), max_size=30))
+    s = [0, *middle, top]
+    perm = data.draw(st.permutations(range(len(s))))
+    for key in (
+        PrivateKey(n=n, s=tuple(s), perm=tuple(perm)),
+        PrivateKey(n=n, s=np.array(s, dtype=np.int64), perm=np.array(perm, dtype=np.int64)),
+    ):
+        assert _decimal_text(key, "s") == ",".join(map(str, s))
+        assert _decimal_text(key, "perm") == ",".join(map(str, perm))
 
 
 def _base(**fields) -> dict:

@@ -46,9 +46,11 @@ from qpke.protocol import (
 from qpke.quantum_core import (
     MAX_PRECISION_BITS,
     AngleIndex,
+    draws_outcome_zero,
     index_amplitudes,
     index_amplitudes_batch,
     outcome_one_probability,
+    rotate_axis,
     swap_project,
 )
 
@@ -867,6 +869,59 @@ class TestRegisterProperties:
         cipher = encrypt(fresh_public(key), message, alpha=alpha, rng=rng)
         assert decrypt(DecryptionOracle(key, 1), cipher, rng) == tuple(message)
 
+    @given(key=private_keys(), data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_decryption_refines_a_coarser_grid_exactly(self, key, data):
+        # a register prepared at a coarser precision, with at most one qubit
+        # moved into a group by an off-grid rotation
+        coarse_n = data.draw(st.integers(1, key.n))
+        index = st.integers(0, (1 << coarse_n) - 1)
+        coarse = PrivateKey(
+            n=coarse_n, s=tuple(data.draw(st.lists(index, min_size=key.length, max_size=key.length)))
+        )
+        register = prepare_register(coarse)
+        grouped = data.draw(st.none() | st.integers(0, key.length - 1))
+        if grouped is not None:
+            register.apply_rotation(grouped, 0.3)
+        steps = -qpke.protocol._position_indices(key)
+        register._apply_index_steps(steps, key.n)
+        assert register._n == key.n
+        # every refined qubit stays exact; only the grouped one holds amplitudes
+        assert set(register._groups) == ({grouped} - {None})
+        for q in set(range(key.length)) - {grouped}:
+            # the state the amplitude path builds: the coarse state turned by the step angle
+            theta = math.pi * (int(steps[q]) / (1 << (key.n - 1)))
+            turned = rotate_axis(np.array(index_amplitudes(coarse.s[q], coarse_n)), 0, theta)
+            exact = np.array(index_amplitudes(int(register._indices[q]), key.n))
+            assert abs(float(exact @ turned)) == pytest.approx(1.0, abs=1e-12)
+
+    @given(key=private_keys(max_length=9), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_decrypting_a_prepared_register_is_unchanged(self, key, seed):
+        # the register's grid equals the key's, so decryption measures every
+        # qubit exactly with one uniform each, in qubit order
+        message = [int(b) for b in np.random.default_rng(seed).integers(0, 2, size=key.length)]
+        cipher = encrypt(fresh_public(key), message)
+        rng = np.random.default_rng(seed)
+        assert decrypt(DecryptionOracle(key, 1), cipher, rng) == tuple(message)
+        assert cipher.register._n == key.n and not cipher.register._groups
+        reference = np.random.default_rng(seed)
+        reference.random(key.length)
+        assert rng.random() == reference.random()
+
+    def test_decrypting_computational_states_draws_one_uniform_per_qubit(self):
+        # |b> at n = 1 is refined to the key's grid and measured exactly
+        key = PrivateKey(n=40, s=(0, 1 << 38, 12345, (1 << 40) - 1, 1 << 39))
+        bits = np.array([1, 0, 1, 1, 0])
+        register = QuantumRegister.of_computational(bits)
+        cipher = CipherState(register, 5, 1)
+        outcomes = decrypt(DecryptionOracle(key, 1), cipher, np.random.default_rng(9))
+        assert register._groups == {}
+        turned = ((bits << 39) - np.array(key.s)) % (1 << 40)
+        p1 = outcome_one_probability(turned, 40)
+        expected = ~draws_outcome_zero(1.0 - p1, p1, np.random.default_rng(9).random(5))
+        assert outcomes == tuple(expected.astype(int).tolist())
+
     @given(
         key=private_keys(),
         other_n=st.integers(1, MAX_PRECISION_BITS),
@@ -910,4 +965,6 @@ class TestRegisterProperties:
                 assert group.amps.dtype == np.float64
                 assert np.linalg.norm(group.amps) == pytest.approx(1.0, abs=1e-12)
             for r in registers:
-                assert np.all((r._indices >= 0) & (r._indices < 1 << key.n))
+                # a decryption at a finer precision refines the register's grid
+                assert key.n <= r._n <= MAX_PRECISION_BITS
+                assert np.all((r._indices >= 0) & (r._indices < 1 << r._n))
