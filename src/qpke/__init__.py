@@ -74,7 +74,7 @@ from .security_analysis import (
 )
 from .seeding import rng_stream, seed_sequence
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = sorted(
     name

@@ -381,13 +381,14 @@ class OracleSubmission:
         return None if bits is None else tuple(bits.tolist())
 
     def to_record(self) -> dict:
-        """JSON form: the fields, with result as a list of bits or None."""
+        """JSON form: the fields, with result as one string of bits ("0110")
+        or None."""
         bits = self._result_bits()
         return {
             "label": self.label,
             "label_digest": self.label_digest,
             "accepted": self.accepted,
-            "result": None if bits is None else bits.tolist(),
+            "result": None if bits is None else (bits + ord("0")).tobytes().decode("ascii"),
             "error": self.error,
         }
 

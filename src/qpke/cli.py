@@ -3,9 +3,11 @@ security reports, and parameter sweeps with reproducible seeding.
 
 Every run derives its randomness from one master 64-bit seed (flag, then the
 QPKE_SEED environment variable, then fresh entropy) expanded into labeled
-substreams, and every emitted data file carries the run id of the manifest
-that produced it, so identical flags plus seed reproduce identical payloads
-byte for byte.  Timestamps live only in the manifest file.
+substreams.  Each command computes its records and stdout lines and returns
+them; main resolves the seed, stamps the run header (command, params, seed,
+tool version, run id) and writes every file, so identical flags plus seed
+reproduce identical payloads byte for byte.  Timestamps and timings live only
+in the manifest file.
 
 Exit codes: 0 success, 2 usage or validation, 3 I/O failure, 4 protocol
 precondition violation.
@@ -24,7 +26,7 @@ import re
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,6 +35,7 @@ import numpy as np
 from . import __version__
 from .attacks import (
     CPA_TOTAL_QUBIT_CAP,
+    DEFAULT_ATTACK_PRECISION,
     CcaSessionResult,
     chosen_ciphertext_session,
     chosen_plaintext_distinguishability,
@@ -46,6 +49,7 @@ from .protocol import (
     LowPrecisionWarning,
     MessageTooLongError,
     OracleDeactivatedError,
+    PrivateKey,
     decrypt,
     encrypt,
     key_fingerprint,
@@ -74,70 +78,54 @@ _SEED_MASK = (1 << 64) - 1
 # parsed flags that stay out of a run's params: bookkeeping, the seed (hashed
 # on its own) and output paths, which never change a payload
 _UNRECORDED_FLAGS = ("command", "func", "seed", "out", "json", "csv", "manifest")
+# the run identity, added by the writer as the last two columns of every CSV
+_IDENTITY_FIELDS = ["seed", "run_id"]
 
 
-# --- manifests and output plumbing ---
+# --- the run frame: what a command returns, and what main writes ---
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record for one CLI invocation.
+@dataclass
+class CommandOutput:
+    """What one command computed, before any file is written.
 
-    The run id hashes the command, parameters, seed, and tool version;
-    the timestamp and output paths are recorded but excluded, so reruns
-    with identical inputs share the run id and produce byte-identical
-    data payloads.
+    results is the JSON payload (--json), rows and fields the CSV rows and
+    their columns (--csv, or csv_path for sweep); params replaces the parsed
+    flags as the run's params, key is the private key keygen writes to --out,
+    and stats are measurements that vary between reruns (timings), so they go
+    to the manifest only.
     """
 
-    command: str
-    params: dict
-    seed: int
-    tool_version: str
-    timestamp: str
-
-    @functools.cached_property
-    def run_id(self) -> str:
-        """Hashed once per manifest; no command changes params after building it."""
-        canonical = json.dumps(
-            {
-                "command": self.command,
-                "params": self.params,
-                "seed": self.seed,
-                "tool_version": self.tool_version,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-    def payload_header(self) -> dict:
-        """Deterministic part embedded in every data file."""
-        return {
-            "command": self.command,
-            "params": self.params,
-            "run_id": self.run_id,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-        }
-
-    def to_json(self, outputs: list[str]) -> dict:
-        body = self.payload_header()
-        body["timestamp"] = self.timestamp
-        body["outputs"] = outputs
-        return body
+    lines: list[str]
+    results: object = None
+    rows: list[dict] = field(default_factory=list)
+    fields: list[str] = field(default_factory=list)
+    params: dict | None = None
+    csv_path: str | None = None
+    key: PrivateKey | None = None
+    stats: dict | None = None
+    exit_code: int = 0
 
 
-def _make_manifest(args, seed: int, params: dict | None = None) -> RunManifest:
-    """Manifest of one run; params default to every recorded parsed flag."""
+def _run_header(args, seed: int, params: dict | None) -> dict:
+    """Deterministic header embedded in every data file of one run.
+
+    The run id hashes the command, parameters, seed and tool version; the
+    timestamp and output paths stay out, so reruns with identical inputs
+    share the run id and produce byte-identical data payloads.  params
+    default to every recorded parsed flag.
+    """
     if params is None:
         params = {k: v for k, v in vars(args).items() if k not in _UNRECORDED_FLAGS}
-    return RunManifest(
-        command=args.command,
-        params=params,
-        seed=seed,
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
+    header = {
+        "command": args.command,
+        "params": params,
+        "seed": seed,
+        "tool_version": __version__,
+    }
+    canonical = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    header["run_id"] = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return header
 
 
 def _resolve_seed(flag_value: int | None) -> tuple[int, str]:
@@ -157,35 +145,48 @@ def _resolve_seed(flag_value: int | None) -> tuple[int, str]:
 def _write_envelope(path: str, **body) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **body}
     # json.dump writes as it encodes; json.dumps with indent would first hold
-    # every chunk of the text, tens of bytes per bit of a cca transcript
+    # every chunk of the text
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def _emit(
-    args, manifest: RunManifest, results=None, csv_rows=None, csv_fields=None,
-    csv_path=None, written=(),
-) -> None:
-    """Write the data files (--json, --csv or csv_path) plus the manifest
-    that cross-references them and any file the command wrote itself."""
-    outputs = list(written)
+def _write_run(args, header: dict, out: CommandOutput) -> None:
+    """Write a run's files: keygen's key, the JSON envelope, the CSV with the
+    run identity as its last columns, and the manifest that cross-references
+    them."""
+    outputs = []
+    if out.key is not None:
+        save_private_key(out.key, args.out)
+        outputs.append(args.out)
     json_path = getattr(args, "json", None)
-    csv_path = csv_path or getattr(args, "csv", None)
     if json_path:
-        _write_envelope(json_path, manifest=manifest.payload_header(), results=results)
+        _write_envelope(json_path, manifest=header, results=out.results)
         outputs.append(json_path)
+    csv_path = out.csv_path or getattr(args, "csv", None)
     if csv_path:
+        if out.csv_path:
+            Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
+        identity = {name: header[name] for name in _IDENTITY_FIELDS}
         with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=csv_fields, extrasaction="ignore")
+            writer = csv.DictWriter(
+                handle, fieldnames=out.fields + _IDENTITY_FIELDS, extrasaction="ignore"
+            )
             writer.writeheader()
-            writer.writerows(csv_rows)
+            writer.writerows(dict(row, **identity) for row in out.rows)
         outputs.append(csv_path)
     manifest_path = getattr(args, "manifest", None)
     if manifest_path is None and outputs:
         manifest_path = outputs[0] + ".manifest.json"
     if manifest_path:
-        _write_envelope(manifest_path, manifest=manifest.to_json(outputs))
+        manifest = dict(
+            header,
+            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            outputs=outputs,
+        )
+        if out.stats is not None:
+            manifest["stats"] = out.stats
+        _write_envelope(manifest_path, manifest=manifest)
 
 
 # --- flag parsing helpers ---
@@ -227,30 +228,24 @@ def _parse_message(text: str) -> np.ndarray:
 # --- subcommands ---
 
 
-def cmd_keygen(args) -> int:
+def cmd_keygen(args, seed: int) -> CommandOutput:
     if (args.n is None) == (args.n_range is None):
         raise ValueError("exactly one of --n or --n-range is required")
     if args.n_range is not None:
         precision: int | tuple[int, int] = _parse_range(args.n_range, "--n-range")
     else:
         precision = args.n
-    seed, seed_source = _resolve_seed(args.seed)
-    rng = rng_stream(seed, "keygen")
-    key, public = keygen(precision, args.N, permute=args.permute, rng=rng)
-
-    save_private_key(key, args.out)
-    manifest = _make_manifest(args, seed)
-    _emit(args, manifest, written=[args.out])
-    print(f"key_id={public.key_id}")
-    print(f"fingerprint={key_fingerprint(key)}")
-    print(f"n={key.n} N={args.N} copy_cap={DEFAULT_COPY_CAP}")
-    print(f"seed={seed} ({seed_source}) run_id={manifest.run_id}")
-    print(f"wrote {args.out}")
-    return 0
+    key, public = keygen(precision, args.N, permute=args.permute, rng=rng_stream(seed, "keygen"))
+    lines = [
+        f"key_id={public.key_id}",
+        f"fingerprint={key_fingerprint(key)}",
+        f"n={key.n} N={args.N} copy_cap={DEFAULT_COPY_CAP}",
+        f"wrote {args.out}",
+    ]
+    return CommandOutput(lines, key=key)
 
 
-def cmd_roundtrip(args) -> int:
-    seed, seed_source = _resolve_seed(args.seed)
+def cmd_roundtrip(args, seed: int) -> CommandOutput:
     key = load_private_key(args.key)
     message = _parse_message(args.message)
     registry = KeyRegistry()
@@ -271,48 +266,42 @@ def cmd_roundtrip(args) -> int:
         "n": key.n,
         "N": key.length,
     }
-    manifest = _make_manifest(args, seed)
-    _emit(args, manifest, results)
-    print(f"match={'true' if match else 'false'}")
-    print(f"encrypt_ms={1e3 * (t1 - t0):.2f} decrypt_ms={1e3 * (t2 - t1):.2f}")
-    print(f"seed={seed} ({seed_source}) run_id={manifest.run_id}")
-    return 0 if match else 1
+    return CommandOutput(
+        [f"match={'true' if match else 'false'}"],
+        results,
+        stats={"encrypt_ms": 1e3 * (t1 - t0), "decrypt_ms": 1e3 * (t2 - t1)},
+        exit_code=0 if match else 1,
+    )
 
 
 # the statistic columns of every attack and forward-search sweep row, in CSV order
-_STAT_FIELDS = ["rule", "trials", "success_rate", "stderr", "theory"]
-_ATTACK_FIELDS = ["attack", "alpha", "n", "N", *_STAT_FIELDS, "seed", "run_id"]
+_STAT_FIELDS = ["rule", "trials", "success_rate", "stderr", "theory", "deviation"]
+_ATTACK_FIELDS = ["attack", "alpha", "n", "N", *_STAT_FIELDS]
 
 
-def _row(rule, trials, observed, stderr, theory, seed, run_id, **columns) -> dict:
-    """One attack or sweep row: the statistic columns in _STAT_FIELDS order,
-    seed and run id, plus the caller's own columns."""
+def _row(rule, trials, observed, stderr, theory, **columns) -> dict:
+    """One attack or sweep row: the caller's columns plus the statistic
+    columns, with deviation = observed - theory."""
     return dict(columns, rule=rule, trials=trials, success_rate=observed, stderr=stderr,
-                theory=theory, seed=seed, run_id=run_id)
+                theory=theory, deviation=observed - theory)
 
 
-def _forward_search_rows(
-    reports: dict, rule: str, seed: int, run_id: str, **columns
-) -> list[dict]:
+def _forward_search_rows(reports: dict, rule: str, **columns) -> list[dict]:
     """One row per selected rule; each row's alpha is the report's."""
     return [
-        _row(r.rule, r.trials, r.success_rate, r.stderr, r.predicted_rate, seed, run_id,
+        _row(r.rule, r.trials, r.success_rate, r.stderr, r.predicted_rate,
              alpha=r.alpha, **columns)
         for r in reports.values()
         if rule in ("both", r.rule)
     ]
 
 
-def _forward_search_records(args, seed: int, run_id: str) -> list[dict]:
-    rng = rng_stream(seed, "attack", "forward-search")
+def _forward_search_records(args, rng: np.random.Generator) -> list[dict]:
     reports = run_forward_search(args.alpha, args.trials, rng, precision=args.n)
-    # N holds alpha in these rows; the golden payloads pin that column
-    return _forward_search_rows(
-        reports, args.rule, seed, run_id, attack="forward-search", n=args.n, N=args.alpha
-    )
+    return _forward_search_rows(reports, args.rule, attack="forward-search", n=args.n)
 
 
-def _cpa_records(args, seed: int, run_id: str) -> list[dict]:
+def _cpa_records(args) -> list[dict]:
     # bounded before the messages below are built, so a huge N allocates nothing
     check_integer(args.N, "cpa --N", 1, CPA_TOTAL_QUBIT_CAP)
     report = chosen_plaintext_distinguishability(
@@ -323,14 +312,13 @@ def _cpa_records(args, seed: int, run_id: str) -> list[dict]:
         report.distance_m0_to_public,
         report.distance_m1_to_public,
     )
-    return [_row("trace-distance", 0, worst, 0.0, 0.0, seed, run_id,
+    return [_row("trace-distance", 0, worst, 0.0, 0.0,
                  attack="cpa", alpha=args.alpha, n=args.n, N=args.N)]
 
 
-def _cca_session(args, seed: int) -> CcaSessionResult:
+def _cca_session(args, rng: np.random.Generator) -> CcaSessionResult:
     """Encrypt k + 2 random messages under a fresh key and submit them all.
     The ciphertexts are freed on return, before the transcript is expanded."""
-    rng = rng_stream(seed, "attack", "cca")
     with warnings.catch_warnings():
         # attack experiments run at reduced precision on purpose
         warnings.simplefilter("ignore", LowPrecisionWarning)
@@ -346,48 +334,41 @@ def _cca_session(args, seed: int) -> CcaSessionResult:
     return chosen_ciphertext_session(key, args.k, submissions, rng)
 
 
-def _cca_records(args, seed: int, run_id: str) -> tuple[list[dict], dict]:
+def _cca_records(args, rng: np.random.Generator) -> tuple[list[dict], dict]:
     # bounded before keygen and the submissions, which a huge k cannot afford
     check_integer(args.k, "cca --k", 1, CCA_USES_CAP)
-    session = _cca_session(args, seed)
-    summary = session.to_record()
-    summary["seed"] = seed
-    summary["run_id"] = run_id
+    session = _cca_session(args, rng)
     detail = {
-        "session": summary,
+        "session": session.to_record(),
         "transcript": [entry.to_record() for entry in session.transcript],
     }
     row = _row(
         f"uses:{session.uses_consumed}/{session.uses_allowed}", len(session.transcript),
-        session.uses_consumed / session.uses_allowed, 0.0, 1.0, seed, run_id,
+        session.uses_consumed / session.uses_allowed, 0.0, 1.0,
         attack="cca", alpha=1, n=args.n, N=args.N,
     )
     return [row], detail
 
 
-def cmd_attack(args) -> int:
-    seed, seed_source = _resolve_seed(args.seed)
-    manifest = _make_manifest(args, seed)
-    if args.attack == "forward-search":
-        rows = _forward_search_records(args, seed, manifest.run_id)
+def cmd_attack(args, seed: int) -> CommandOutput:
+    if args.attack == "cpa":
+        rows = _cpa_records(args)
         results: object = rows
-    elif args.attack == "cpa":
-        rows = _cpa_records(args, seed, manifest.run_id)
-        results = rows
     else:
-        rows, results = _cca_records(args, seed, manifest.run_id)
-    _emit(args, manifest, results, csv_rows=rows, csv_fields=_ATTACK_FIELDS)
-    for row in rows:
-        print(
-            f"{row['attack']} rule={row['rule']} observed={row['success_rate']:.6g} "
-            f"theory={row['theory']:.6g}"
-        )
-    print(f"seed={seed} ({seed_source}) run_id={manifest.run_id}")
-    return 0
+        rng = rng_stream(seed, "attack", args.attack)
+        if args.attack == "forward-search":
+            rows = results = _forward_search_records(args, rng)
+        else:
+            rows, results = _cca_records(args, rng)
+    lines = [
+        f"{row['attack']} rule={row['rule']} observed={row['success_rate']:.6g} "
+        f"theory={row['theory']:.6g}"
+        for row in rows
+    ]
+    return CommandOutput(lines, results, rows, _ATTACK_FIELDS)
 
 
-def cmd_analyze(args) -> int:
-    seed, seed_source = _resolve_seed(args.seed)
+def cmd_analyze(args, seed: int) -> CommandOutput:
     n_l, n_u = _parse_range(args.n_range, "--n-range")
     params = KeyParams(n_l, n_u, args.N, args.k)
     report = secrecy_condition(params, threshold=args.threshold)
@@ -406,22 +387,17 @@ def cmd_analyze(args) -> int:
             rng_stream(seed, "analyze", "mi"),
         )
         records.append(estimate.to_record())
-    manifest = _make_manifest(args, seed)
-    fields = ["quantity", "value_bits", "stderr_bits", "satisfied", "run_id"]
-    rows = [dict(r, run_id=manifest.run_id) for r in records]
-    _emit(args, manifest, records, csv_rows=rows, csv_fields=fields)
     margin = "inf" if math.isinf(report.margin) else f"{report.margin:.4f}"
-    print(f"H(d)={report.key_entropy_bits:.4f} bits cap={report.holevo_cap_bits:.1f} bits")
-    print(
+    lines = [
+        f"H(d)={report.key_entropy_bits:.4f} bits cap={report.holevo_cap_bits:.1f} bits",
         f"margin={margin} threshold={report.threshold:g} "
-        f"satisfied={'true' if report.satisfied else 'false'}"
-    )
-    print(f"seed={seed} ({seed_source}) run_id={manifest.run_id}")
-    return 0
+        f"satisfied={'true' if report.satisfied else 'false'}",
+    ]
+    fields = ["quantity", "value_bits", "stderr_bits", "satisfied"]
+    return CommandOutput(lines, records, records, fields)
 
 
-def cmd_sweep(args) -> int:
-    seed, seed_source = _resolve_seed(args.seed)
+def cmd_sweep(args, seed: int) -> CommandOutput:
     if args.experiment == "forward-search":
         grid_flag, grid = "--alphas", args.alphas
     else:
@@ -443,31 +419,17 @@ def cmd_sweep(args) -> int:
         "trials": args.trials,
         "rule": args.rule,
     }
-    manifest = _make_manifest(args, seed, params)
-    out_dir = Path(args.out)
-    csv_path = out_dir / f"sweep-{args.experiment}.csv"
-
     if args.experiment == "forward-search":
-        fields = ["experiment", "alpha", *_STAT_FIELDS, "deviation", "seed", "run_id"]
+        fields = ["experiment", "alpha", "n", *_STAT_FIELDS]
         rows = []
         for alpha in cells:
             rng = rng_stream(seed, "sweep", "forward-search", alpha)
             reports = run_forward_search(alpha, args.trials, rng)
-            for row in _forward_search_rows(
-                reports, args.rule, seed, manifest.run_id, experiment="forward-search"
-            ):
-                row["deviation"] = reports[row["rule"]].deviation
-                rows.append(row)
+            rows += _forward_search_rows(
+                reports, args.rule, experiment="forward-search", n=DEFAULT_ATTACK_PRECISION
+            )
     else:
-        fields = [
-            "experiment",
-            "n",
-            "method",
-            "max_abs_deviation",
-            "entropy_bits",
-            "seed",
-            "run_id",
-        ]
+        fields = ["experiment", "n", "method", "max_abs_deviation", "entropy_bits"]
         rows = []
         for n in cells:
             rho = ensemble_density(n)
@@ -479,17 +441,16 @@ def cmd_sweep(args) -> int:
                     "method": ensemble_density_method(n),
                     "max_abs_deviation": deviation,
                     "entropy_bits": von_neumann_entropy(rho),
-                    "seed": seed,
-                    "run_id": manifest.run_id,
                 }
             )
 
-    # made once every cell has run, so a refused cell leaves nothing behind
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _emit(args, manifest, csv_rows=rows, csv_fields=fields, csv_path=str(csv_path))
-    print(f"wrote {csv_path} ({len(rows)} rows)")
-    print(f"seed={seed} ({seed_source}) run_id={manifest.run_id}")
-    return 0
+    # main makes the directory once every cell has run, so a refused cell
+    # leaves nothing behind
+    csv_path = str(Path(args.out) / f"sweep-{args.experiment}.csv")
+    return CommandOutput(
+        [f"wrote {csv_path} ({len(rows)} rows)"], None, rows, fields,
+        params=params, csv_path=csv_path,
+    )
 
 
 # --- parser and entry points ---
@@ -599,7 +560,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: argument --{name.replace('_', '-')} needs a value", file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        seed, seed_source = _resolve_seed(args.seed)
+        out = args.func(args, seed)
+        header = _run_header(args, seed, out.params)
+        _write_run(args, header, out)
+        for line in out.lines:
+            print(line)
+        print(f"seed={seed} ({seed_source}) run_id={header['run_id']}")
+        return out.exit_code
     except (MessageTooLongError, CopyCapExceededError, OracleDeactivatedError) as exc:
         # before ValueError: MessageTooLongError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ import qpke.cli
 from qpke.cli import CCA_USES_CAP, _parse_message, _parse_range, build_parser, main
 from qpke.protocol import load_private_key
 from qpke.security_analysis import MI_TRIALS_CAP
+from qpke.seeding import rng_stream
 
 
 def run_cli(argv, capsys):
@@ -183,7 +184,7 @@ class TestRoundtripCommand:
         )
         assert code == 0
         assert "match=true" in stdout
-        assert "encrypt_ms=" in stdout
+        assert "encrypt_ms=" not in stdout
         payload = json.loads(report.read_text())
         assert payload["schema_version"] == 1
         assert payload["results"]["match"] is True
@@ -410,6 +411,23 @@ class TestAttackCommand:
         assert len(transcript) == 6
         assert sum(1 for t in transcript if t["accepted"]) == 4
         assert payload["results"]["session"]["uses_consumed"] == 4
+
+    def test_cca_result_strings_parse_to_the_decrypted_bits(self, tmp_path, capsys):
+        json_path = tmp_path / "cca.json"
+        argv = ["attack", "--attack", "cca", "--n", "8", "--N", "12", "--k", "3",
+                "--seed", "6", "--json", str(json_path)]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        transcript = json.loads(json_path.read_text())["results"]["transcript"]
+        # the same seeded session, rebuilt, holds the decrypted bits
+        args = build_parser().parse_args(argv)
+        session = qpke.cli._cca_session(args, rng_stream(6, "attack", "cca"))
+        assert [t["accepted"] for t in transcript] == [True] * 3 + [False] * 2
+        for record, entry in zip(transcript, session.transcript):
+            if record["accepted"]:
+                assert _parse_message(record["result"]).tolist() == list(entry.result)
+            else:
+                assert record["result"] is None
 
     @pytest.mark.parametrize("k", [CCA_USES_CAP + 1, 100_000_000_000])
     def test_cca_uses_beyond_cap_is_usage_error(self, k, tmp_path, capsys):

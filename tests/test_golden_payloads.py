@@ -44,31 +44,31 @@ COMMANDS = [
 
 GOLDEN = {
     "key.json": "c838fb5696121f9df52324a7da85516c6139aaf208f8d161bd0fdac9836d4073",
-    "fs1.json": "1dd5aaa4ca65d2579e282d04d0f9923e258f6bc4e0e45c032f9b0d6ba994a089",
-    "fs1.csv": "261f4e40883a76877ce2c944bb19dc9f38accfe12d82e855e5d3f14653ab1b2b",
-    "fs3.json": "b2dd8d6fb6d6c5e62d7a408a1a05d84e282c83b4f9d95a3ae83f41bb0c6d730e",
-    "fs3.csv": "4ecda85942ef70982db8bb5fe3fdc8a7808306fe0377ed1597471fdb7bd4b16f",
-    "sweep/sweep-forward-search.csv": "278ab7ccd31e041427bdd7cf59f15a1c1e8503cff5705d8e9593b23f0b748e85",
-    "rt1.json": "f0b32156a63b480624002e8295c3d27015ab6e9524823abe9d950f67191f0245",
-    "rt2.json": "ef8d05e43891117d4d4a6a424f53c4b1aaf3707e2cc6fb5daece06dd2dd9bac3",
-    "rt4.json": "36838ab2a2fff5966919d30978b6079257198c17a7a88f6e4109fd9aede34c7a",
-    "cca.json": "1399addfc76c9b1fa6c0315d1789bba3a8877af79b5634055d3177fdcc5fb415",
-    "cca.csv": "af407c0535f593935155c575e370593280e8e60fed39528dbac8974d1b282fba",
-    "an.json": "c4a5a34316fd256003be94f3e524f2064a27230c18e68c031a25985dee34c6a6",
-    "an.csv": "5d2fa2c82aca9a1a54d5fad0da39b3898b7c2bcae16a4e0474bcd5a9e2e16be5",
+    "fs1.json": "e1441ca823f4b1cbaab01c4aaa8c3a973219e14cc3c506bf51308fab4e5beb4b",
+    "fs1.csv": "3f375d62a1c542c4487ac145edadf9b0e4b78083a180b1036b61a16622ab15ee",
+    "fs3.json": "cc49e8281d3e3637b30895f3d79305f30f513939a571586ecf6778e96655b41a",
+    "fs3.csv": "16ffdf22fb44c01f5eaf6bb6aaccbae8f8649b565f12d952444eb1dfbc66725c",
+    "sweep/sweep-forward-search.csv": "e295b18fd73e56f468e3fe1ed58cbc26c3f9ecdc5d7a72002cd23b9231b5476f",
+    "rt1.json": "7c68be56b86610dce04999ceef6aaa8669077ff06d2c14f57477954986bd8585",
+    "rt2.json": "74a81d14e479607283fe3748706814fa5545c9472d9bd5e88d508c1f87b9f560",
+    "rt4.json": "10cfcb59a5f73ae5d26a83116c3eab0714fd67a69cdd8c5ffc3c905a2e8c6889",
+    "cca.json": "425b810b4e5084cffbafcc5b7dc0e1daf95913b02c625477d746d64e277bea8e",
+    "cca.csv": "056b3bcc6c8ba2a797e4fd6fee90b43560ab6f2b5cb470b42a8db00bd8215938",
+    "an.json": "9aa9a52fa9b56cd4dbefe07ee9b381f80e2310145ac055e7eca604a80a64af60",
+    "an.csv": "cf0e5d6d5c9375ab1f7225adf263187eff26a66a433d544b9426822337fd175f",
 }
 
 # manifest file -> the run id it records
 RUN_IDS = {
-    "key.json.manifest.json": "fdf68b6a44fd330d",
-    "fs1.json.manifest.json": "f11ba8290f60fe41",
-    "fs3.json.manifest.json": "47318e51450c460f",
-    "sweep/sweep-forward-search.csv.manifest.json": "4de504b2d67f9bbf",
-    "rt1.json.manifest.json": "00a51685edd76fed",
-    "rt2.json.manifest.json": "dbc07a8860c0fe15",
-    "rt4.json.manifest.json": "bdd4bbf7fb9a8624",
-    "cca.json.manifest.json": "05857a576d83727c",
-    "an.json.manifest.json": "fd78b6c45272ae07",
+    "key.json.manifest.json": "a9753de7fcb62aea",
+    "fs1.json.manifest.json": "73d4d1acac9477dc",
+    "fs3.json.manifest.json": "27ad04450f660c8e",
+    "sweep/sweep-forward-search.csv.manifest.json": "048f3853b6c299af",
+    "rt1.json.manifest.json": "0fbdf4fcd0a3ad2b",
+    "rt2.json.manifest.json": "db0fc1765ab9f530",
+    "rt4.json.manifest.json": "da98ec9f98b7d530",
+    "cca.json.manifest.json": "ff1d22633f552af5",
+    "an.json.manifest.json": "ce0627973b0376c0",
 }
 
 

@@ -173,8 +173,8 @@ COUNT_ENTRY_POINTS = {
         2,
         MI_TRIALS_CAP,
     ),
-    "attack cpa --N": (lambda v: _cpa_records(_cli_args(N=v), 1, "run"), 1, CPA_TOTAL_QUBIT_CAP),
-    "attack cca --k": (lambda v: _cca_records(_cli_args(k=v), 1, "run"), 1, CCA_USES_CAP),
+    "attack cpa --N": (lambda v: _cpa_records(_cli_args(N=v)), 1, CPA_TOTAL_QUBIT_CAP),
+    "attack cca --k": (lambda v: _cca_records(_cli_args(k=v), _rng()), 1, CCA_USES_CAP),
 }
 
 

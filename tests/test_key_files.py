@@ -219,7 +219,7 @@ def test_cca_transcript_keeps_result_bits_packed():
     for entry, message in zip(session.transcript[:2], messages):
         assert entry.packed_result == np.packbits(message.astype(np.uint8)).tobytes()
         assert entry.result == tuple(message.tolist())
-        assert entry.to_record()["result"] == message.tolist()
+        assert entry.to_record()["result"] == "".join(map(str, message.tolist()))
     refused = session.transcript[2]
     assert refused.packed_result is None and refused.result is None
     assert refused.to_record()["result"] is None

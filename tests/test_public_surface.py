@@ -6,6 +6,7 @@ here, so that every change to the public surface is a deliberate one.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -107,8 +108,9 @@ def test_bench_bound_names_resolve(module, name):
 
 
 def test_version_matches_pyproject():
-    # the version is part of every payload's run id
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
-    pyproject = ROOT / "pyproject.toml"
-    with open(pyproject, "rb") as handle:
-        assert qpke.__version__ == tomllib.load(handle)["project"]["version"]
+    # the version is part of every payload's run id; the [project] table's
+    # version line is read without tomllib, which Python 3.10 lacks
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    (version,) = re.findall(r'^version = "([^"]+)"$', project, re.MULTILINE)
+    assert qpke.__version__ == version
