@@ -20,6 +20,7 @@ import re
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -106,25 +107,34 @@ def _flag_vector(flags, qubit_count: int, alpha: int = 1) -> np.ndarray:
 # --- classical key material ---
 
 
-def _int64_entries(values: Sequence[int], message: str) -> np.ndarray:
-    """Plain ints as a read-only int64 array; one beyond int64 is a ValueError."""
-    try:
-        arr = np.fromiter(values, dtype=np.int64, count=len(values))
-    except OverflowError:
-        raise ValueError(message) from None
+_NOT_PERM = "perm must be a permutation of the qubit positions"
+
+
+def _entry_array(values) -> np.ndarray | None:
+    """The one rule for the entries of s and perm: a 1-D int64 array, checked
+    by its dtype and copied, or a sequence of plain ints, checked entry by
+    entry, as a read-only int64 array; None if a plain int is beyond int64,
+    which the field's own range check then refuses.  A bool or numpy integer
+    entry would make a key file that cannot be saved or loaded."""
+    if isinstance(values, np.ndarray):
+        if values.dtype != np.int64 or values.ndim != 1:
+            raise TypeError("key indices and perm entries must be integers")
+        arr = values.copy()
+    elif set(map(type, values)) <= {int}:
+        try:
+            arr = np.fromiter(values, dtype=np.int64, count=len(values))
+        except OverflowError:
+            return None
+    else:
+        raise TypeError("key indices and perm entries must be integers")
     arr.flags.writeable = False
     return arr
 
 
-def _integer_entries(values) -> bool:
-    """A 1-D int64 array, checked by its dtype, or a sequence of plain ints,
-    checked entry by entry."""
-    if isinstance(values, np.ndarray):
-        return values.dtype == np.int64 and values.ndim == 1
-    return set(map(type, values)) <= {int}
-
-
-_NOT_PERM = "perm must be a permutation of the qubit positions"
+def _decimal_text(values: tuple[int, ...]) -> str:
+    """Plain ints as comma-joined decimal text, in one C-level format ("%d" of
+    a plain int is its str)."""
+    return ("%d," * len(values) % values)[:-1]
 
 
 @dataclass(frozen=True)
@@ -132,7 +142,9 @@ class PrivateKey:
     """Classical key: precision n, indices s_1..s_N, optional permutation.
 
     s and perm may be given as sequences of plain ints or as 1-D int64
-    arrays; the fields always hold tuples.
+    arrays; an array given becomes its tuple.  Everything derived from the
+    key (placed indices, decimal texts, hashes, symmetry-test weights) is a
+    cached property, built once per key.
     """
 
     n: int
@@ -143,40 +155,26 @@ class PrivateKey:
         check_precision(self.n)
         if len(self.s) < 1:
             raise ValueError("key must contain at least one index")
-        # a bool or numpy integer here would make a key file that cannot be saved or loaded
-        if not _integer_entries(self.s) or (
-            self.perm is not None and not _integer_entries(self.perm)
-        ):
-            raise TypeError("key indices and perm entries must be integers")
-        outside = f"key index outside [0, 2**{self.n})"
-        arr = self._entry_array("s", outside)
+        arr = _entry_array(self.s)
+        perm = None if self.perm is None else _entry_array(self.perm)
         # the arithmetic shift leaves a negative index nonzero too
-        if (arr >> self.n).any():
-            raise ValueError(outside)
-        perm = None
+        if arr is None or (arr >> self.n).any():
+            raise ValueError(f"key index outside [0, 2**{self.n})")
         if self.perm is not None:
-            perm = self._entry_array("perm", _NOT_PERM)
             N = arr.size
             if (
-                perm.size != N
+                perm is None
+                or perm.size != N
                 or perm.min() < 0
                 or perm.max() >= N
                 or np.bincount(perm, minlength=N).max() > 1
             ):
                 raise ValueError(_NOT_PERM)
+        for field, entries in (("s", arr), ("perm", perm)):
+            if isinstance(getattr(self, field), np.ndarray):
+                object.__setattr__(self, field, tuple(entries.tolist()))
         object.__setattr__(self, "_index_array", arr)
         object.__setattr__(self, "_perm_array", perm)
-
-    def _entry_array(self, field: str, message: str) -> np.ndarray:
-        """Field s or perm as a read-only int64 array; an array given for it
-        is copied, and the field becomes its tuple."""
-        values = getattr(self, field)
-        if not isinstance(values, np.ndarray):
-            return _int64_entries(values, message)
-        arr = values.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, field, tuple(arr.tolist()))
-        return arr
 
     @property
     def length(self) -> int:
@@ -185,6 +183,53 @@ class PrivateKey:
 
     def angle_indices(self) -> tuple[AngleIndex, ...]:
         return tuple(AngleIndex(v, self.n) for v in self.s)
+
+    # cached_property writes the instance __dict__ directly, past the frozen
+    # dataclass's __setattr__; the fields stay the only compared state
+
+    @cached_property
+    def _placed_indices(self) -> np.ndarray:
+        """Read-only rotation index prepared at each register position (perm applied)."""
+        if self._perm_array is None:
+            return self._index_array
+        placed = np.empty_like(self._index_array)
+        placed[self._perm_array] = self._index_array
+        placed.flags.writeable = False
+        return placed
+
+    @cached_property
+    def _s_text(self) -> str:
+        return _decimal_text(self.s)
+
+    @cached_property
+    def _perm_text(self) -> str:
+        return _decimal_text(self.perm)
+
+    @cached_property
+    def _canonical_bytes(self) -> bytes:
+        """json.dumps(private_key_to_json(key), sort_keys=True, separators=(",", ":"))."""
+        perm = "" if self.perm is None else f'"perm":[{self._perm_text}],'
+        s = self._s_text.replace(",", '","')
+        return f'{{"n":{self.n},{perm}"s":["{s}"],"version":{KEY_FILE_VERSION}}}'.encode()
+
+    @cached_property
+    def _owner_tag(self) -> bytes:
+        return hashlib.sha256(b"qpke:owner-tag:" + self._canonical_bytes).digest()
+
+    @cached_property
+    def _pair_weights(self) -> np.ndarray:
+        """Pass and fail weights (2, N, 2) of swap_test_encrypted_copies'
+        2 * N distinct pairs: qubit q of a fresh copy turned by flag * pi
+        (flag 0 or 1, the last axis) against qubit q of another fresh copy."""
+        period = 1 << self.n
+        fresh = self._placed_indices
+        # a qubit of the encrypted copy is in one of two states, flag 0 or 1
+        shifted = (fresh[:, np.newaxis] + np.array([0, period >> 1])) % period
+        cipher = index_amplitudes_batch(shifted, self.n)
+        reference = index_amplitudes_batch(fresh, self.n)
+        pairs = cipher[:, :, :, np.newaxis] * reference[:, np.newaxis, np.newaxis, :]
+        parts = np.stack(swap_parts(pairs, 2, 3)).reshape(-1, 4)
+        return np.einsum("bi,bi->b", parts, parts).reshape(2, fresh.size, 2)
 
 
 def private_key_to_json(key: PrivateKey) -> dict:
@@ -206,7 +251,10 @@ def _is_decimal_list(text: str, count: int) -> bool:
         # count - 1 commas join count strings, so no string holds a comma
         and text.count(",") == count - 1
         and not text.encode().translate(None, b"0123456789,")
-        and ",," not in f",{text},"
+        and ",," not in text
+        # "" has a digit at neither end
+        and text[:1].isdigit()
+        and text[-1:].isdigit()
     )
 
 
@@ -235,36 +283,25 @@ def private_key_from_json(payload: dict) -> PrivateKey:
         values = np.fromstring(text, dtype=np.int64, sep=",")
     else:
         values = tuple(map(int, s))
-    if perm is not None:
-        perm = _int64_entries(perm, _NOT_PERM)
-    key = PrivateKey(n=n, s=values, perm=perm)
-    if all_strings and not _LEADING_ZERO.search(f",{text}"):
-        # without leading zeros the file's own digits are the key's decimal text
-        object.__setattr__(key, "_s_text", text)
+    key = PrivateKey(n=n, s=values, perm=None if perm is None else tuple(perm))
+    if all_strings and not (
+        text.startswith("0") and text[1:2].isdigit() or _LEADING_ZERO.search(text)
+    ):
+        # without leading zeros the file's own digits are the key's decimal
+        # text: the one value written into a key from outside its class
+        key.__dict__["_s_text"] = text
     return key
-
-
-def _decimal_text(key: PrivateKey, field: str) -> str:
-    """Key field "s" or "perm" as comma-joined decimal text, built once per key."""
-    name = f"_{field}_text"
-    text = key.__dict__.get(name)
-    if text is None:
-        values = getattr(key, field)
-        # one C-level format; "%d" of a plain int is its str
-        text = ("%d," * len(values) % values)[:-1]
-        object.__setattr__(key, name, text)
-    return text
 
 
 def save_private_key(key: PrivateKey, path: str | Path) -> None:
     """Write json.dumps(private_key_to_json(key), indent=2) plus a newline."""
     parts = [
         f'{{\n  "version": {KEY_FILE_VERSION},\n  "n": {key.n},\n  "s": [\n    "',
-        _decimal_text(key, "s").replace(",", '",\n    "'),
+        key._s_text.replace(",", '",\n    "'),
         '"\n  ]',
     ]
     if key.perm is not None:
-        parts += [',\n  "perm": [\n    ', _decimal_text(key, "perm").replace(",", ",\n    "), "\n  ]"]
+        parts += [',\n  "perm": [\n    ', key._perm_text.replace(",", ",\n    "), "\n  ]"]
     parts.append("\n}\n")
     Path(path).write_text("".join(parts))
 
@@ -277,33 +314,14 @@ def load_private_key(path: str | Path) -> PrivateKey:
     return private_key_from_json(payload)
 
 
-def _canonical_key_bytes(key: PrivateKey) -> bytes:
-    """json.dumps(private_key_to_json(key), sort_keys=True, separators=(",", ":"))."""
-    cached = key.__dict__.get("_canonical_bytes")
-    if cached is None:
-        perm = "" if key.perm is None else f'"perm":[{_decimal_text(key, "perm")}],'
-        s = _decimal_text(key, "s").replace(",", '","')
-        cached = f'{{"n":{key.n},{perm}"s":["{s}"],"version":{KEY_FILE_VERSION}}}'.encode()
-        object.__setattr__(key, "_canonical_bytes", cached)
-    return cached
-
-
-def _key_tag(key: PrivateKey) -> bytes:
-    cached = key.__dict__.get("_owner_tag")
-    if cached is None:
-        cached = hashlib.sha256(b"qpke:owner-tag:" + _canonical_key_bytes(key)).digest()
-        object.__setattr__(key, "_owner_tag", cached)
-    return cached
-
-
 def key_id_of(key: PrivateKey) -> str:
     """Short stable identifier; reveals nothing beyond a hash."""
-    return hashlib.sha256(b"qpke:key-id:" + _canonical_key_bytes(key)).hexdigest()[:16]
+    return hashlib.sha256(b"qpke:key-id:" + key._canonical_bytes).hexdigest()[:16]
 
 
 def key_fingerprint(key: PrivateKey) -> str:
     """Full-length hash of the key material, safe to publish."""
-    return hashlib.sha256(b"qpke:fingerprint:" + _canonical_key_bytes(key)).hexdigest()
+    return hashlib.sha256(b"qpke:fingerprint:" + key._canonical_bytes).hexdigest()
 
 
 # --- simulated qubit storage ---
@@ -489,19 +507,9 @@ class CipherState:
 # --- protocol operations ---
 
 
-def _position_indices(key: PrivateKey) -> np.ndarray:
-    """Rotation index prepared at each register position (perm applied)."""
-    arr, perm = key.__dict__["_index_array"], key.__dict__["_perm_array"]
-    if perm is None:
-        return arr.copy()
-    placed = np.empty_like(arr)
-    placed[perm] = arr
-    return placed
-
-
 def prepare_register(key: PrivateKey) -> QuantumRegister:
     """Owner-side preparation of a fresh public-key register."""
-    return QuantumRegister._from_indices(_position_indices(key), key.n, _key_tag(key))
+    return QuantumRegister._from_indices(key._placed_indices, key.n, key._owner_tag)
 
 
 def keygen(
@@ -555,7 +563,7 @@ def describe_register(register: QuantumRegister, credential: PrivateKey) -> tupl
     if (
         not isinstance(credential, PrivateKey)
         or register._owner_tag is None
-        or _key_tag(credential) != register._owner_tag
+        or credential._owner_tag != register._owner_tag
     ):
         raise AccessDeniedError("register descriptors require the generating private key")
     if register._groups:
@@ -606,27 +614,6 @@ def swap_test_registers(
     return passed
 
 
-def _encrypted_copy_weights(key: PrivateKey, flags: np.ndarray) -> np.ndarray:
-    """Pass and fail weights (2, B, alpha) of swap_test_encrypted_copies' tests,
-    from its 2 * alpha distinct pairs: qubit q of a fresh copy turned by
-    flag * pi (flag 0 or 1) against qubit q of another fresh copy.  The pairs
-    are split once per key and alpha; the table is cached on the key."""
-    alpha = flags.shape[1]
-    cached = key.__dict__.get("_pair_weights")
-    if cached is None or cached.shape[1] != alpha:
-        period = 1 << key.n
-        fresh = _position_indices(key)[:alpha]
-        # a qubit of the encrypted copy is in one of two states, flag 0 or 1
-        shifted = (fresh[:, np.newaxis] + np.array([0, period >> 1])) % period
-        cipher = index_amplitudes_batch(shifted, key.n)
-        reference = index_amplitudes_batch(fresh, key.n)
-        pairs = cipher[:, :, :, np.newaxis] * reference[:, np.newaxis, np.newaxis, :]
-        parts = np.stack(swap_parts(pairs, 2, 3)).reshape(-1, 4)
-        cached = np.einsum("bi,bi->b", parts, parts).reshape(2, alpha, 2)
-        object.__setattr__(key, "_pair_weights", cached)
-    return cached[:, np.arange(alpha), flags]
-
-
 def swap_test_encrypted_copies(
     key: PrivateKey, flags: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -637,14 +624,15 @@ def swap_test_encrypted_copies(
     qubits meets the same qubit of another fresh copy in a symmetry test.
     Returns the (B, alpha) pass pattern: the outcomes of B * alpha calls of
     swap_test_registers in row order, from one rng.random((B, alpha)) draw.
-    Nothing else leaves: no descriptor, no pass probability.
+    Nothing else leaves: no descriptor, no pass probability.  The weights
+    are built once per key, for all of its qubits.
     """
     flags = _bit_array(flags, "flags")
     if flags.ndim != 2 or not 1 <= flags.shape[1] <= key.length:
         raise ValueError(
             f"flags must have shape (B, alpha) with 1 <= alpha <= {key.length}"
         )
-    p_pass, p_fail = _encrypted_copy_weights(key, flags)
+    p_pass, p_fail = key._pair_weights[:, np.arange(flags.shape[1]), flags]
     return draws_outcome_zero(p_pass, p_fail, rng.random(flags.shape))
 
 
@@ -829,7 +817,7 @@ def decrypt(oracle: DecryptionOracle, cipher: CipherState, rng: np.random.Genera
             f"{oracle.key_length}"
         )
     key = oracle._consume()
-    cipher.register._apply_index_steps(-_position_indices(key), key.n)
+    cipher.register._apply_index_steps(-key._placed_indices, key.n)
     outcomes = cipher.register._measure_all_z(rng)
     used = outcomes[: cipher.num_bits * cipher.alpha].reshape(cipher.num_bits, cipher.alpha)
     return tuple(np.bitwise_xor.reduce(used, axis=1).tolist())

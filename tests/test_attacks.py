@@ -35,7 +35,7 @@ from qpke.protocol import (
     prepare_register,
     swap_test_registers,
 )
-from qpke.quantum_core import index_amplitudes, measure_axis
+from qpke.quantum_core import draws_outcome_zero, index_amplitudes, measure_axis, swap_parts
 from qpke.security_analysis import shifted_ensemble
 
 
@@ -247,6 +247,66 @@ class TestSingleUseConstraint:
     def test_validation(self):
         with pytest.raises(ValueError, match="trials"):
             single_use_constraint_check(0, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 600])
+    @pytest.mark.parametrize(
+        "precision, offsets", [(3, (0, 1, 2, 4)), (5, (0, 3, 7, 16, 31)), (1, (0, 1))]
+    )
+    def test_batched_reference_draws_the_same_outcomes(self, precision, offsets, trials):
+        for seed in range(6):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            result = single_use_constraint_check(
+                trials, rng, precision=precision, index_offsets=offsets
+            )
+            expected = batched_single_use_reference(trials, reference_rng, precision, offsets)
+            for stats, (first_passes, given_pass, given_fail) in zip(result.scenarios, expected):
+                assert stats.first_pass_rate == first_passes / trials
+                for observed, (fails, passes) in (
+                    (stats.second_pass_given_pass, given_pass),
+                    (stats.second_pass_given_fail, given_fail),
+                ):
+                    if fails + passes:
+                        assert observed == passes / (fails + passes)
+                    else:
+                        assert math.isnan(observed)
+            # both consumed the same uniforms
+            assert rng.random() == reference_rng.random()
+
+
+def _test_weights(state: np.ndarray) -> list[float]:
+    return [float(np.vdot(part, part).real) for part in swap_parts(state, 0, 1)]
+
+
+def batched_single_use_reference(trials, rng, precision, offsets):
+    """Batched single_use_constraint_check: each offset's pair is split once,
+    and one rng.random((trials, 2)) draw gives every trial's first-test and
+    repeat-test uniforms.  The first column is drawn with the pair's weights,
+    the second with the weights of the projection the first outcome left.
+    Returns per offset the first-test passes and the (fail, pass) counts of
+    the repeat test after a pass and after a failure."""
+    counts = []
+    for offset in offsets:
+        pair = np.multiply.outer(
+            np.array(index_amplitudes(0, precision)), np.array(index_amplitudes(offset, precision))
+        )
+        weights = _test_weights(pair)
+        # the repeat test's weights on each projection; a branch of weight 0 is never drawn
+        repeat = [
+            _test_weights(part / math.sqrt(weight)) if weight > 0.0 else [0.0, 0.0]
+            for part, weight in zip(swap_parts(pair, 0, 1), weights)
+        ]
+        u = rng.random((trials, 2))
+        first = draws_outcome_zero(weights[0], weights[1], u[:, 0])
+        after = np.where(first[:, np.newaxis], repeat[0], repeat[1])
+        second = draws_outcome_zero(after[:, 0], after[:, 1], u[:, 1])
+        counts.append(
+            (
+                int(first.sum()),
+                np.bincount(second[first], minlength=2).tolist(),
+                np.bincount(second[~first], minlength=2).tolist(),
+            )
+        )
+    return counts
 
 
 def complex_reference_distances(n, m0, m1, alpha):

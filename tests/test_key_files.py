@@ -21,7 +21,6 @@ from qpke.protocol import (
     KEY_FILE_VERSION,
     KeyRegistry,
     PrivateKey,
-    _decimal_text,
     encrypt,
     key_fingerprint,
     key_id_of,
@@ -155,8 +154,8 @@ def test_decimal_text_is_the_str_join(n, data):
         PrivateKey(n=n, s=tuple(s), perm=tuple(perm)),
         PrivateKey(n=n, s=np.array(s, dtype=np.int64), perm=np.array(perm, dtype=np.int64)),
     ):
-        assert _decimal_text(key, "s") == ",".join(map(str, s))
-        assert _decimal_text(key, "perm") == ",".join(map(str, perm))
+        assert key._s_text == ",".join(map(str, s))
+        assert key._perm_text == ",".join(map(str, perm))
 
 
 def _base(**fields) -> dict:
@@ -189,7 +188,26 @@ MALFORMED = {
     "empty s": (_base(s=[]), ValueError),
     "s not a list": (_base(s="1,2,3"), TypeError),
     "bool in s": (_base(s=["1", True]), TypeError),
+    # two faults: the key's own checks refuse the precision before perm
+    "boolean precision and perm beyond int64": (_base(n=True, perm=[0, 1, 2**64]), TypeError),
 }
+
+
+@pytest.mark.parametrize(
+    "s", [["07", "1", "2"], ["7", "01", "2"], ["7", "1", "002"], ["00"], ["0", "0"]]
+)
+def test_leading_zeros_anywhere_hash_as_the_canonical_key(s):
+    # the file's digits stand in for the key's decimal text only without leading zeros
+    key = private_key_from_json(_base(s=s))
+    canonical = PrivateKey(n=8, s=tuple(map(int, s)))
+    assert key._s_text == canonical._s_text
+    assert key_id_of(key) == key_id_of(canonical) == reference_key_id(canonical)
+
+
+@pytest.mark.parametrize("s", [["", "2"], ["1", ""], ["1", "", "3"], [""], ["", 2]])
+def test_an_empty_string_is_not_a_decimal_integer(s):
+    with pytest.raises(ValueError, match="holds a string that is not a decimal integer"):
+        private_key_from_json(_base(s=s))
 
 
 def _raised(load, payload) -> type | None:

@@ -41,7 +41,6 @@ from qpke.protocol import (
     save_private_key,
     swap_test_encrypted_copies,
     swap_test_registers,
-    _encrypted_copy_weights,
 )
 from qpke.quantum_core import (
     MAX_PRECISION_BITS,
@@ -710,6 +709,28 @@ class TestKeyRegistry:
                 registry.issue_copy(key_id)
         assert registry.issued_count(key_id) == 3
 
+    @pytest.mark.parametrize("permute", [False, True], ids=["plain", "permuted"])
+    def test_copies_share_nothing_with_the_key(self, permute):
+        key, _ = keygen(40, 6, permute=permute, rng=np.random.default_rng(43))
+        placed, key_id = key._placed_indices.copy(), key_id_of(key)
+        registry = KeyRegistry()
+        registry.add(key, copy_cap=3)
+        first, second, third = (registry.issue_copy(key_id) for _ in range(3))
+        prepared = describe_register(third.register, key)
+        rng = np.random.default_rng(44)
+        cipher = encrypt(first, [1, 0, 1, 1, 0, 1])
+        assert decrypt(DecryptionOracle(key, 1), cipher, rng) == (1, 0, 1, 1, 0, 1)
+        # an on-grid turn and a measurement rewrite indices in place; an
+        # off-grid turn moves a qubit into a group
+        second.register.apply_rotation(0, math.pi)
+        second.register.measure_z(1, rng)
+        second.register.apply_rotation(2, 0.3)
+        assert describe_register(third.register, key) == prepared
+        assert np.array_equal(key._placed_indices, placed)
+        assert key_id_of(key) == key_id
+        with pytest.raises(ValueError, match="read-only"):
+            key._placed_indices[0] = 1
+
     def test_unknown_and_duplicate_keys(self):
         registry = KeyRegistry()
         key, _ = keygen(33, 2, rng=np.random.default_rng(41))
@@ -847,7 +868,7 @@ class TestRegisterProperties:
             [[(flag_bits >> (6 * r + q)) & 1 for q in range(key.length)] for r in range(rows)]
         )
         passes = swap_test_encrypted_copies(key, flags, np.random.default_rng(seed))
-        p_pass, _ = _encrypted_copy_weights(key, flags)
+        p_pass = key._pair_weights[0, np.arange(key.length), flags]
         loop_rng = np.random.default_rng(seed)
         for r in range(rows):
             cipher, reference = prepare_register(key), prepare_register(key)
@@ -883,7 +904,7 @@ class TestRegisterProperties:
         grouped = data.draw(st.none() | st.integers(0, key.length - 1))
         if grouped is not None:
             register.apply_rotation(grouped, 0.3)
-        steps = -qpke.protocol._position_indices(key)
+        steps = -key._placed_indices
         register._apply_index_steps(steps, key.n)
         assert register._n == key.n
         # every refined qubit stays exact; only the grouped one holds amplitudes
