@@ -50,6 +50,7 @@ from .protocol import (
     MessageTooLongError,
     OracleDeactivatedError,
     PrivateKey,
+    _rewrite,
     decrypt,
     encrypt,
     key_fingerprint,
@@ -146,7 +147,7 @@ def _write_envelope(path: str, **body) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **body}
     # json.dump writes as it encodes; json.dumps with indent would first hold
     # every chunk of the text
-    with open(path, "w", encoding="utf-8") as handle:
+    with _rewrite(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
@@ -168,7 +169,7 @@ def _write_run(args, header: dict, out: CommandOutput) -> None:
         if out.csv_path:
             Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
         identity = {name: header[name] for name in _IDENTITY_FIELDS}
-        with open(csv_path, "w", newline="", encoding="utf-8") as handle:
+        with _rewrite(csv_path, newline="") as handle:
             writer = csv.DictWriter(
                 handle, fieldnames=out.fields + _IDENTITY_FIELDS, extrasaction="ignore"
             )

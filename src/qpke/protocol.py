@@ -16,13 +16,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -293,6 +296,25 @@ def private_key_from_json(payload: dict) -> PrivateKey:
     return key
 
 
+@contextmanager
+def _rewrite(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """UTF-8 text handle that overwrites path in place, the one way the
+    package writes a file.  The file is opened without truncation and, on
+    exit, cut at the written length, so it ends with the same bytes as after
+    open(path, "w")."""
+    # on ext4 (auto_da_alloc) closing a file truncated to zero starts its
+    # writeback; overwriting in place and cutting at length does not
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+        finally:
+            handle.flush()
+            # ftruncate refuses devices such as /dev/null
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def save_private_key(key: PrivateKey, path: str | Path) -> None:
     """Write json.dumps(private_key_to_json(key), indent=2) plus a newline."""
     parts = [
@@ -303,12 +325,13 @@ def save_private_key(key: PrivateKey, path: str | Path) -> None:
     if key.perm is not None:
         parts += [',\n  "perm": [\n    ', key._perm_text.replace(",", ",\n    "), "\n  ]"]
     parts.append("\n}\n")
-    Path(path).write_text("".join(parts))
+    with _rewrite(path) as handle:
+        handle.write("".join(parts))
 
 
 def load_private_key(path: str | Path) -> PrivateKey:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError("key file nests too deeply to be a key") from None
     return private_key_from_json(payload)

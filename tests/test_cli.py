@@ -3,6 +3,11 @@
 import csv
 import hashlib
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,8 +90,64 @@ class TestOutputPaths:
         assert "output path must not be empty" in stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(
+        not (os.path.exists(os.devnull) and stat.S_ISCHR(os.stat(os.devnull).st_mode)),
+        reason="needs a character-device null file",
+    )
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            ["--json", os.devnull, "--manifest", "m.json"],
+            ["--csv", os.devnull, "--manifest", "m.json"],
+            ["--manifest", os.devnull],
+        ],
+        ids=["json", "csv", "manifest"],
+    )
+    def test_device_output_is_written_not_truncated(
+        self, paths, tmp_path, capsys, monkeypatch
+    ):
+        # files are cut to the written length only when they are regular:
+        # ftruncate on a device fails
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr = run_cli(["analyze", "--seed", "1", *paths], capsys)
+        assert code == 0, stderr
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_directory_as_output_is_io_error(self, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            ["analyze", "--seed", "1", "--json", str(tmp_path)], capsys
+        )
+        assert code == 3
+        assert stderr.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+
+class TestTextEncoding:
+    """Every file is written and read as UTF-8, whatever the locale."""
+
+    def test_no_command_uses_the_locale_encoding(self, tmp_path):
+        # the package directory's parent, so a child process imports this qpke
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(qpke.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        ))
+        cli = [sys.executable, "-X", "warn_default_encoding",
+               "-W", "error::EncodingWarning", "-m", "qpke.cli"]
+        for argv in (
+            ["keygen", "--n", "40", "--N", "8", "--seed", "1", "--out", "key.json"],
+            ["roundtrip", "--key", "key.json", "--message", "0xd6", "--seed", "2"],
+            ["attack", "--attack", "forward-search", "--trials", "50", "--seed", "3",
+             "--json", "fs.json", "--csv", "fs.csv"],
+            ["sweep", "--experiment", "ensemble", "--n", "1:2", "--seed", "4",
+             "--out", "sweep"],
+        ):
+            done = subprocess.run(
+                cli + argv, cwd=tmp_path, env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, (argv, done.stderr)
+            assert done.stderr == "", argv
 
 
 class TestKeygenCommand:

@@ -13,10 +13,18 @@ computed with `math` only, so its payloads are pinned.
 
 Each command's manifest run id is pinned as well: it hashes the command's
 run parameters, so it is what covers `keygen`, whose key file holds no run id.
+
+The commands run twice: into an empty directory, and again into one where
+every output path already holds a longer file of junk.  Files are overwritten
+in place and cut at the written length, never truncated when opened, so both
+runs must leave the same bytes, and no run may open a file it writes with
+O_TRUNC.
 """
 
 import hashlib
 import json
+import os
+import sys
 
 import pytest
 
@@ -72,15 +80,60 @@ RUN_IDS = {
 }
 
 
-@pytest.fixture(scope="module")
-def golden_dir(tmp_path_factory):
+# every file the commands write, and what a stale rerun finds at each path
+WRITTEN = sorted({*GOLDEN, *RUN_IDS})
+STALE_BYTES = bytes(range(256)) * 256  # 64 KiB, not UTF-8
+
+# (path, os flags) of every open for writing while _opened is a list; the
+# "open" audit event reports builtin open, io.open, pathlib and os.open alike
+_opened = None
+
+
+def _record_write_opens(event, args):
+    if event == "open" and _opened is not None:
+        path, _, flags = args
+        # an int path rewraps a descriptor that is already open
+        if not isinstance(path, int) and flags & (os.O_WRONLY | os.O_RDWR):
+            _opened.append((os.fsdecode(path), flags))
+
+
+# an audit hook stays for the life of the process: it is added once, here
+sys.addaudithook(_record_write_opens)
+
+
+def _run_commands(workdir):
+    """Run COMMANDS in workdir; return the (path, flags) of each write open."""
+    global _opened
     # relative paths: the roundtrip payload records its --key argument
-    workdir = tmp_path_factory.mktemp("golden")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(workdir)
-        for argv in COMMANDS:
-            assert main(argv) == 0, argv
-    return workdir
+        _opened = []
+        try:
+            for argv in COMMANDS:
+                assert main(argv) == 0, argv
+            return _opened
+        finally:
+            _opened = None
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("golden")
+    return workdir, _run_commands(workdir)
+
+
+@pytest.fixture(scope="module")
+def golden_dir(golden_run):
+    return golden_run[0]
+
+
+@pytest.fixture(scope="module")
+def stale_run(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("stale")
+    (workdir / "sweep").mkdir()
+    for name in WRITTEN:
+        (workdir / name).write_bytes(STALE_BYTES)
+    return workdir, _run_commands(workdir)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -92,3 +145,24 @@ def test_payload_matches_golden_digest(name, golden_dir):
 def test_manifest_records_golden_run_id(name, golden_dir):
     manifest = json.loads((golden_dir / name).read_text(encoding="utf-8"))["manifest"]
     assert manifest["run_id"] == RUN_IDS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_rerun_over_stale_files_matches_golden_digest(name, stale_run):
+    stale_dir, _ = stale_run
+    assert hashlib.sha256((stale_dir / name).read_bytes()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_IDS))
+def test_rerun_over_stale_files_records_golden_run_id(name, stale_run):
+    stale_dir, _ = stale_run
+    manifest = json.loads((stale_dir / name).read_text(encoding="utf-8"))["manifest"]
+    assert manifest["run_id"] == RUN_IDS[name]
+
+
+@pytest.mark.parametrize("run", ["golden_run", "stale_run"])
+def test_every_file_is_opened_once_without_truncation(run, request):
+    _, opened = request.getfixturevalue(run)
+    assert sorted(path for path, _ in opened) == WRITTEN
+    truncating = [path for path, flags in opened if flags & os.O_TRUNC]
+    assert truncating == []
