@@ -27,7 +27,6 @@ from .attacks import (
     single_use_constraint_check,
 )
 from .protocol import (
-    AccessDeniedError,
     CipherState,
     CopyCapExceededError,
     DecryptionOracle,
@@ -38,9 +37,7 @@ from .protocol import (
     PrivateKey,
     PublicKey,
     QuantumRegister,
-    TamperedRegisterError,
     decrypt,
-    describe_register,
     encode_redundant,
     encrypt,
     key_fingerprint,
@@ -53,10 +50,7 @@ from .protocol import (
 )
 from .quantum_core import (
     MAX_PRECISION_BITS,
-    AngleIndex,
     DensityMatrix,
-    PrecisionMismatchError,
-    overlap,
     trace_distance,
     von_neumann_entropy,
 )

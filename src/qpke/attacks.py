@@ -32,7 +32,8 @@ from .protocol import (
     swap_test_registers,
 )
 from .quantum_core import (
-    STDERR_VARIANCE_FLOOR, DensityMatrix, check_integer, check_precision, overlap, trace_distance
+    STDERR_VARIANCE_FLOOR, DensityMatrix, check_integer, check_precision, rotation_matrix,
+    trace_distance,
 )
 from .security_analysis import shifted_ensemble
 
@@ -240,7 +241,9 @@ def single_use_constraint_check(
     scenarios = []
     for offset in index_offsets:
         key_b = PrivateKey(n=precision, s=(offset,))
-        inner = overlap(key_b.angle_indices()[0], key_a.angle_indices()[0])
+        # key_a prepares |0>, so the inner product is <0|R(theta)|0>, the
+        # cosine of theta / 2, for the angle theta that prepares index offset
+        inner = float(rotation_matrix(math.pi * (offset / (1 << (precision - 1))))[0, 0])
         first_passes = 0
         second_given_pass = [0, 0]
         second_given_fail = [0, 0]

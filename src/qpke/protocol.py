@@ -7,8 +7,8 @@ qubits by R(pi) according to a parity-redundant encoding of the message;
 decryption undoes the secret rotations and reads the z basis.
 
 Registers are opaque: holders may rotate, measure, and run symmetry tests,
-but the hidden descriptors are only readable through describe_register,
-which demands the generating private key as the owner credential.
+and no public path reads a qubit's state back.  Only the classical private
+key, through the decryption device, undoes the secret rotations.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Iterator, Sequence, TextIO
 import numpy as np
 
 from .quantum_core import (
-    AngleIndex,
     MAX_PRECISION_BITS,
     INDEX_SNAP_STEPS,
     check_integer,
@@ -71,14 +70,6 @@ class CopyCapExceededError(RuntimeError):
 
 class OracleDeactivatedError(RuntimeError):
     """Decryption attempted after the device exhausted its allowed uses."""
-
-
-class AccessDeniedError(PermissionError):
-    """Register descriptors requested without the owner credential."""
-
-
-class TamperedRegisterError(RuntimeError):
-    """Register descriptors requested after non-index operations."""
 
 
 def _bit_array(values, name: str) -> np.ndarray:
@@ -184,9 +175,6 @@ class PrivateKey:
         """Number of qubits N in the matching public key."""
         return len(self.s)
 
-    def angle_indices(self) -> tuple[AngleIndex, ...]:
-        return tuple(AngleIndex(v, self.n) for v in self.s)
-
     # cached_property writes the instance __dict__ directly, past the frozen
     # dataclass's __setattr__; the fields stay the only compared state
 
@@ -214,10 +202,6 @@ class PrivateKey:
         perm = "" if self.perm is None else f'"perm":[{self._perm_text}],'
         s = self._s_text.replace(",", '","')
         return f'{{"n":{self.n},{perm}"s":["{s}"],"version":{KEY_FILE_VERSION}}}'.encode()
-
-    @cached_property
-    def _owner_tag(self) -> bytes:
-        return hashlib.sha256(b"qpke:owner-tag:" + self._canonical_bytes).digest()
 
     @cached_property
     def _pair_weights(self) -> np.ndarray:
@@ -373,22 +357,19 @@ class QuantumRegister:
     """Opaque register of simulated qubits.
 
     Holders can count qubits, apply rotations, measure, and take part in
-    symmetry tests.  Nothing on the public surface reveals the hidden
-    descriptors; see describe_register for the owner-credential path.
+    symmetry tests.  Nothing on the public surface, repr included, reveals
+    a qubit's rotation index or amplitudes.
     """
 
     def __init__(self) -> None:
         raise TypeError("use prepare_register or QuantumRegister.of_computational")
 
     @classmethod
-    def _from_indices(
-        cls, indices: Sequence[int], n: int, owner_tag: bytes | None
-    ) -> "QuantumRegister":
+    def _from_indices(cls, indices: Sequence[int], n: int) -> "QuantumRegister":
         reg = object.__new__(cls)
         reg._n = n
         reg._indices = np.array(indices, dtype=np.int64)
         reg._groups = {}
-        reg._owner_tag = owner_tag
         reg._carries_cipher = False
         return reg
 
@@ -399,7 +380,7 @@ class QuantumRegister:
         if arr.ndim != 1 or not arr.size:
             raise ValueError("register needs a flat sequence of at least one bit")
         # at n = 1 index 1 is the half period, R(pi)|0> = |1>
-        return cls._from_indices(arr, 1, None)
+        return cls._from_indices(arr, 1)
 
     def __repr__(self) -> str:
         return f"QuantumRegister(qubits={self.qubit_count})"
@@ -409,6 +390,10 @@ class QuantumRegister:
         return self._indices.size
 
     def _check_qubit(self, qubit: int) -> None:
+        """Refuse a position before any qubit changes: a bool, float or other
+        non-integer would otherwise fail only when numpy indexes with it."""
+        if isinstance(qubit, bool) or not isinstance(qubit, (int, np.integer)):
+            raise TypeError(f"qubit position must be an integer, got {qubit!r}")
         if not 0 <= qubit < self.qubit_count:
             raise ValueError(f"qubit {qubit} out of range for {self.qubit_count} qubits")
 
@@ -532,7 +517,7 @@ class CipherState:
 
 def prepare_register(key: PrivateKey) -> QuantumRegister:
     """Owner-side preparation of a fresh public-key register."""
-    return QuantumRegister._from_indices(key._placed_indices, key.n, key._owner_tag)
+    return QuantumRegister._from_indices(key._placed_indices, key.n)
 
 
 def keygen(
@@ -572,26 +557,6 @@ def keygen(
         key_id=key_id_of(key), N=N, register=prepare_register(key), copy_index=0
     )
     return key, public
-
-
-def describe_register(register: QuantumRegister, credential: PrivateKey) -> tuple[AngleIndex, ...]:
-    """Owner-only view of the hidden descriptors.
-
-    The credential must be the private key whose preparation produced the
-    register; anything else is denied.  Raises TamperedRegisterError while
-    any qubit is in an amplitude group, moved off the exact path by a
-    non-index operation; a measured qubit is back on the grid and reads as
-    its collapsed index.
-    """
-    if (
-        not isinstance(credential, PrivateKey)
-        or register._owner_tag is None
-        or credential._owner_tag != register._owner_tag
-    ):
-        raise AccessDeniedError("register descriptors require the generating private key")
-    if register._groups:
-        raise TamperedRegisterError("register no longer carries exact index descriptors")
-    return tuple(AngleIndex(int(v), register._n) for v in register._indices)
 
 
 def swap_test_registers(

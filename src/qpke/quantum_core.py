@@ -5,8 +5,8 @@ Bloch sphere: starting from |0>, a rotation R(theta) = exp(-i theta Y / 2)
 by theta = s * pi / 2**(n-1) produces the state with amplitudes
 (cos(s pi / 2**n), sin(s pi / 2**n)).  Because adjacent states differ by an
 angle far below double precision once n is large, protocol-path states are
-tracked as exact integer indices (:class:`AngleIndex`) and only converted
-to floating-point amplitudes at measurement or analysis boundaries.
+tracked as exact integer indices s at precision n and only converted to
+floating-point amplitudes at measurement or analysis boundaries.
 
 The kernel owns the qubit conventions: one index-to-state map
 (index_amplitudes, array form index_amplitudes_batch), one Born rule for
@@ -41,10 +41,6 @@ STDERR_VARIANCE_FLOOR = 1e-12
 MAX_PRECISION_BITS = 62
 
 
-class PrecisionMismatchError(ValueError):
-    """Raised when index arithmetic mixes two different precisions n."""
-
-
 def check_integer(value: int, name: str, lo: int = 1, hi: int | None = None) -> None:
     """The one rule for every count, cap and precision: value is an int, not
     a bool, float or numpy integer, in [lo, hi] (no upper bound if hi is None)."""
@@ -60,27 +56,6 @@ def check_integer(value: int, name: str, lo: int = 1, hi: int | None = None) -> 
 def check_precision(n: int, cap: int = MAX_PRECISION_BITS) -> None:
     """The precision rule: n is an integer in [1, cap]."""
     check_integer(n, "precision n", 1, cap)
-
-
-# --- exact rotation indices ---
-
-
-@dataclass(frozen=True)
-class AngleIndex:
-    """Exact rotation index: the state R(s * pi / 2**(n-1))|0> at precision n.
-
-    The index s is reduced modulo 2**n; a full period of 2**n steps
-    corresponds to a rotation by 2*pi.
-    """
-
-    s: int
-    n: int
-
-    def __post_init__(self) -> None:
-        check_precision(self.n)
-        if not isinstance(self.s, int) or isinstance(self.s, bool):
-            raise TypeError("index s must be an integer")
-        object.__setattr__(self, "s", self.s % (1 << self.n))
 
 
 # --- density matrices ---
@@ -165,19 +140,6 @@ def rotate_axis(arr: np.ndarray, axis: int, theta: float) -> np.ndarray:
     """Kernel: apply R(theta) to the qubit on one axis of an amplitude tensor."""
     rotated = np.tensordot(rotation_matrix(theta), arr, axes=([1], [axis]))
     return np.moveaxis(rotated, 0, axis)
-
-
-def overlap(a: AngleIndex, b: AngleIndex) -> float:
-    """Inner product <psi_a|psi_b> = cos((a.s - b.s) * pi / 2**n), exactly.
-
-    Antipodal indices (difference 2**(n-1)) are orthogonal; a unit
-    difference gives cos(pi / 2**n), approaching 1 as n grows.
-    """
-    if a.n != b.n:
-        raise PrecisionMismatchError(
-            f"cannot compare indices at different precisions (n={a.n} vs n={b.n})"
-        )
-    return math.cos(math.pi * ((a.s - b.s) / (1 << a.n)))
 
 
 # --- measurements ---

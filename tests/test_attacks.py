@@ -232,6 +232,17 @@ class TestSingleUseConstraint:
         assert abs(stats.second_pass_given_pass - first_law) > 0.07
         assert abs(stats.second_pass_given_fail - first_law) > 0.9
 
+    @pytest.mark.parametrize("precision", [3, 8])
+    def test_theory_values_are_the_closed_form_bit_for_bit(self, precision):
+        offsets = tuple(range(1 << precision))
+        result = single_use_constraint_check(
+            1, np.random.default_rng(35), precision=precision, index_offsets=offsets
+        )
+        for offset, stats in zip(offsets, result.scenarios):
+            inner = math.cos(math.pi * (offset / (1 << precision)))
+            assert stats.overlap.hex() == inner.hex(), offset
+            assert stats.predicted_first_pass.hex() == ((1.0 + inner * inner) / 2.0).hex(), offset
+
     def test_records_one_row_per_overlap(self):
         rng = np.random.default_rng(34)
         result = single_use_constraint_check(50, rng)

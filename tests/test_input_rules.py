@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import register_indices
+
 from qpke.attacks import (
     CPA_PRECISION_CAP,
     CPA_TOTAL_QUBIT_CAP,
@@ -37,15 +39,15 @@ from qpke.protocol import (
     QuantumRegister,
     apply_encryption_flags,
     decrypt,
-    describe_register,
     encode_redundant,
     encrypt,
     keygen,
     prepare_register,
     private_key_from_json,
     swap_test_encrypted_copies,
+    swap_test_registers,
 )
-from qpke.quantum_core import MAX_PRECISION_BITS, AngleIndex, check_integer, check_precision
+from qpke.quantum_core import MAX_PRECISION_BITS, check_integer, check_precision
 from qpke.security_analysis import (
     MI_COPIES_CAP,
     MI_PRECISION_CAP,
@@ -64,7 +66,6 @@ def _rng():
 # name -> (call with precision n, upper bound of n)
 PRECISION_ENTRY_POINTS = {
     "check_precision": (check_precision, MAX_PRECISION_BITS),
-    "AngleIndex": (lambda n: AngleIndex(0, n), MAX_PRECISION_BITS),
     "PrivateKey": (lambda n: PrivateKey(n=n, s=(0,)), MAX_PRECISION_BITS),
     "keygen": (lambda n: keygen(n, 1, rng=_rng()), MAX_PRECISION_BITS),
     "keygen-range": (lambda n: keygen((n, n), 1, rng=_rng()), MAX_PRECISION_BITS),
@@ -338,10 +339,44 @@ def test_flag_vector_faults_are_refused_before_the_register_turns(entry):
     key, public = keygen(40, 2, rng=_rng())
     with pytest.raises(ValueError, match=message):
         call(public)
-    assert describe_register(public.register, key) == key.angle_indices()
+    assert register_indices(public.register, key.n) == key.s
     # a refused encryption leaves the copy free to carry one
     cipher = apply_encryption_flags(public, [1, 0])
     assert decrypt(DecryptionOracle(key, 1), cipher, _rng()) == (1, 0)
+
+
+# name -> call with a qubit position on register a or b of two exact registers
+QUBIT_POSITION_ENTRY_POINTS = {
+    "apply_rotation": lambda a, b, q: a.apply_rotation(q, 0.3),
+    "measure_z": lambda a, b, q: a.measure_z(q, _rng()),
+    "swap_test_registers first": lambda a, b, q: swap_test_registers(a, q, b, 1, _rng()),
+    "swap_test_registers second": lambda a, b, q: swap_test_registers(a, 0, b, q, _rng()),
+}
+
+
+@pytest.mark.parametrize("entry", QUBIT_POSITION_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "position", [0.0, 1.5, True, np.True_], ids=["0.0", "1.5", "True", "np.True_"]
+)
+def test_non_integer_qubit_positions_are_refused_before_any_qubit_changes(entry, position):
+    key = PrivateKey(n=8, s=(5, 9))
+    registers = prepare_register(key), prepare_register(key)
+    with pytest.raises(TypeError, match="qubit position must be an integer"):
+        QUBIT_POSITION_ENTRY_POINTS[entry](*registers, position)
+    for register in registers:
+        assert register_indices(register, 8) == (5, 9)
+
+
+@pytest.mark.parametrize("entry", QUBIT_POSITION_ENTRY_POINTS)
+def test_numpy_integer_qubit_positions_act_as_their_ints(entry):
+    key = PrivateKey(n=8, s=(5, 9))
+    states = []
+    for position in (1, np.int64(1)):
+        # the same draws, so both positions must leave the same state
+        registers = prepare_register(key), prepare_register(key)
+        result = QUBIT_POSITION_ENTRY_POINTS[entry](*registers, position)
+        states.append((result, [(r._indices.tolist(), sorted(r._groups)) for r in registers]))
+    assert states[0] == states[1]
 
 
 # key fields given as arrays: a 1-D int64 array is checked by its dtype, any
@@ -378,8 +413,8 @@ def test_int64_key_arrays_are_accepted_as_their_tuples():
     s[:] = 1
     perm[:] = 0
     assert key.s == (5, 0, 7) and key.perm == (2, 0, 1)
-    assert describe_register(prepare_register(key), key) == describe_register(
-        prepare_register(from_tuples), from_tuples
+    assert register_indices(prepare_register(key), 3) == register_indices(
+        prepare_register(from_tuples), 3
     )
 
 

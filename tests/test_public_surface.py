@@ -14,8 +14,6 @@ import pytest
 import qpke
 
 PUBLIC_NAMES = [
-    "AccessDeniedError",
-    "AngleIndex",
     "CcaSessionResult",
     "CipherState",
     "CopyCapExceededError",
@@ -32,18 +30,15 @@ PUBLIC_NAMES = [
     "MutualInfoEstimate",
     "OracleDeactivatedError",
     "OracleSubmission",
-    "PrecisionMismatchError",
     "PrivateKey",
     "PublicKey",
     "QuantumRegister",
     "ScenarioStats",
     "SecrecyReport",
     "SingleUseCheckResult",
-    "TamperedRegisterError",
     "chosen_ciphertext_session",
     "chosen_plaintext_distinguishability",
     "decrypt",
-    "describe_register",
     "encode_redundant",
     "encrypt",
     "ensemble_density",
@@ -56,7 +51,6 @@ PUBLIC_NAMES = [
     "key_id_of",
     "keygen",
     "load_private_key",
-    "overlap",
     "parity_from_fails",
     "permuted_key_entropy",
     "prepare_register",

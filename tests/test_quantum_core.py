@@ -22,15 +22,12 @@ from qpke.quantum_core import (
     ATOL,
     EIGENVALUE_FLOOR,
     MAX_PRECISION_BITS,
-    AngleIndex,
     DensityMatrix,
-    PrecisionMismatchError,
     draws_outcome_zero,
     index_amplitudes,
     index_amplitudes_batch,
     measure_axis,
     outcome_one_probability,
-    overlap,
     rotate_axis,
     rotation_matrix,
     sample_outcome,
@@ -61,14 +58,23 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 def single(s: int, n: int) -> np.ndarray:
     """Amplitudes of the indexed one-qubit rotation state, s reduced mod 2**n."""
-    idx = AngleIndex(s, n)
-    return np.array(index_amplitudes(idx.s, idx.n), dtype=np.complex128)
+    return np.array(index_amplitudes(s % (1 << n), n), dtype=np.complex128)
 
 
 def rotation_angle(s: int, n: int) -> float:
-    """The angle s * pi / 2**(n-1) of R whose |0> image is index state s."""
-    idx = AngleIndex(s, n)
-    return math.pi * (idx.s / (1 << (idx.n - 1)))
+    """The angle s * pi / 2**(n-1) of R whose |0> image is index state s,
+    s reduced mod 2**n."""
+    return math.pi * ((s % (1 << n)) / (1 << (n - 1)))
+
+
+def closed_form_overlap(a: int, b: int, n: int) -> float:
+    """<psi_a|psi_b> = cos((a - b) * pi / 2**n) of index states a and b."""
+    return math.cos(math.pi * ((a - b) / (1 << n)))
+
+
+def map_overlap(a: int, b: int, n: int) -> float:
+    """<psi_a|psi_b> from the kernel's index-to-state map, unreduced indices."""
+    return float(np.dot(index_amplitudes(a, n), index_amplitudes(b, n)))
 
 
 def reduced_purity(pair: np.ndarray) -> float:
@@ -88,26 +94,17 @@ class _FixedUniform:
         return self.value if size is None else np.full(size, self.value)
 
 
-class TestAngleIndex:
-    """Exact integer representation of dyadic rotation angles."""
+class TestIndexPeriod:
+    """Indices are exact dyadic rotation angles with period 2**n."""
 
     def test_reduction_modulo_period(self):
-        assert AngleIndex(19, 4).s == 3
-        assert AngleIndex(-1, 4).s == 15
-        assert AngleIndex(16, 4).s == 0
+        # a full period of 2**n steps is a turn by 2 pi, R(2 pi) = -1: the
+        # same state, up to its sign
+        for s, reduced in ((19, 3), (-1, 15), (16, 0)):
+            inner = map_overlap(s, reduced, 4)
+            assert inner == pytest.approx(closed_form_overlap(s, reduced, 4), abs=1e-15)
+            assert abs(inner) == pytest.approx(1.0, abs=1e-15)
 
-    def test_precision_bounds(self):
-        with pytest.raises(ValueError, match="precision"):
-            AngleIndex(0, 0)
-        with pytest.raises(ValueError, match="precision"):
-            AngleIndex(0, MAX_PRECISION_BITS + 1)
-        AngleIndex(0, MAX_PRECISION_BITS)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(TypeError):
-            AngleIndex(0.5, 4)
-        with pytest.raises(TypeError):
-            AngleIndex(0, 4.0)
 
 class TestRotationMatrix:
     """Matrix form of R(theta) = exp(-i theta Y / 2)."""
@@ -193,35 +190,30 @@ class TestApplyRotation:
 
 
 class TestOverlap:
-    """Exact inner products between indexed states."""
+    """Inner products of the kernel's index states: cos((a - b) pi / 2**n)."""
 
     def test_equal_indices(self):
-        assert overlap(AngleIndex(9, 5), AngleIndex(9, 5)) == pytest.approx(1.0, abs=1e-15)
+        assert map_overlap(9, 9, 5) == pytest.approx(1.0, abs=1e-15)
 
     def test_adjacent_indices(self):
         for n in (1, 2, 8, 30):
-            got = overlap(AngleIndex(1, n), AngleIndex(0, n))
+            got = map_overlap(1, 0, n)
             assert got == pytest.approx(math.cos(math.pi / 2**n), abs=1e-15)
 
     def test_antipodal_indices(self):
         for n in (1, 4, 40, 62):
             s = 12345 % (1 << n)
-            assert overlap(
-                AngleIndex(s, n), AngleIndex(s + (1 << (n - 1)), n)
-            ) == pytest.approx(0.0, abs=1e-12)
-
-    def test_precision_mismatch(self):
-        with pytest.raises(PrecisionMismatchError):
-            overlap(AngleIndex(0, 3), AngleIndex(0, 4))
+            antipode = (s + (1 << (n - 1))) % (1 << n)
+            assert map_overlap(s, antipode, n) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_prepared_inner_product_exhaustively(self):
-        # Every index pair at n <= 8 agrees with the prepared-state vectors.
+        # Every index pair at n <= 8 agrees with the closed form.
         for n in range(1, 9):
             states = [single(s, n) for s in range(1 << n)]
             gram = np.real(np.array(states) @ np.array(states).T)
             for a in range(1 << n):
                 for b in range(1 << n):
-                    assert abs(overlap(AngleIndex(a, n), AngleIndex(b, n)) - gram[a, b]) <= 1e-12
+                    assert abs(closed_form_overlap(a, b, n) - gram[a, b]) <= 1e-12
 
     def test_matches_prepared_inner_product_sampled(self):
         rng = np.random.default_rng(11)
@@ -229,7 +221,7 @@ class TestOverlap:
             for _ in range(100):
                 a, b = (int(v) for v in rng.integers(0, 1 << n, 2))
                 inner = float(np.vdot(single(a, n), single(b, n)).real)
-                assert abs(overlap(AngleIndex(a, n), AngleIndex(b, n)) - inner) <= 1e-12
+                assert abs(closed_form_overlap(a, b, n) - inner) <= 1e-12
 
 
 class TestSampleOutcome:
@@ -592,7 +584,7 @@ class TestSwapTest:
         rng = np.random.default_rng(18)
         for delta in (1, 2, 3):
             pair = product_tensor(single(0, 4), single(delta, 4))
-            ov = overlap(AngleIndex(0, 4), AngleIndex(delta, 4))
+            ov = closed_form_overlap(0, delta, 4)
             _, p_pass, _ = swap_project(pair, 0, 1, rng)
             assert p_pass == pytest.approx((1 + ov**2) / 2, abs=1e-12)
 
