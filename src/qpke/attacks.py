@@ -293,21 +293,33 @@ class CpaReport:
     distance_m1_to_public: float
 
 
-def _message_density(n: int, message: Sequence[int], alpha: int) -> DensityMatrix:
-    """Ciphertext density for a fixed message, averaged over key and mask.
+def _flag_probabilities(message: Sequence[int], alpha: int) -> tuple[float, ...]:
+    """Per-qubit probability that encryption rotates the qubit by pi, which
+    alone sets the message's ciphertext density: the bit itself at alpha 1,
+    0.5 at alpha >= 2, where the mask makes every flag a fair coin."""
+    return tuple(float(bit) if alpha == 1 else 0.5 for bit in message for _ in range(alpha))
+
+
+def _message_density(
+    flags: Sequence[float], factors: dict[float, np.ndarray]
+) -> DensityMatrix:
+    """Ciphertext density for a flag sequence, averaged over key and mask.
 
     Key entries are independent, so the register density is the tensor
     product of per-qubit averages; within a block the mask positions are
     parity-correlated, but each per-qubit average is identical for either
-    flag value, so the product form is exact.  Each distinct flag
-    probability's ensemble is built once.
+    flag value, so the product form is exact.  A CPA report builds one
+    density per distinct flag sequence; the public density is the all-zero
+    message's density at alpha 1.  factors maps each flag probability to
+    its shifted_ensemble.  Each step is np.kron(out, factor): every entry
+    is the same product of factors, multiplied in the same order.
     """
-    flag_probabilities = [float(bit) if alpha == 1 else 0.5 for bit in message]
-    factors = {p: shifted_ensemble(n, p) for p in set(flag_probabilities)}
     out = np.ones((1, 1))
-    for p_flag in flag_probabilities:
-        for _ in range(alpha):
-            out = np.kron(out, factors[p_flag])
+    for p_flag in flags:
+        rows, cols = out.shape
+        out = (out[:, None, :, None] * factors[p_flag][None, :, None, :]).reshape(
+            2 * rows, 2 * cols
+        )
     return DensityMatrix(out)
 
 
@@ -321,9 +333,14 @@ def chosen_plaintext_distinguishability(
 
     Builds the full ciphertext density matrix of each message averaged
     over the key distribution, plus the unencrypted public-key density,
-    and reports the pairwise trace distances.  All three states coincide,
-    so every distance is numerically zero: encryption is a phase-free
-    relabeling of an already maximally mixed ensemble.
+    and reports the pairwise trace distances.  A density depends only on
+    its flag sequence, so one density is built per distinct sequence and
+    one shifted_ensemble per distinct flag probability.  The public
+    density is the all-zero message's density at alpha 1: at alpha 1 an
+    all-zero message shares it, and its distance is 0 with no solve.
+    All three states coincide, so every distance is numerically zero:
+    encryption is a phase-free relabeling of an already maximally mixed
+    ensemble.
     """
     check_precision(n, cap=CPA_PRECISION_CAP)
     check_integer(alpha, "alpha")
@@ -338,9 +355,14 @@ def chosen_plaintext_distinguishability(
             f"exact enumeration is limited to {CPA_TOTAL_QUBIT_CAP} qubits, "
             f"got {total_qubits}"
         )
-    rho_0 = _message_density(n, m0, alpha)
-    rho_1 = _message_density(n, m1, alpha)
-    rho_public = _message_density(n, (0,) * total_qubits, 1)
+    flags = (
+        _flag_probabilities(m0, alpha),
+        _flag_probabilities(m1, alpha),
+        _flag_probabilities((0,) * total_qubits, 1),
+    )
+    factors = {p: shifted_ensemble(n, p) for p in set().union(*flags)}
+    densities = {f: _message_density(f, factors) for f in dict.fromkeys(flags)}
+    rho_0, rho_1, rho_public = (densities[f] for f in flags)
     return CpaReport(
         n=n,
         num_bits=len(m0),

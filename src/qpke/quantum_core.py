@@ -84,7 +84,9 @@ class DensityMatrix:
         dim = mat.shape[0]
         if dim < 2 or dim & (dim - 1):
             raise ValueError("density matrix dimension must be a power of two >= 2")
-        if not np.allclose(mat, mat.T, atol=ATOL):
+        # exact symmetry implies allclose for every finite or infinite entry;
+        # NaN fails both, so the outcome is allclose's alone
+        if not (np.array_equal(mat, mat.T) or np.allclose(mat, mat.T, atol=ATOL)):
             raise ValueError(f"density matrix must be symmetric within {ATOL}")
         trace = float(np.trace(mat))
         if abs(trace - 1.0) > ATOL:
@@ -131,7 +133,9 @@ def index_amplitudes_batch(indices: np.ndarray, n: int) -> np.ndarray:
     one int64 index), the array form of index_amplitudes: index period/2 is
     exactly [0, 1]."""
     half = np.pi * (indices / (1 << n))
-    amps = np.stack([np.cos(half), np.sin(half)], axis=-1)
+    amps = np.empty(np.shape(half) + (2,))
+    np.cos(half, out=amps[..., 0])
+    np.sin(half, out=amps[..., 1])
     amps[indices == 1 << (n - 1)] = (0.0, 1.0)
     return amps
 
@@ -194,9 +198,16 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """D(a, b) = 0.5 * sum |eigenvalues(a - b)|, in [0, 1]."""
+    """D(a, b) = 0.5 * sum |eigenvalues(a - b)|, in [0, 1].
+
+    A density's distance to itself (a is b) is 0.0 without an eigen solve,
+    the value the solve gives for the zero matrix.  Two distinct densities
+    are always solved, even when their entries are equal.
+    """
     if a.entries.shape != b.entries.shape:
         raise ValueError("trace distance requires matrices of equal dimension")
+    if a is b:
+        return 0.0
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.entries - b.entries))))
 
 

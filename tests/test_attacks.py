@@ -35,7 +35,9 @@ from qpke.protocol import (
     prepare_register,
     swap_test_registers,
 )
-from qpke.quantum_core import draws_outcome_zero, index_amplitudes, measure_axis, swap_parts
+from qpke.quantum_core import (
+    DensityMatrix, draws_outcome_zero, index_amplitudes, measure_axis, swap_parts,
+)
 from qpke.security_analysis import shifted_ensemble
 
 
@@ -340,6 +342,12 @@ def complex_reference_distances(n, m0, m1, alpha):
     return distance(rho_0, rho_1), distance(rho_0, public), distance(rho_1, public)
 
 
+def message_density(n, message, alpha):
+    flags = qpke.attacks._flag_probabilities(message, alpha)
+    factors = {p: shifted_ensemble(n, p) for p in set(flags)}
+    return qpke.attacks._message_density(flags, factors)
+
+
 class TestChosenPlaintext:
     """Exact indistinguishability of ciphertext ensembles."""
 
@@ -379,12 +387,60 @@ class TestChosenPlaintext:
 
         monkeypatch.setattr(qpke.attacks, "shifted_ensemble", counting)
         chosen_plaintext_distinguishability(12, (0,) * 8, (1,) * 8)
-        # one ensemble per distinct flag probability of each of the three
-        # densities, where one per qubit position made 24
-        assert sorted(calls) == [(12, 0.0), (12, 0.0), (12, 1.0)]
+        # one ensemble per distinct flag probability across the report's
+        # three densities, where one per qubit position made 24
+        assert sorted(calls) == [(12, 0.0), (12, 1.0)]
         calls.clear()
         chosen_plaintext_distinguishability(8, (0, 1, 1, 0), (1, 1, 0, 0), alpha=2)
-        assert sorted(calls) == [(8, 0.0), (8, 0.5), (8, 0.5)]
+        assert sorted(calls) == [(8, 0.0), (8, 0.5)]
+
+    @pytest.mark.parametrize("alpha", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", range(1, CPA_PRECISION_CAP + 1))
+    def test_distances_equal_the_per_density_route(self, n, alpha):
+        # the route that built each of the three densities on its own and
+        # solved every distance, kept as the bit-for-bit reference
+        def density(message, a):
+            out = np.ones((1, 1))
+            for bit in message:
+                for _ in range(a):
+                    out = np.kron(out, shifted_ensemble(n, float(bit) if a == 1 else 0.5))
+            return DensityMatrix(out)
+
+        def distance(a, b):
+            return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.entries - b.entries))))
+
+        rng = np.random.default_rng([n, alpha, 28])
+        length = CPA_TOTAL_QUBIT_CAP // alpha
+        random_pair = tuple(tuple(int(b) for b in rng.integers(0, 2, size=length)) for _ in "ab")
+        for m0, m1 in [((0,) * length, (1,) * length), ((1,) * length, (0,) * length),
+                       ((0,) * length, (0,) * length), random_pair]:
+            rho_0, rho_1 = density(m0, alpha), density(m1, alpha)
+            rho_public = density((0,) * (length * alpha), 1)
+            report = chosen_plaintext_distinguishability(n, m0, m1, alpha)
+            assert report.distance_between_messages == distance(rho_0, rho_1)
+            assert report.distance_m0_to_public == distance(rho_0, rho_public)
+            assert report.distance_m1_to_public == distance(rho_1, rho_public)
+
+    def test_shared_density_skips_its_eigen_solve(self, monkeypatch):
+        calls = []
+        solve = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        # the CLI's report: at alpha 1 the all-zero message is the public
+        # density, so two validations and two distances remain of six solves
+        chosen_plaintext_distinguishability(12, (0,) * 8, (1,) * 8)
+        assert calls == [(256, 256)] * 4
+        calls.clear()
+        # at alpha >= 2 every flag is 0.5, so the two messages share a density
+        chosen_plaintext_distinguishability(8, (0, 1, 1, 0), (1, 1, 0, 0), alpha=2)
+        assert calls == [(256, 256)] * 4
+        calls.clear()
+        chosen_plaintext_distinguishability(8, (0, 1, 1, 0), (1, 1, 0, 0))
+        assert calls == [(16, 16)] * 6
 
     @pytest.mark.parametrize(
         "n, message, alpha",
@@ -398,12 +454,12 @@ class TestChosenPlaintext:
             for _ in range(alpha):
                 p_flag = float(bit) if alpha == 1 else 0.5
                 want = np.kron(want, shifted_ensemble(n, p_flag))
-        got = qpke.attacks._message_density(n, message, alpha).entries
+        got = message_density(n, message, alpha).entries
         assert got.tobytes() == want.tobytes()
 
     def test_message_density_is_real(self):
         for message, alpha in [((0, 1, 1), 1), ((1, 0), 2)]:
-            entries = qpke.attacks._message_density(6, message, alpha).entries
+            entries = message_density(6, message, alpha).entries
             assert entries.dtype == np.float64
 
     @pytest.mark.parametrize("alpha", [1, 2, 4, 8])

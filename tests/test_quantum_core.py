@@ -149,6 +149,26 @@ class TestIndexAmplitudes:
     def test_quarter_turn(self):
         np.testing.assert_allclose(single(1, 2), [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, MAX_PRECISION_BITS + 1))
+    def test_batch_matches_the_stacked_form(self, n):
+        def stacked(indices):
+            half = np.pi * (indices / (1 << n))
+            amps = np.stack([np.cos(half), np.sin(half)], axis=-1)
+            amps[indices == 1 << (n - 1)] = (0.0, 1.0)
+            return amps
+
+        rng = np.random.default_rng(n)
+        half_period = 1 << (n - 1)
+        for shape in [(), (9,), (3, 4)]:
+            indices = rng.integers(0, 1 << n, size=shape, dtype=np.int64)
+            indices.flat[0] = half_period
+            for idx in (indices, indices.flat[-1]):
+                got = index_amplitudes_batch(idx, n)
+                want = stacked(idx)
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     @given(n=st.integers(1, MAX_PRECISION_BITS), s=st.integers(0, 2**62 - 1))
     @settings(max_examples=80, deadline=None)
     def test_normalization(self, n, s):
@@ -449,6 +469,32 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="real"):
             DensityMatrix(mat)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[0.5, 0.25], [0.25, 0.5]],
+            [[0.5, 0.0], [2e-12, 0.5]],
+            [[0.5, 0.25], [0.25 + 1e-7, 0.5]],
+            [[0.5, np.inf], [np.inf, 0.5]],
+            [[0.5, -np.inf], [-np.inf, 0.5]],
+            [[0.5, np.inf], [0.0, 0.5]],
+            [[0.5, np.nan], [np.nan, 0.5]],
+        ],
+        ids=["exact", "asymmetric-2e-12", "inside-rtol", "inf", "minus-inf",
+             "asymmetric-inf", "nan"],
+    )
+    def test_symmetry_fast_path_keeps_the_allclose_outcome(self, entries, monkeypatch):
+        def outcome():
+            try:
+                return DensityMatrix(np.array(entries)).entries.tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        got = outcome()
+        # with exact equality never found, only allclose decides
+        monkeypatch.setattr(np, "array_equal", lambda a, b: False)
+        assert got == outcome()
+
     def test_rejects_asymmetric_and_off_trace(self):
         with pytest.raises(ValueError, match="symmetric"):
             DensityMatrix(np.array([[0.5, 0.25], [0.0, 0.5]]))
@@ -517,6 +563,24 @@ class TestTraceDistance:
     def test_identical_matrices(self):
         rho = DensityMatrix(np.eye(2) / 2)
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
+
+    def test_distance_to_itself_skips_the_eigen_solve(self, monkeypatch):
+        rho = DensityMatrix(np.diag([0.25, 0.75]))
+        calls = []
+        solve = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert trace_distance(rho, rho) == 0.0
+        assert calls == []
+        # equal entries in a distinct density are still solved
+        copy = DensityMatrix(rho.entries.copy())
+        calls.clear()
+        assert trace_distance(rho, copy) == 0.0
+        assert calls == [(2, 2)]
 
     def test_orthogonal_pure_states(self):
         a = DensityMatrix(np.diag([1.0, 0.0]))
