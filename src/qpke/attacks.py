@@ -27,13 +27,11 @@ from .protocol import (
     _parity_masks,
     decrypt,
     encode_redundant,
-    prepare_register,
     swap_test_encrypted_copies,
-    swap_test_registers,
 )
 from .quantum_core import (
-    STDERR_VARIANCE_FLOOR, DensityMatrix, check_integer, check_precision, rotation_matrix,
-    trace_distance,
+    STDERR_VARIANCE_FLOOR, DensityMatrix, check_integer, check_precision, index_amplitudes,
+    rotation_matrix, swap_project, trace_distance,
 )
 from .security_analysis import shifted_ensemble
 
@@ -224,53 +222,41 @@ def single_use_constraint_check(
 ) -> SingleUseCheckResult:
     """Measure first-test and repeat-test pass rates across overlaps.
 
-    Each trial prepares two fresh single-qubit registers whose rotation
-    indices differ by the given offset, runs the symmetry test twice on
-    the same pair, and tallies the conditional second-test outcomes.  The
-    first test follows (1 + overlap^2)/2; the projected pair then answers
-    deterministically, so a second test on the same pair is worthless.
-    Each offset is an index in [0, 2^precision); at least one is given.
+    Each trial runs the kernel's symmetry test twice on a fresh pair, the
+    states of index 0 and of the given offset, and tallies the first and
+    repeat outcomes.  The first test follows (1 + overlap^2)/2; the
+    projected pair then answers deterministically, so a second test on the
+    same pair is worthless.  Each offset is an index in [0, 2^precision);
+    at least one is given.
     """
     check_integer(trials, "trials")
-    # checks the precision before 1 << precision, which a huge one cannot afford
-    key_a = PrivateKey(n=precision, s=(0,))
+    # checked before 1 << precision, which a huge precision cannot afford
+    check_precision(precision)
     if not index_offsets:
         raise ValueError("index_offsets must hold at least one offset")
     for offset in index_offsets:
         check_integer(offset, "index offset", 0, (1 << precision) - 1)
+    reference = np.array(index_amplitudes(0, precision))
     scenarios = []
     for offset in index_offsets:
-        key_b = PrivateKey(n=precision, s=(offset,))
-        # key_a prepares |0>, so the inner product is <0|R(theta)|0>, the
+        # the reference is |0>, so the inner product is <0|R(theta)|0>, the
         # cosine of theta / 2, for the angle theta that prepares index offset
         inner = float(rotation_matrix(math.pi * (offset / (1 << (precision - 1))))[0, 0])
-        first_passes = 0
-        second_given_pass = [0, 0]
-        second_given_fail = [0, 0]
+        pair = np.multiply.outer(reference, np.array(index_amplitudes(offset, precision)))
+        # counts[first][repeat], indexed by pass (1) or fail (0)
+        counts = [[0, 0], [0, 0]]
         for _ in range(trials):
-            reg_a = prepare_register(key_a)
-            reg_b = prepare_register(key_b)
-            first = swap_test_registers(reg_a, 0, reg_b, 0, rng)
-            second = swap_test_registers(reg_a, 0, reg_b, 0, rng)
-            if first:
-                first_passes += 1
-                second_given_pass[int(second)] += 1
-            else:
-                second_given_fail[int(second)] += 1
-        pass_total = sum(second_given_pass)
-        fail_total = sum(second_given_fail)
+            first, _, projected = swap_project(pair, 0, 1, rng)
+            counts[first][swap_project(projected, 0, 1, rng)[0]] += 1
+        fails, passes = map(sum, counts)
         scenarios.append(
             ScenarioStats(
                 overlap=inner,
                 trials=trials,
-                first_pass_rate=first_passes / trials,
+                first_pass_rate=passes / trials,
                 predicted_first_pass=(1.0 + inner * inner) / 2.0,
-                second_pass_given_pass=(
-                    second_given_pass[1] / pass_total if pass_total else math.nan
-                ),
-                second_pass_given_fail=(
-                    second_given_fail[1] / fail_total if fail_total else math.nan
-                ),
+                second_pass_given_pass=counts[1][1] / passes if passes else math.nan,
+                second_pass_given_fail=counts[0][1] / fails if fails else math.nan,
             )
         )
     return SingleUseCheckResult(scenarios=tuple(scenarios))

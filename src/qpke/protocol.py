@@ -106,15 +106,16 @@ _NOT_PERM = "perm must be a permutation of the qubit positions"
 
 def _entry_array(values) -> np.ndarray | None:
     """The one rule for the entries of s and perm: a 1-D int64 array, checked
-    by its dtype and copied, or a sequence of plain ints, checked entry by
-    entry, as a read-only int64 array; None if a plain int is beyond int64,
-    which the field's own range check then refuses.  A bool or numpy integer
-    entry would make a key file that cannot be saved or loaded."""
+    by its dtype and copied, or an ordered sequence of plain ints, checked
+    entry by entry, as a read-only int64 array; None if a plain int is beyond
+    int64, which the field's own range check then refuses.  A bool or numpy
+    integer entry would make a key file that cannot be saved or loaded, and a
+    set or dict has no order to keep."""
     if isinstance(values, np.ndarray):
         if values.dtype != np.int64 or values.ndim != 1:
             raise TypeError("key indices and perm entries must be integers")
         arr = values.copy()
-    elif set(map(type, values)) <= {int}:
+    elif not isinstance(values, (set, frozenset, dict)) and set(map(type, values)) <= {int}:
         try:
             arr = np.fromiter(values, dtype=np.int64, count=len(values))
         except OverflowError:
@@ -135,10 +136,11 @@ def _decimal_text(values: tuple[int, ...]) -> str:
 class PrivateKey:
     """Classical key: precision n, indices s_1..s_N, optional permutation.
 
-    s and perm may be given as sequences of plain ints or as 1-D int64
-    arrays; an array given becomes its tuple.  Everything derived from the
-    key (placed indices, decimal texts, hashes, symmetry-test weights) is a
-    cached property, built once per key.
+    s and perm may be given as ordered sequences of plain ints (a tuple,
+    list or range) or as 1-D int64 arrays; any of them but a tuple becomes
+    its tuple.  A set, frozenset or dict is refused.  Everything derived
+    from the key (placed indices, decimal texts, hashes, symmetry-test
+    weights) is a cached property, built once per key.
     """
 
     n: int
@@ -164,8 +166,10 @@ class PrivateKey:
                 or np.bincount(perm, minlength=N).max() > 1
             ):
                 raise ValueError(_NOT_PERM)
+        # a list, range or array becomes its tuple, so that equal entries
+        # make equal, hashable keys
         for field, entries in (("s", arr), ("perm", perm)):
-            if isinstance(getattr(self, field), np.ndarray):
+            if entries is not None and type(getattr(self, field)) is not tuple:
                 object.__setattr__(self, field, tuple(entries.tolist()))
         object.__setattr__(self, "_index_array", arr)
         object.__setattr__(self, "_perm_array", perm)

@@ -13,10 +13,10 @@ The kernel owns the qubit conventions: one index-to-state map
 index states measured in a rotated basis (outcome_one_probability), one
 two-outcome sampling rule (draws_outcome_zero), one symmetry-test split
 (swap_parts), and array functions (rotate_axis, measure_axis, swap_project)
-over tensors of shape (2,)*k, one axis per qubit; register amplitude groups
-and the forward search's distinct pairs run on them.  Density
-matrices, real symmetric because every state is real, are the values the
-ensemble and entropy tools exchange.
+over tensors of shape (2,)*k, one axis per qubit; register amplitude groups,
+the forward search's distinct pairs and the single-use check's pairs run on
+them.  Density matrices, real symmetric because every state is real, are the
+values the ensemble and entropy tools exchange.
 
 Amplitude-index convention: qubit 0 is the leftmost tensor factor, i.e. the
 most significant bit of the amplitude index.
@@ -84,8 +84,11 @@ class DensityMatrix:
         dim = mat.shape[0]
         if dim < 2 or dim & (dim - 1):
             raise ValueError("density matrix dimension must be a power of two >= 2")
-        # exact symmetry implies allclose for every finite or infinite entry;
-        # NaN fails both, so the outcome is allclose's alone
+        # an infinite entry would pass every later check: eigvalsh gives NaN,
+        # and NaN is not below the floor
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix entries must be finite")
+        # exact symmetry implies allclose for finite entries
         if not (np.array_equal(mat, mat.T) or np.allclose(mat, mat.T, atol=ATOL)):
             raise ValueError(f"density matrix must be symmetric within {ATOL}")
         trace = float(np.trace(mat))

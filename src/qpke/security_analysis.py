@@ -233,6 +233,11 @@ class MeasurementStrategy:
         if len(self.settings) == 0:
             raise ValueError("a strategy needs at least one basis angle")
         settings = tuple((float(a), float(w0), float(w1)) for a, w0, w1 in self.settings)
+        for angle, w0, w1 in settings:
+            if not math.isfinite(angle):
+                raise ValueError(f"basis angle must be finite, got {angle}")
+            if not (0.0 <= w0 <= 1.0 and 0.0 <= w1 <= 1.0):
+                raise ValueError(f"outcome weights must lie in [0, 1], got ({w0}, {w1})")
         object.__setattr__(self, "settings", settings)
 
     @staticmethod
@@ -261,7 +266,9 @@ class MeasurementStrategy:
             elements.append(e)
         if not np.allclose(elements[0] + elements[1], np.eye(2), atol=POVM_ATOL):
             raise ValueError("POVM elements must sum to the identity")
-        (w0, w1), rays = np.linalg.eigh(elements[1].real)
+        eigenvalues, rays = np.linalg.eigh(elements[1].real)
+        # the checks above leave each eigenvalue within POVM_ATOL of [0, 1]
+        w0, w1 = np.clip(eigenvalues, 0.0, 1.0)
         # the w1 ray (x0, x1) is R(angle)|1> up to sign, so atan2(-x0, x1) is angle / 2
         angle = 2.0 * math.atan2(-rays[0, 1], rays[1, 1])
         return MeasurementStrategy("custom-two-outcome", ((angle, w0, w1),))
@@ -293,9 +300,10 @@ def _outcome_probability(
     s: np.ndarray, n: int, strategy: MeasurementStrategy, strata: np.ndarray | None
 ) -> np.ndarray:
     """P(outcome 1) per trial for key entries s, each measured under its
-    drawn setting (strata), or under the only setting when strata is None."""
+    drawn setting (strata), or under the only setting when strata is None.
+    Weights in [0, 1] keep the rounded mix in [0, 1] with no clip."""
     angle, w0, w1 = np.asarray(strategy.settings)[0 if strata is None else strata].T
-    return np.clip(w0 + (w1 - w0) * outcome_one_probability(s, n, angle), 0.0, 1.0)
+    return w0 + (w1 - w0) * outcome_one_probability(s, n, angle)
 
 
 def _entropy_from_counts(counts: np.ndarray, total: int) -> float:

@@ -261,6 +261,27 @@ class TestSingleUseConstraint:
         with pytest.raises(ValueError, match="trials"):
             single_use_constraint_check(0, np.random.default_rng(1))
 
+    def test_runs_on_the_kernel_without_keys_or_registers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the single-use check builds no key or register")
+
+        def run():
+            # offset 0 is left out: its repeat-after-fail rate is NaN, unequal to itself
+            return single_use_constraint_check(
+                200, np.random.default_rng(36), index_offsets=(1, 2, 4)
+            )
+
+        expected = run()
+        monkeypatch.setattr(PrivateKey, "__post_init__", refuse)
+        monkeypatch.setattr(QuantumRegister, "_from_indices", classmethod(refuse))
+        with pytest.raises(AssertionError):
+            PrivateKey(n=3, s=(0,))
+        with pytest.raises(AssertionError):
+            QuantumRegister._from_indices((0,), 3)
+        assert run() == expected
+        assert not hasattr(qpke.attacks, "prepare_register")
+        assert not hasattr(qpke.attacks, "swap_test_registers")
+
     @pytest.mark.parametrize("trials", [1, 2, 7, 600])
     @pytest.mark.parametrize(
         "precision, offsets", [(3, (0, 1, 2, 4)), (5, (0, 3, 7, 16, 31)), (1, (0, 1))]

@@ -41,9 +41,13 @@ from qpke.protocol import (
     decrypt,
     encode_redundant,
     encrypt,
+    key_fingerprint,
+    key_id_of,
     keygen,
+    load_private_key,
     prepare_register,
     private_key_from_json,
+    save_private_key,
     swap_test_encrypted_copies,
     swap_test_registers,
 )
@@ -379,6 +383,56 @@ def test_numpy_integer_qubit_positions_act_as_their_ints(entry):
     assert states[0] == states[1]
 
 
+def _register_state(register):
+    """Indices, group map and group amplitudes: everything a refusal must keep."""
+    return (
+        register._indices.tolist(),
+        {pos: id(group) for pos, group in register._groups.items()},
+        {pos: group.amps.tobytes() for pos, group in register._groups.items()},
+    )
+
+
+def _grouped_registers():
+    """Two registers whose qubits 1 share an amplitude group, qubits 0 exact."""
+    key = PrivateKey(n=8, s=(5, 9))
+    a, b = prepare_register(key), prepare_register(key)
+    a.apply_rotation(1, 0.3)
+    swap_test_registers(a, 1, b, 1, _rng())
+    return a, b
+
+
+@pytest.mark.parametrize("entry", QUBIT_POSITION_ENTRY_POINTS)
+@pytest.mark.parametrize("position", [2, -1, 1 << 70])
+def test_out_of_range_qubit_positions_are_refused_before_any_qubit_changes(entry, position):
+    registers = _grouped_registers()
+    before = [_register_state(r) for r in registers]
+    with pytest.raises(ValueError, match=f"qubit {position} out of range for 2 qubits"):
+        QUBIT_POSITION_ENTRY_POINTS[entry](*registers, position)
+    assert [_register_state(r) for r in registers] == before
+
+
+@pytest.mark.parametrize("qubit", [0, 1], ids=["exact", "grouped"])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_non_finite_rotation_angles_are_refused(qubit, theta):
+    registers = _grouped_registers()
+    before = [_register_state(r) for r in registers]
+    with pytest.raises(ValueError, match="rotation angle must be finite"):
+        registers[0].apply_rotation(qubit, theta)
+    assert [_register_state(r) for r in registers] == before
+
+
+def test_registers_are_not_built_directly():
+    with pytest.raises(TypeError, match="use prepare_register"):
+        QuantumRegister()
+
+
+def test_oracle_keeps_its_use_budget():
+    key = PrivateKey(n=4, s=(1,))
+    oracle = DecryptionOracle(key, uses_allowed=3)
+    decrypt(oracle, CipherState(prepare_register(key), num_bits=1, alpha=1), _rng())
+    assert (oracle.uses_allowed, oracle.remaining_uses) == (3, 2)
+
+
 # key fields given as arrays: a 1-D int64 array is checked by its dtype, any
 # other array is refused with the message of a non-integer entry
 KEY_ARRAYS_OF_ANOTHER_KIND = {
@@ -420,6 +474,43 @@ def test_int64_key_arrays_are_accepted_as_their_tuples():
 
 _OUTSIDE = "key index outside [0, 2**3)"
 _NOT_PERM = "perm must be a permutation of the qubit positions"
+
+# the same entries in every ordered form a key field accepts
+ORDERED_KEY_FORMS = {
+    "tuple": tuple,
+    "list": list,
+    "range": lambda values: range(values[0], values[0] + len(values)),
+    "int64 array": lambda values: np.array(values, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("field", ["s", "perm"])
+@pytest.mark.parametrize("form", ORDERED_KEY_FORMS)
+def test_ordered_key_forms_make_one_key(field, form, tmp_path):
+    # consecutive entries, so that a range can spell them
+    fields = {"s": (3, 4, 5), "perm": (0, 1, 2)}
+    given = {**fields, field: ORDERED_KEY_FORMS[form](fields[field])}
+    key, from_tuples = PrivateKey(n=3, **given), PrivateKey(n=3, **fields)
+    assert type(key.s) is tuple and type(key.perm) is tuple
+    assert key == from_tuples and hash(key) == hash(from_tuples)
+    assert key_id_of(key) == key_id_of(from_tuples)
+    assert key_fingerprint(key) == key_fingerprint(from_tuples)
+    save_private_key(key, tmp_path / "given.json")
+    save_private_key(from_tuples, tmp_path / "tuples.json")
+    assert (tmp_path / "given.json").read_bytes() == (tmp_path / "tuples.json").read_bytes()
+    assert load_private_key(tmp_path / "given.json") == key
+    KeyRegistry().add(key)
+
+
+@pytest.mark.parametrize("field", ["s", "perm"])
+@pytest.mark.parametrize(
+    "unordered", [set, frozenset, dict.fromkeys], ids=["set", "frozenset", "dict"]
+)
+def test_unordered_key_fields_are_refused(field, unordered):
+    fields = {"s": (1, 0), "perm": (1, 0), field: unordered((1, 0))}
+    with pytest.raises(TypeError, match="key indices and perm entries must be integers"):
+        PrivateKey(n=3, **fields)
+
 
 # name -> (fields replacing s = [1, 0], the message today's tuple form raises)
 KEY_ARRAY_VALUE_FAULTS = {

@@ -503,6 +503,31 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "minus-inf", "nan"])
+    @pytest.mark.parametrize(
+        "cells", [((0, 0),), ((0, 1), (1, 0)), ((0, 0), (1, 1))], ids=["diagonal", "off", "both"]
+    )
+    def test_rejects_non_finite_entries(self, value, cells):
+        mat = np.eye(2) / 2
+        for cell in cells:
+            mat[cell] = value
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(mat)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [np.ones(2) / 2, np.full((2, 4), 0.25), np.ones((2, 2, 2)) / 4],
+        ids=["1-D", "2x4", "3-D"],
+    )
+    def test_rejects_non_square(self, entries):
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(entries)
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_rejects_dimension_other_than_a_power_of_two(self, dim):
+        with pytest.raises(ValueError, match="power of two"):
+            DensityMatrix(np.eye(dim) / dim)
+
     @given(a=real_densities(), data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_real_spectra_match_complex_cast(self, a, data):

@@ -2,10 +2,14 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qpke.security_analysis
 from qpke.quantum_core import DensityMatrix, index_amplitudes, rotate_axis, von_neumann_entropy
 from qpke.security_analysis import (
     BOOTSTRAP_RESAMPLES,
@@ -18,6 +22,7 @@ from qpke.security_analysis import (
     KeyParams,
     MeasurementStrategy,
     MutualInfoEstimate,
+    POVM_ATOL,
     ensemble_density,
     ensemble_density_method,
     estimate_mutual_information,
@@ -329,6 +334,39 @@ class TestMeasurementStrategy:
         with pytest.raises(ValueError, match="2x2"):
             MeasurementStrategy.two_outcome(np.eye(3), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MeasurementStrategy.fixed(math.nan),
+            lambda: MeasurementStrategy.fixed(math.inf),
+            lambda: MeasurementStrategy.random((0.0, -math.inf)),
+            lambda: MeasurementStrategy("custom-two-outcome", ((math.nan, 0.0, 1.0),)),
+        ],
+        ids=["fixed nan", "fixed inf", "random -inf", "custom nan"],
+    )
+    def test_refuses_non_finite_angles(self, build):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            build()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(2.0, -1.0), (-5e-324, 1.0), (0.0, math.nextafter(1.0, 2.0)), (math.nan, 1.0),
+         (0.0, math.inf)],
+        ids=["2 and -1", "below 0", "above 1", "nan", "inf"],
+    )
+    def test_refuses_weights_outside_the_unit_interval(self, weights):
+        with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
+            MeasurementStrategy("fixed-basis", ((0.0, *weights),))
+
+    @pytest.mark.parametrize(
+        "e1",
+        [np.diag([-0.5 * POVM_ATOL, 1.0]), np.diag([0.0, 1.0 + 0.5 * POVM_ATOL])],
+        ids=["below 0", "above 1"],
+    )
+    def test_povm_eigenvalues_within_tolerance_are_clamped(self, e1):
+        ((_, w0, w1),) = MeasurementStrategy.two_outcome(np.eye(2) - e1, e1).settings
+        assert (w0, w1) == (0.0, 1.0)
+
 
 class TestMutualInformation:
     """Simulated measurement leakage against known limits."""
@@ -562,6 +600,27 @@ class TestOutcomeProbabilityConsistency:
             amps = np.array(index_amplitudes(int(s), n))
             direct = np.vdot(amps, e1 @ amps).real
             assert p == pytest.approx(direct, abs=1e-12)
+
+
+# weights and Born probabilities in [0, 1], their extremes drawn often
+UNIT_FLOATS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0**-1074 * 3, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(w0=UNIT_FLOATS, w1=UNIT_FLOATS, born=st.lists(UNIT_FLOATS, min_size=1, max_size=8))
+def test_rounded_mix_of_unit_weights_stays_in_the_unit_interval(w0, w1, born):
+    """w0 + (w1 - w0) * q, rounded op by op, lies in [0, 1] for weights and q
+    in [0, 1], so the outcome probability needs no clip."""
+    q = np.array(born + [0.0, 1.0])
+    strategy = MeasurementStrategy("custom-two-outcome", ((0.0, w0, w1),))
+    with mock.patch.object(
+        qpke.security_analysis, "outcome_one_probability", lambda s, n, angle: q
+    ):
+        p1 = _outcome_probability(np.zeros(q.size, dtype=np.int64), 4, strategy, None)
+    assert np.all((p1 >= 0.0) & (p1 <= 1.0)), (w0, w1, q[(p1 < 0.0) | (p1 > 1.0)])
 
 
 def parent_outcome_probability(s, n, kind, basis_choice, angle=0.0, angles=(), e1=None):
