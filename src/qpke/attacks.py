@@ -218,7 +218,7 @@ def single_use_constraint_check(
     rng: np.random.Generator,
     *,
     precision: int = 3,
-    index_offsets: Sequence[int] = (0, 1, 2, 4),
+    index_offsets: Iterable[int] = (0, 1, 2, 4),
 ) -> SingleUseCheckResult:
     """Measure first-test and repeat-test pass rates across overlaps.
 
@@ -232,17 +232,19 @@ def single_use_constraint_check(
     check_integer(trials, "trials")
     # checked before 1 << precision, which a huge precision cannot afford
     check_precision(precision)
+    # taken once: a generator would be used up by the checks below
+    index_offsets = tuple(index_offsets)
     if not index_offsets:
         raise ValueError("index_offsets must hold at least one offset")
     for offset in index_offsets:
         check_integer(offset, "index offset", 0, (1 << precision) - 1)
-    reference = np.array(index_amplitudes(0, precision))
+    reference = index_amplitudes(0, precision)
     scenarios = []
     for offset in index_offsets:
         # the reference is |0>, so the inner product is <0|R(theta)|0>, the
         # cosine of theta / 2, for the angle theta that prepares index offset
         inner = float(rotation_matrix(math.pi * (offset / (1 << (precision - 1))))[0, 0])
-        pair = np.multiply.outer(reference, np.array(index_amplitudes(offset, precision)))
+        pair = np.multiply.outer(reference, index_amplitudes(offset, precision))
         # counts[first][repeat], indexed by pass (1) or fail (0)
         counts = [[0, 0], [0, 0]]
         for _ in range(trials):

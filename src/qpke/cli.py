@@ -177,8 +177,12 @@ def _write_run(args, header: dict, out: CommandOutput) -> None:
             writer.writerows(dict(row, **identity) for row in out.rows)
         outputs.append(csv_path)
     manifest_path = getattr(args, "manifest", None)
-    if manifest_path is None and outputs:
-        manifest_path = outputs[0] + ".manifest.json"
+    if manifest_path is None:
+        # beside the first regular file: a device's directory, such as /dev,
+        # is not the run's to write into
+        manifest_path = next(
+            (path + ".manifest.json" for path in outputs if os.path.isfile(path)), None
+        )
     if manifest_path:
         manifest = dict(
             header,

@@ -36,7 +36,6 @@ from .quantum_core import (
     check_precision,
     draws_outcome_zero,
     index_amplitudes,
-    index_amplitudes_batch,
     measure_axis,
     outcome_one_probability,
     rotate_axis,
@@ -216,8 +215,9 @@ class PrivateKey:
         fresh = self._placed_indices
         # a qubit of the encrypted copy is in one of two states, flag 0 or 1
         shifted = (fresh[:, np.newaxis] + np.array([0, period >> 1])) % period
-        cipher = index_amplitudes_batch(shifted, self.n)
-        reference = index_amplitudes_batch(fresh, self.n)
+        cipher = index_amplitudes(shifted, self.n)
+        # flag 0 leaves the index as it is: the reference is the flag-0 column
+        reference = cipher[:, 0]
         pairs = cipher[:, :, :, np.newaxis] * reference[:, np.newaxis, np.newaxis, :]
         parts = np.stack(swap_parts(pairs, 2, 3)).reshape(-1, 4)
         return np.einsum("bi,bi->b", parts, parts).reshape(2, fresh.size, 2)
@@ -256,8 +256,9 @@ def private_key_from_json(payload: dict) -> PrivateKey:
     """Inverse of private_key_to_json; rejects any field of the wrong type."""
     if not isinstance(payload, dict):
         raise TypeError("key file must hold a JSON object")
-    if payload.get("version") != KEY_FILE_VERSION:
-        raise ValueError(f"unsupported key file version {payload.get('version')!r}")
+    # true and 1.0 equal 1 but are not the version
+    if type(version := payload.get("version")) is not int or version != KEY_FILE_VERSION:
+        raise ValueError(f"unsupported key file version {version!r}")
     n, s, perm = payload.get("n"), payload.get("s"), payload.get("perm")
     if not isinstance(s, list) or not (kinds := set(map(type, s))) <= {int, str}:
         raise TypeError("key file field 's' must be a list of integers or decimal strings")
@@ -406,7 +407,7 @@ class QuantumRegister:
         its own (analysis/attack path)."""
         group = self._groups.get(qubit)
         if group is None:
-            amps = np.array(index_amplitudes(int(self._indices[qubit]), self._n))
+            amps = index_amplitudes(self._indices[qubit], self._n)
             group = self._groups[qubit] = _Group([(self, qubit)], amps)
         return group
 

@@ -9,7 +9,7 @@ tracked as exact integer indices s at precision n and only converted to
 floating-point amplitudes at measurement or analysis boundaries.
 
 The kernel owns the qubit conventions: one index-to-state map
-(index_amplitudes, array form index_amplitudes_batch), one Born rule for
+(index_amplitudes, for an index or an index array), one Born rule for
 index states measured in a rotated basis (outcome_one_probability), one
 two-outcome sampling rule (draws_outcome_zero), one symmetry-test split
 (swap_parts), and array functions (rotate_axis, measure_axis, swap_project)
@@ -119,22 +119,11 @@ def rotation_matrix(theta: float) -> npt.NDArray[np.float64]:
     return np.array([[c, -s], [s, c]])
 
 
-def index_amplitudes(s: int, n: int) -> tuple[float, float]:
-    """Amplitudes (cos, sin) of the half angle s * pi / 2**n of index s.
-
-    Index period/2 is |1> exactly: cos(pi/2) would leave 6.1e-17 on |0>.
-    Scalar on purpose: a register promotes one qubit at a time.
-    """
-    if s == 1 << (n - 1):
-        return 0.0, 1.0
-    half = math.pi * (s / (1 << n))
-    return math.cos(half), math.sin(half)
-
-
-def index_amplitudes_batch(indices: np.ndarray, n: int) -> np.ndarray:
-    """Amplitudes (..., 2) of an index array at precision n (shape (2,) for
-    one int64 index), the array form of index_amplitudes: index period/2 is
-    exactly [0, 1]."""
+def index_amplitudes(indices, n: int) -> np.ndarray:
+    """Amplitudes (..., 2), (cos, sin) of the half angle s * pi / 2**n, of an
+    index or index array at precision n: shape (2,) for a plain int or numpy
+    integer.  Index period/2 is exactly [0, 1]: cos(pi/2) would leave 6.1e-17
+    on |0>."""
     half = np.pi * (indices / (1 << n))
     amps = np.empty(np.shape(half) + (2,))
     np.cos(half, out=amps[..., 0])

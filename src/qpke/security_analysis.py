@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum_core import (
-    DensityMatrix, check_integer, check_precision, index_amplitudes_batch, outcome_one_probability
+    DensityMatrix, check_integer, check_precision, index_amplitudes, outcome_one_probability
 )
 
 ENSEMBLE_ENUMERATION_CAP = 16
@@ -179,7 +179,7 @@ def shifted_ensemble(n: int, flag_probability: float = 0.0) -> np.ndarray:
     behind ensemble_density and the chosen-plaintext ciphertext densities.
     """
     period = 1 << n
-    amps = index_amplitudes_batch(np.arange(period), n)
+    amps = index_amplitudes(np.arange(period), n)
     rho = np.zeros((2, 2))
     for weight, shift in (
         (1.0 - flag_probability, 0),

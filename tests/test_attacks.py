@@ -261,6 +261,22 @@ class TestSingleUseConstraint:
         with pytest.raises(ValueError, match="trials"):
             single_use_constraint_check(0, np.random.default_rng(1))
 
+    def test_offsets_from_a_generator_are_the_tuple(self):
+        # the offsets are checked before any pair is built: a generator must
+        # still reach the work loop
+        rngs = np.random.default_rng(37), np.random.default_rng(37)
+        from_tuple = single_use_constraint_check(20, rngs[0], index_offsets=(1, 2, 4))
+        from_generator = single_use_constraint_check(
+            20, rngs[1], index_offsets=(o for o in (1, 2, 4))
+        )
+        assert from_generator == from_tuple
+        assert rngs[0].random() == rngs[1].random()
+
+    def test_an_offset_array_gets_the_integer_rule(self):
+        offsets = np.array([0, 1], dtype=np.int64)
+        with pytest.raises(TypeError, match="index offset must be an integer"):
+            single_use_constraint_check(1, np.random.default_rng(1), index_offsets=offsets)
+
     def test_runs_on_the_kernel_without_keys_or_registers(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the single-use check builds no key or register")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpke.cli
+import qpke.protocol
 from qpke.cli import CCA_USES_CAP, _parse_message, _parse_range, build_parser, main
 from qpke.protocol import load_private_key
 from qpke.security_analysis import MI_TRIALS_CAP
@@ -113,6 +114,34 @@ class TestOutputPaths:
         assert code == 0, stderr
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
+    @pytest.mark.skipif(
+        not (os.path.exists(os.devnull) and stat.S_ISCHR(os.stat(os.devnull).st_mode)),
+        reason="needs a character-device null file",
+    )
+    @pytest.mark.parametrize(
+        "paths, manifest",
+        [
+            (["--json", os.devnull], None),
+            (["--json", os.devnull, "--csv", "a.csv"], "a.csv.manifest.json"),
+            (["--json", os.devnull, "--manifest", "m.json"], "m.json"),
+        ],
+        ids=["device-only", "regular-file-after-a-device", "explicit"],
+    )
+    def test_default_manifest_goes_beside_a_regular_file(
+        self, paths, manifest, tmp_path, capsys, monkeypatch
+    ):
+        # the envelopes are recorded, not written, so that a manifest put
+        # beside the device would not be written into its directory
+        written = []
+        monkeypatch.setattr(qpke.cli, "_write_envelope", lambda path, **body: written.append(path))
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr = run_cli(
+            ["attack", "--attack", "forward-search", "--trials", "10", "--seed", "1", *paths],
+            capsys,
+        )
+        assert code == 0, stderr
+        assert written == [os.devnull] + ([manifest] if manifest else [])
+
     def test_directory_as_output_is_io_error(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["analyze", "--seed", "1", "--json", str(tmp_path)], capsys
@@ -148,6 +177,43 @@ class TestTextEncoding:
             )
             assert done.returncode == 0, (argv, done.stderr)
             assert done.stderr == "", argv
+
+
+class TestRegisterEngine:
+    """No command reaches the register engine: every command path runs on
+    exact indices or on the amplitude kernel directly."""
+
+    def test_no_command_promotes_a_qubit_or_tests_registers(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command reached the register engine")
+
+        monkeypatch.setattr(qpke.protocol.QuantumRegister, "_promote", refuse)
+        monkeypatch.setattr(qpke.protocol, "swap_test_registers", refuse)
+        monkeypatch.chdir(tmp_path)
+        roundtrip = ["roundtrip", "--key", "permuted.json", "--message", "0xd6", "--seed", "3"]
+        analyze = ["analyze", "--N", "16", "--k", "2", "--mi-n", "4", "--trials", "200"]
+        for argv in (
+            ["keygen", "--n", "48", "--N", "16", "--seed", "1", "--out", "key.json"],
+            ["keygen", "--n-range", "32:62", "--N", "64", "--permute", "--seed", "2",
+             "--out", "permuted.json"],
+            roundtrip,
+            roundtrip + ["--alpha", "2"],
+            roundtrip + ["--alpha", "4"],
+            ["attack", "--attack", "forward-search", "--alpha", "2", "--trials", "50",
+             "--seed", "4"],
+            ["attack", "--attack", "cpa", "--n", "6", "--N", "2", "--seed", "5"],
+            ["attack", "--attack", "cca", "--k", "4", "--seed", "6"],
+            analyze + ["--mi-strategy", "fixed", "--seed", "7"],
+            analyze + ["--mi-strategy", "random", "--seed", "8"],
+            ["sweep", "--experiment", "forward-search", "--alphas", "1:2", "--trials", "50",
+             "--seed", "9", "--out", "sweep"],
+            ["sweep", "--experiment", "ensemble", "--n", "1:3", "--seed", "10",
+             "--out", "sweep"],
+        ):
+            code, _, stderr = run_cli(argv, capsys)
+            assert code == 0, (argv, stderr)
 
 
 class TestKeygenCommand:

@@ -222,6 +222,8 @@ def test_count_bounds_are_accepted(entry):
 def test_single_use_check_needs_an_offset():
     with pytest.raises(ValueError, match="at least one offset"):
         single_use_constraint_check(1, _rng(), index_offsets=())
+    with pytest.raises(ValueError, match="at least one offset"):
+        single_use_constraint_check(1, _rng(), index_offsets=iter(()))
 
 
 def test_precision_keeps_its_messages():

@@ -37,7 +37,7 @@ _REFERENCE_DECIMAL_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
 def reference_from_json(payload: dict) -> PrivateKey:
     if not isinstance(payload, dict):
         raise TypeError("key file must hold a JSON object")
-    if payload.get("version") != KEY_FILE_VERSION:
+    if type(payload.get("version")) is not int or payload["version"] != KEY_FILE_VERSION:
         raise ValueError(f"unsupported key file version {payload.get('version')!r}")
     n, s, perm = payload.get("n"), payload.get("s"), payload.get("perm")
     if not isinstance(s, list) or not set(map(type, s)) <= {int, str}:
@@ -188,6 +188,10 @@ MALFORMED = {
     "empty s": (_base(s=[]), ValueError),
     "s not a list": (_base(s="1,2,3"), TypeError),
     "bool in s": (_base(s=["1", True]), TypeError),
+    # true == 1.0 == 1, but only the int 1 is the version
+    "version true": (_base(version=True), ValueError),
+    "version 1.0": (_base(version=1.0), ValueError),
+    "version as a string": (_base(version="1"), ValueError),
     # two faults: the key's own checks refuse the precision before perm
     "boolean precision and perm beyond int64": (_base(n=True, perm=[0, 1, 2**64]), TypeError),
 }

@@ -45,7 +45,6 @@ from qpke.quantum_core import (
     MAX_PRECISION_BITS,
     draws_outcome_zero,
     index_amplitudes,
-    index_amplitudes_batch,
     outcome_one_probability,
     rotate_axis,
     swap_project,
@@ -811,7 +810,6 @@ class TestRegisterProperties:
         def no_map(*args):
             raise AssertionError("exact measurement built amplitudes")
 
-        monkeypatch.setattr(qpke.protocol, "index_amplitudes_batch", no_map)
         monkeypatch.setattr(qpke.protocol, "index_amplitudes", no_map)
         key = PrivateKey(n=40, s=(0, 1 << 39, 12345, 7))
         rng = np.random.default_rng(3)
@@ -822,20 +820,18 @@ class TestRegisterProperties:
 
     @pytest.mark.parametrize("n", [1, 2, 8, 40, MAX_PRECISION_BITS])
     def test_state_builders_agree_bit_for_bit(self, n):
-        # index_amplitudes, QuantumRegister._promote and the batch builder of
-        # the forward search must hand out the same amplitudes, and the Born
-        # rule of exact measurements the square of their |1> entry
+        # QuantumRegister._promote must hand out the index map's amplitudes,
+        # and the Born rule of exact measurements the square of their |1> entry
         period = 1 << n
         s = sorted({0, 1, period >> 2, period >> 1, period - 1})
         promoted = prepare_register(PrivateKey(n=n, s=tuple(s)))
-        batch = index_amplitudes_batch(np.array(s, dtype=np.int64), n)
+        mapped = index_amplitudes(np.array(s, dtype=np.int64), n)
         born = outcome_one_probability(np.array(s, dtype=np.int64), n)
-        for q, index in enumerate(s):
-            prepared = list(index_amplitudes(index, n))
+        for q in range(len(s)):
+            prepared = mapped[q].tolist()
             assert promoted._promote(q).amps.tolist() == prepared
-            assert batch[q].tolist() == prepared
             assert born[q] == prepared[1] ** 2
-        assert batch[s.index(period >> 1)].tolist() == [0.0, 1.0]
+        assert mapped[s.index(period >> 1)].tolist() == [0.0, 1.0]
         assert born[s.index(period >> 1)] == 1.0
 
     @given(

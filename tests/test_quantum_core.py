@@ -25,7 +25,6 @@ from qpke.quantum_core import (
     DensityMatrix,
     draws_outcome_zero,
     index_amplitudes,
-    index_amplitudes_batch,
     measure_axis,
     outcome_one_probability,
     rotate_axis,
@@ -162,12 +161,33 @@ class TestIndexAmplitudes:
         for shape in [(), (9,), (3, 4)]:
             indices = rng.integers(0, 1 << n, size=shape, dtype=np.int64)
             indices.flat[0] = half_period
-            for idx in (indices, indices.flat[-1]):
-                got = index_amplitudes_batch(idx, n)
+            for idx in (indices, indices.flat[-1], int(indices.flat[-1])):
+                got = index_amplitudes(idx, n)
                 want = stacked(idx)
                 assert got.dtype == np.float64 and got.flags.c_contiguous
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, MAX_PRECISION_BITS + 1))
+    def test_matches_the_scalar_map(self, n):
+        # a copy of the scalar map on math.cos and math.sin: the map hands out
+        # its bytes for a plain int, an np.int64 and an element of an int64 array
+        def scalar(s):
+            if s == 1 << (n - 1):
+                return 0.0, 1.0
+            half = math.pi * (s / (1 << n))
+            return math.cos(half), math.sin(half)
+
+        period = 1 << n
+        if n <= 16:
+            indices = np.arange(period, dtype=np.int64)
+        else:
+            sampled = np.random.default_rng(n).integers(0, period, size=2000, dtype=np.int64)
+            indices = np.concatenate([sampled, [period >> 1, period - 1]])
+        want = np.array([scalar(s) for s in indices.tolist()]).tobytes()
+        assert index_amplitudes(indices, n).tobytes() == want
+        assert np.array([index_amplitudes(s, n) for s in indices.tolist()]).tobytes() == want
+        assert np.array([index_amplitudes(s, n) for s in indices]).tobytes() == want
 
     @given(n=st.integers(1, MAX_PRECISION_BITS), s=st.integers(0, 2**62 - 1))
     @settings(max_examples=80, deadline=None)
@@ -347,7 +367,7 @@ class TestOutcomeOneProbability:
             period = 1 << n
             special = [0, 1, period >> 2, period >> 1, period - 1]
             s = np.array(special + rng.integers(0, period, size=200).tolist(), dtype=np.int64)
-            want = np.square(index_amplitudes_batch(s, n)[:, 1])
+            want = np.square(index_amplitudes(s, n)[:, 1])
             assert outcome_one_probability(s, n).tobytes() == want.tobytes(), n
             assert outcome_one_probability(s[3], n) == 1.0
             assert outcome_one_probability(s[0], n) == 0.0
