@@ -10,6 +10,7 @@ extract.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -306,47 +307,41 @@ def _outcome_probability(
     return w0 + (w1 - w0) * outcome_one_probability(s, n, angle)
 
 
-def _entropy_from_counts(counts: np.ndarray, total: int) -> float:
-    return math.log2(total) - float(counts @ np.log2(counts)) / total
-
-
-def _miller_madow(
-    s_counts: np.ndarray, y_counts: np.ndarray, joint_counts: np.ndarray
-) -> tuple[float, int]:
-    """Bias-corrected plug-in mutual information and joint support size,
-    from entry, outcome and joint count vectors that may hold zeros.
-
-    Zeros are dropped and the rest kept as int64 in the given order, so the
-    entropy sums round as they do over np.unique's counts.
-    """
-    s_counts = s_counts.compress(s_counts > 0).astype(np.int64)
-    y_counts = y_counts.compress(y_counts > 0).astype(np.int64)
-    joint_counts = joint_counts.compress(joint_counts > 0)
-    total = int(joint_counts.sum())
-    plugin = (
-        _entropy_from_counts(s_counts, total)
-        + _entropy_from_counts(y_counts, total)
-        - _entropy_from_counts(joint_counts, total)
-    )
-    correction = (
-        (s_counts.size - 1) + (y_counts.size - 1) - (joint_counts.size - 1)
-    ) / (2.0 * total * _LN2)
-    return plugin + correction, joint_counts.size
-
-
 def _run_ids(keys: np.ndarray) -> np.ndarray:
     """For each element of a sorted array, the index of its run of equal values."""
     return np.cumsum(np.r_[False, keys[1:] != keys[:-1]])
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in a sorted array."""
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+
+
+def _block_sums(counts: np.ndarray, setting_starts: np.ndarray) -> list[tuple[float, int]]:
+    """For each setting's block of counts, given where each block starts,
+    the sum of c * log2(c) over its nonzero counts c, in order, and how
+    many there are.  The zeros are dropped and the log2 taken once for all
+    blocks; each sum is then one dot product over a contiguous slice."""
+    nonzero = counts > 0
+    kept = counts.compress(nonzero).astype(np.float64, copy=False)
+    logs = np.log2(kept)
+    sizes = np.add.reduceat(nonzero, setting_starts, dtype=np.int64).tolist()
+    bounds = [0, *itertools.accumulate(sizes)]
+    return [(float(kept[a:b] @ logs[a:b]), b - a) for a, b in zip(bounds, bounds[1:])]
 
 
 class _JointCells:
     """The observed (setting, key entry, outcome count) cells of one
     estimate's trials, sorted once, and each trial's cell id.
 
-    A resample of the trials is a count vector over these cells.  Each
-    setting's entry, outcome and joint counts follow from it without
-    another sort, in the ascending order np.unique would give them, so
-    their entropy sums round exactly as they would over np.unique counts.
+    A resample of the trials is a count vector over these cells, from
+    which its entry counts (one bincount) and outcome counts (one sum over
+    each run of cells ordered by outcome) follow without another sort, in
+    the ascending order np.unique would give them.  Each of the three
+    vectors drops its zeros and takes its log2 once; a setting's counts
+    are then one contiguous block of it, so each of the setting's entropy
+    sums is one dot product over the same nonzero counts, in the same
+    order, as over np.unique counts, and rounds exactly as it would there.
     """
 
     def __init__(
@@ -357,40 +352,47 @@ class _JointCells:
         self.size = cells.size
         cell_setting_entry = cells // y_card
         self.entry_of_cell = _run_ids(cell_setting_entry)
-        setting_of_cell = _run_ids(cell_setting_entry >> n)
-        settings = int(setting_of_cell[-1]) + 1
-        self.outcome_of_cell = setting_of_cell * y_card + cells % y_card
-        self.outcome_shape = (settings, y_card)
-        starts = np.searchsorted(setting_of_cell, np.arange(settings))
-        self.cell_bounds = np.r_[starts, cells.size].tolist()
-        self.entry_bounds = np.r_[self.entry_of_cell[starts], self.entry_of_cell[-1] + 1].tolist()
+        cell_setting = cell_setting_entry >> n
+        outcome_of_cell = cell_setting * y_card + cells % y_card
+        # the outcome counts are integer sums, so the order within a bin is free
+        self.by_outcome = np.argsort(outcome_of_cell)
+        outcomes = outcome_of_cell[self.by_outcome]
+        self.outcome_starts = _run_starts(outcomes)
+        # where each setting starts among the cells, entries and outcomes
+        self.setting_cells = _run_starts(cell_setting)
+        self.setting_entries = self.entry_of_cell[self.setting_cells]
+        self.setting_outcomes = _run_starts(outcomes[self.outcome_starts] // y_card)
 
     def mutual_info(self, cell_ids: np.ndarray) -> tuple[float, int]:
         """Mutual information and joint support of the trials in the given
         cells, one cell id per trial (a bootstrap resample repeats some).
 
         With a per-trial random setting the relevant quantity is the gain
-        conditional on the setting, so the estimator runs per setting and
-        weights by setting frequency; a fixed setting is one stratum.
+        conditional on the setting, so the bias-corrected (Miller-Madow)
+        plug-in estimate is taken per setting and weighted by setting
+        frequency; a fixed setting is one stratum.
         """
         counts = np.bincount(cell_ids, minlength=self.size)
-        entry_counts = np.bincount(self.entry_of_cell, weights=counts)
-        outcome_counts = np.bincount(
-            self.outcome_of_cell, weights=counts, minlength=math.prod(self.outcome_shape)
-        ).reshape(self.outcome_shape)
-        total = int(counts.sum())
+        entries = _block_sums(
+            np.bincount(self.entry_of_cell, weights=counts), self.setting_entries
+        )
+        outcomes = _block_sums(
+            np.add.reduceat(counts.take(self.by_outcome), self.outcome_starts),
+            self.setting_outcomes,
+        )
+        joint = _block_sums(counts, self.setting_cells)
+        total = cell_ids.size
         value = 0.0
-        support = 0
-        for i, outcomes in enumerate(outcome_counts):
-            joint = counts[self.cell_bounds[i] : self.cell_bounds[i + 1]]
-            count = int(joint.sum())
+        for count, (s_sum, s_size), (y_sum, y_size), (joint_sum, joint_size) in zip(
+            np.add.reduceat(counts, self.setting_cells).tolist(), entries, outcomes, joint
+        ):
             if count == 0:
                 continue
-            entries = entry_counts[self.entry_bounds[i] : self.entry_bounds[i + 1]]
-            mi, sup = _miller_madow(entries, outcomes, joint)
-            value += (count / total) * mi
-            support += sup
-        return value, support
+            h = math.log2(count)
+            plugin = (h - s_sum / count) + (h - y_sum / count) - (h - joint_sum / count)
+            correction = ((s_size - 1) + (y_size - 1) - (joint_size - 1)) / (2.0 * count * _LN2)
+            value += (count / total) * (plugin + correction)
+        return value, sum(size for _, size in joint)
 
 
 def estimate_mutual_information(
@@ -413,10 +415,12 @@ def estimate_mutual_information(
 
     The counting sorts the trials once: each trial becomes one joint
     (setting, entry, count) cell, and the point estimate and every
-    resample count their trials with one bincount over the observed cells,
-    from which the entry, count and joint counts per setting follow.  The
-    estimate is flagged undersampled when trials are scarce relative to
-    the observed joint support.
+    resample count their trials with one bincount over the observed cells.
+    From it the entry and outcome counts follow, each setting's counts one
+    block of each vector, so a resample drops zeros and takes log2 once
+    per vector, not once per setting.  The estimate is flagged
+    undersampled when trials are scarce relative to the observed joint
+    support.
     """
     check_precision(n, cap=MI_PRECISION_CAP)
     check_integer(copies_per_trial, "copies_per_trial", 1, MI_COPIES_CAP)
@@ -429,7 +433,7 @@ def estimate_mutual_information(
     strata = rng.integers(0, settings, size=trials) if settings > 1 else None
     y = rng.binomial(
         copies_per_trial, _outcome_probability(s, n, strategy, strata)
-    ).astype(np.int64)
+    ).astype(np.int64, copy=False)
     y_card = copies_per_trial + 1
 
     cells = _JointCells(s, y, strata, n, y_card)

@@ -542,6 +542,16 @@ REFERENCE_STRATEGIES = {
 }
 
 
+# the benchmark's MI jobs as (copies, trials): long count vectors, up to
+# 120000 trials, for the per-setting dot products
+BENCH_MI_JOBS = {
+    ("random basis", 16): [(1, 20000)],
+    ("fixed 0", 16): [(1, 60000)],
+    ("random basis", 8): [(4, 30000)],
+    ("fixed 0", 8): [(4, 120000)],
+}
+
+
 class TestMutualInformationReference:
     """The count-based estimator returns the np.unique estimator's numbers
     bit for bit from the same draws."""
@@ -550,14 +560,23 @@ class TestMutualInformationReference:
     @pytest.mark.parametrize("n", [1, 4, 8, 16])
     def test_equals_np_unique_reference(self, label, n):
         strategy = REFERENCE_STRATEGIES[label]
-        # 2 and 40 trials leave cells, and random-basis strata, out of resamples
-        for copies in (1, 4):
-            for trials in (2, 40, 5000):
-                for seed in (0, 1, 2):
-                    args = (strategy, n, copies, trials)
-                    got = estimate_mutual_information(*args, np.random.default_rng(seed))
-                    want = reference_mutual_information(*args, np.random.default_rng(seed))
-                    assert got == want, (label, n, copies, trials, seed)
+        # 2 and 40 trials leave cells, and random-basis strata, out of
+        # resamples; 16 and 257 copies leave many outcome bins empty
+        cases = [
+            (copies, trials, seed)
+            for copies in (1, 4, 16, 257)
+            for trials in (2, 40, 5000)
+            for seed in (0, 1, 2)
+        ]
+        cases += [(copies, trials, 3) for copies, trials in BENCH_MI_JOBS.get((label, n), ())]
+        for copies, trials, seed in cases:
+            args = (strategy, n, copies, trials)
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = estimate_mutual_information(*args, got_rng)
+            want = reference_mutual_information(*args, want_rng)
+            assert got == want, (label, n, copies, trials, seed)
+            # the same number of draws
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_sorts_once_per_estimate(self, monkeypatch):
         calls = []
