@@ -291,22 +291,25 @@ def _row(rule, trials, observed, stderr, theory, **columns) -> dict:
                 theory=theory, deviation=observed - theory)
 
 
-def _forward_search_rows(reports: dict, rule: str, **columns) -> list[dict]:
-    """One row per selected rule; each row's alpha is the report's."""
+def _forward_search_rows(args, alpha: int, n: int, rng, **columns) -> list[dict]:
+    """Run the forward search at alpha and precision n: one row per rule
+    that --rule selects, each row's alpha the report's."""
+    reports = run_forward_search(alpha, args.trials, rng, precision=n)
     return [
         _row(r.rule, r.trials, r.success_rate, r.stderr, r.predicted_rate,
-             alpha=r.alpha, **columns)
+             alpha=r.alpha, n=n, **columns)
         for r in reports.values()
-        if rule in ("both", r.rule)
+        if args.rule in ("both", r.rule)
     ]
 
 
-def _forward_search_records(args, rng: np.random.Generator) -> list[dict]:
-    reports = run_forward_search(args.alpha, args.trials, rng, precision=args.n)
-    return _forward_search_rows(reports, args.rule, attack="forward-search", n=args.n)
+def _forward_search_attack(args, seed: int) -> tuple[list[dict], list[dict]]:
+    rng = rng_stream(seed, "attack", "forward-search")
+    rows = _forward_search_rows(args, args.alpha, args.n, rng, attack="forward-search")
+    return rows, rows
 
 
-def _cpa_records(args) -> list[dict]:
+def _cpa_attack(args, seed: int) -> tuple[list[dict], list[dict]]:
     # bounded before the messages below are built, so a huge N allocates nothing
     check_integer(args.N, "cpa --N", 1, CPA_TOTAL_QUBIT_CAP)
     report = chosen_plaintext_distinguishability(
@@ -317,8 +320,9 @@ def _cpa_records(args) -> list[dict]:
         report.distance_m0_to_public,
         report.distance_m1_to_public,
     )
-    return [_row("trace-distance", 0, worst, 0.0, 0.0,
+    rows = [_row("trace-distance", 0, worst, 0.0, 0.0,
                  attack="cpa", alpha=args.alpha, n=args.n, N=args.N)]
+    return rows, rows
 
 
 def _cca_session(args, rng: np.random.Generator) -> CcaSessionResult:
@@ -339,10 +343,10 @@ def _cca_session(args, rng: np.random.Generator) -> CcaSessionResult:
     return chosen_ciphertext_session(key, args.k, submissions, rng)
 
 
-def _cca_records(args, rng: np.random.Generator) -> tuple[list[dict], dict]:
+def _cca_attack(args, seed: int) -> tuple[list[dict], dict]:
     # bounded before keygen and the submissions, which a huge k cannot afford
     check_integer(args.k, "cca --k", 1, CCA_USES_CAP)
-    session = _cca_session(args, rng)
+    session = _cca_session(args, rng_stream(seed, "attack", "cca"))
     detail = {
         "session": session.to_record(),
         "transcript": [entry.to_record() for entry in session.transcript],
@@ -355,16 +359,16 @@ def _cca_records(args, rng: np.random.Generator) -> tuple[list[dict], dict]:
     return [row], detail
 
 
+# --attack name -> (args, seed) -> (CSV rows, JSON results)
+ATTACKS = {
+    "forward-search": _forward_search_attack,
+    "cpa": _cpa_attack,
+    "cca": _cca_attack,
+}
+
+
 def cmd_attack(args, seed: int) -> CommandOutput:
-    if args.attack == "cpa":
-        rows = _cpa_records(args)
-        results: object = rows
-    else:
-        rng = rng_stream(seed, "attack", args.attack)
-        if args.attack == "forward-search":
-            rows = results = _forward_search_records(args, rng)
-        else:
-            rows, results = _cca_records(args, rng)
+    rows, results = ATTACKS[args.attack](args, seed)
     lines = [
         f"{row['attack']} rule={row['rule']} observed={row['success_rate']:.6g} "
         f"theory={row['theory']:.6g}"
@@ -402,12 +406,31 @@ def cmd_analyze(args, seed: int) -> CommandOutput:
     return CommandOutput(lines, records, records, fields)
 
 
+def _forward_search_cell(args, seed: int, alpha: int) -> list[dict]:
+    rng = rng_stream(seed, "sweep", "forward-search", alpha)
+    return _forward_search_rows(args, alpha, DEFAULT_ATTACK_PRECISION, rng,
+                                experiment="forward-search")
+
+
+def _ensemble_cell(args, seed: int, n: int) -> list[dict]:
+    rho = ensemble_density(n)
+    deviation = float(np.abs(rho.entries - np.eye(2) / 2.0).max())
+    return [{"experiment": "ensemble", "n": n, "method": ensemble_density_method(n),
+             "max_abs_deviation": deviation, "entropy_bits": von_neumann_entropy(rho)}]
+
+
+# --experiment name -> (grid flag, CSV fields, (args, seed, cell) -> rows)
+SWEEPS = {
+    "forward-search": ("--alphas", ["experiment", "alpha", "n", *_STAT_FIELDS],
+                       _forward_search_cell),
+    "ensemble": ("--n", ["experiment", "n", "method", "max_abs_deviation", "entropy_bits"],
+                 _ensemble_cell),
+}
+
+
 def cmd_sweep(args, seed: int) -> CommandOutput:
-    if args.experiment == "forward-search":
-        grid_flag, grid = "--alphas", args.alphas
-    else:
-        grid_flag, grid = "--n", args.n
-    lo, hi = _parse_range(grid, grid_flag)
+    grid_flag, fields, cell_rows = SWEEPS[args.experiment]
+    lo, hi = _parse_range(getattr(args, grid_flag[2:]), grid_flag)
     if lo < 1 or hi < lo:
         raise ValueError(f"{grid_flag} {lo}:{hi} spans no valid cells")
     # counted before any cell exists, so a huge span costs nothing
@@ -415,7 +438,7 @@ def cmd_sweep(args, seed: int) -> CommandOutput:
         raise ValueError(
             f"grid has {hi - lo + 1} cells; the cap is {SWEEP_CELL_CAP}"
         )
-    cells = range(lo, hi + 1)
+    rows = [row for cell in range(lo, hi + 1) for row in cell_rows(args, seed, cell)]
 
     # the normalized grid stands for --alphas or --n: only the swept flag counts
     params = {
@@ -424,31 +447,6 @@ def cmd_sweep(args, seed: int) -> CommandOutput:
         "trials": args.trials,
         "rule": args.rule,
     }
-    if args.experiment == "forward-search":
-        fields = ["experiment", "alpha", "n", *_STAT_FIELDS]
-        rows = []
-        for alpha in cells:
-            rng = rng_stream(seed, "sweep", "forward-search", alpha)
-            reports = run_forward_search(alpha, args.trials, rng)
-            rows += _forward_search_rows(
-                reports, args.rule, experiment="forward-search", n=DEFAULT_ATTACK_PRECISION
-            )
-    else:
-        fields = ["experiment", "n", "method", "max_abs_deviation", "entropy_bits"]
-        rows = []
-        for n in cells:
-            rho = ensemble_density(n)
-            deviation = float(np.abs(rho.entries - np.eye(2) / 2.0).max())
-            rows.append(
-                {
-                    "experiment": "ensemble",
-                    "n": n,
-                    "method": ensemble_density_method(n),
-                    "max_abs_deviation": deviation,
-                    "entropy_bits": von_neumann_entropy(rho),
-                }
-            )
-
     # main makes the directory once every cell has run, so a refused cell
     # leaves nothing behind
     csv_path = str(Path(args.out) / f"sweep-{args.experiment}.csv")
@@ -509,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--attack",
         required=True,
-        choices=["forward-search", "cpa", "cca"],
+        choices=list(ATTACKS),
         help="which experiment to run",
     )
     p.add_argument("--alpha", type=int, default=1)
@@ -541,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--experiment",
         required=True,
-        choices=["forward-search", "ensemble"],
+        choices=list(SWEEPS),
     )
     p.add_argument("--alphas", default="1:4", help="alpha grid LOW:HIGH")
     p.add_argument("--n", default="1:16", help="precision grid LOW:HIGH")

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpke.attacks import FORWARD_SEARCH_CHUNK
-from qpke.cli import CCA_USES_CAP, main
+from qpke.cli import CCA_USES_CAP, SWEEPS, main
 from qpke.protocol import MAX_KEY_LENGTH
 from qpke.security_analysis import MI_COPIES_CAP, MI_TRIALS_CAP
 
@@ -261,15 +261,19 @@ def test_analyze_rejects_malformed_flags(workdir, args):
     assert not list(workdir.glob("a.json*"))
 
 
+# every sweep experiment and the flag, without its dashes, that carries its grid
+SWEEP_GRIDS = [(name, grid_flag[2:]) for name, (grid_flag, _, _) in SWEEPS.items()]
+
+
 @FUZZ
 @given(
     args=st.one_of(
-        st.tuples(st.just(["--experiment", "forward-search"]), flag("alphas", bad_range(1))),
-        st.tuples(st.just(["--experiment", "ensemble"]), flag("n", bad_range(1))),
-        st.tuples(
-            st.sampled_from([("forward-search", "alphas"), ("ensemble", "n")]),
-            st.integers(10_001, 10**30),
-        ).map(lambda t: (["--experiment", t[0][0]], [f"--{t[0][1]}=1:{t[1]}"])),
+        st.sampled_from(SWEEP_GRIDS).flatmap(
+            lambda e: st.tuples(st.just(["--experiment", e[0]]), flag(e[1], bad_range(1)))
+        ),
+        st.tuples(st.sampled_from(SWEEP_GRIDS), st.integers(10_001, 10**30)).map(
+            lambda t: (["--experiment", t[0][0]], [f"--{t[0][1]}=1:{t[1]}"])
+        ),
         st.tuples(
             st.just(["--experiment", "forward-search", "--alphas", "1:2"]),
             flag("trials", NOT_POSITIVE),

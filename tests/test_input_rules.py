@@ -27,7 +27,7 @@ from qpke.attacks import (
     run_forward_search,
     single_use_constraint_check,
 )
-from qpke.cli import CCA_USES_CAP, _cca_records, _cpa_records
+from qpke.cli import ATTACKS, CCA_USES_CAP
 from qpke.protocol import (
     MAX_KEY_LENGTH,
     CipherState,
@@ -178,8 +178,8 @@ COUNT_ENTRY_POINTS = {
         2,
         MI_TRIALS_CAP,
     ),
-    "attack cpa --N": (lambda v: _cpa_records(_cli_args(N=v)), 1, CPA_TOTAL_QUBIT_CAP),
-    "attack cca --k": (lambda v: _cca_records(_cli_args(k=v), _rng()), 1, CCA_USES_CAP),
+    "attack cpa --N": (lambda v: ATTACKS["cpa"](_cli_args(N=v), 0), 1, CPA_TOTAL_QUBIT_CAP),
+    "attack cca --k": (lambda v: ATTACKS["cca"](_cli_args(k=v), 0), 1, CCA_USES_CAP),
 }
 
 
