@@ -23,6 +23,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import time
 import warnings
@@ -152,19 +153,59 @@ def _write_envelope(path: str, **body) -> None:
         handle.write("\n")
 
 
+def _refuse_shared_paths(paths: dict[str, str | None]) -> None:
+    """Refuse a run in which two of its files, named by flag, are one file,
+    before any is written: the later write would replace the earlier one,
+    or the private key a roundtrip reads.  An existing file is known by its
+    device and inode, which also catches a hard link; a path not written yet
+    by os.path.realpath.  A device such as /dev/null may be named twice."""
+    seen: dict[object, str] = {}
+    for flag, path in paths.items():
+        if not path:
+            continue
+        try:
+            info = os.stat(path)
+        except OSError:
+            file: object = os.path.realpath(path)
+        else:
+            if not stat.S_ISREG(info.st_mode):
+                continue
+            file = (info.st_dev, info.st_ino)
+        if file in seen:
+            raise ValueError(f"{seen[file]} and {flag} name the same file {path!r}")
+        seen[file] = flag
+
+
 def _write_run(args, header: dict, out: CommandOutput) -> None:
     """Write a run's files: keygen's key, the JSON envelope, the CSV with the
     run identity as its last columns, and the manifest that cross-references
     them."""
-    outputs = []
-    if out.key is not None:
-        save_private_key(out.key, args.out)
-        outputs.append(args.out)
+    key_path = args.out if out.key is not None else None
     json_path = getattr(args, "json", None)
+    csv_path = out.csv_path or getattr(args, "csv", None)
+    outputs = [path for path in (key_path, json_path, csv_path) if path]
+    manifest_path = getattr(args, "manifest", None)
+    manifest_flag = "--manifest"
+    if manifest_path is None:
+        manifest_flag = "the manifest"
+        # beside the first output that is or becomes a regular file: a
+        # device's directory, such as /dev, is not the run's to write into
+        manifest_path = next(
+            (path + ".manifest.json" for path in outputs
+             if os.path.isfile(path) or not os.path.exists(path)),
+            None,
+        )
+    _refuse_shared_paths({
+        "--key": getattr(args, "key", None),
+        "--out": key_path,
+        "--json": json_path,
+        "the sweep CSV" if out.csv_path else "--csv": csv_path,
+        manifest_flag: manifest_path,
+    })
+    if key_path:
+        save_private_key(out.key, key_path)
     if json_path:
         _write_envelope(json_path, manifest=header, results=out.results)
-        outputs.append(json_path)
-    csv_path = out.csv_path or getattr(args, "csv", None)
     if csv_path:
         if out.csv_path:
             Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
@@ -175,14 +216,6 @@ def _write_run(args, header: dict, out: CommandOutput) -> None:
             )
             writer.writeheader()
             writer.writerows(dict(row, **identity) for row in out.rows)
-        outputs.append(csv_path)
-    manifest_path = getattr(args, "manifest", None)
-    if manifest_path is None:
-        # beside the first regular file: a device's directory, such as /dev,
-        # is not the run's to write into
-        manifest_path = next(
-            (path + ".manifest.json" for path in outputs if os.path.isfile(path)), None
-        )
     if manifest_path:
         manifest = dict(
             header,
@@ -233,6 +266,16 @@ def _parse_message(text: str) -> np.ndarray:
 # --- subcommands ---
 
 
+def _show_warning(show, message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning with show as the fallback: a LowPrecisionWarning
+    is one "warning:" line, without the source location and line that
+    Python's format adds; any other warning goes to show."""
+    if issubclass(category, LowPrecisionWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, filename, lineno, file, line)
+
+
 def cmd_keygen(args, seed: int) -> CommandOutput:
     if (args.n is None) == (args.n_range is None):
         raise ValueError("exactly one of --n or --n-range is required")
@@ -240,7 +283,11 @@ def cmd_keygen(args, seed: int) -> CommandOutput:
         precision: int | tuple[int, int] = _parse_range(args.n_range, "--n-range")
     else:
         precision = args.n
-    key, public = keygen(precision, args.N, permute=args.permute, rng=rng_stream(seed, "keygen"))
+    with warnings.catch_warnings():
+        warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+        key, public = keygen(
+            precision, args.N, permute=args.permute, rng=rng_stream(seed, "keygen")
+        )
     lines = [
         f"key_id={public.key_id}",
         f"fingerprint={key_fingerprint(key)}",

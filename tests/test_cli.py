@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,139 @@ class TestOutputPaths:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+
+def _tree(root: Path) -> dict:
+    """Every path under root: a symlink's target, a file's bytes, or None
+    for a directory."""
+    return {
+        path: os.readlink(path) if path.is_symlink()
+        else None if path.is_dir() else path.read_bytes()
+        for path in root.rglob("*")
+    }
+
+
+ROUNDTRIP = ["roundtrip", "--message", "01", "--seed", "1"]
+CPA = ["attack", "--attack", "cpa", "--n", "4", "--seed", "1"]
+
+
+class TestSharedOutputPaths:
+    """Two of a run's files that are one file are refused before any file
+    is written: the private key a roundtrip reads, --out, --json, --csv,
+    --manifest, sweep's CSV and the default manifest beside the first
+    output."""
+
+    @pytest.mark.parametrize(
+        "key, links, argv, flags",
+        [
+            ("k.json", {}, ROUNDTRIP + ["--key", "k.json", "--manifest", "k.json"],
+             "--key and --manifest"),
+            ("k.json", {}, ROUNDTRIP + ["--key", "k.json", "--json", "./k.json"],
+             "--key and --json"),
+            ("r.json.manifest.json", {},
+             ROUNDTRIP + ["--key", "r.json.manifest.json", "--json", "r.json"],
+             "--key and the manifest"),
+            ("k.json", {}, ROUNDTRIP + ["--key", "k.json", "--json", "r.json", "--manifest",
+                                        "r.json"], "--json and --manifest"),
+            (None, {}, CPA + ["--json", "a.json", "--csv", "a.json"], "--json and --csv"),
+            (None, {}, CPA + ["--csv", "a.csv", "--manifest", "a.csv"], "--csv and --manifest"),
+            (None, {}, ["analyze", "--seed", "1", "--json", "a.json", "--csv",
+                        "a.json.manifest.json"], "--csv and the manifest"),
+            (None, {"key.json.manifest.json": "key.json"},
+             ["keygen", "--n", "40", "--N", "2", "--seed", "1", "--out", "key.json"],
+             "--out and the manifest"),
+            (None, {"sweep/sweep-ensemble.csv.manifest.json": "sweep-ensemble.csv"},
+             ["sweep", "--experiment", "ensemble", "--n", "1:2", "--seed", "1", "--out",
+              "sweep"], "the sweep CSV and the manifest"),
+        ],
+        ids=["key-manifest", "key-json", "key-default-manifest", "json-manifest",
+             "json-csv", "csv-manifest", "csv-default-manifest", "out-default-manifest",
+             "sweep-csv-default-manifest"],
+    )
+    def test_two_outputs_naming_one_file_are_refused(
+        self, key, links, argv, flags, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        if key:
+            assert main(["keygen", "--n", "40", "--N", "8", "--seed", "5", "--out", key]) == 0
+        for link, target in links.items():
+            Path(link).parent.mkdir(exist_ok=True)
+            os.symlink(target, link)
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert code == 2
+        assert stderr.startswith(f"error: {flags} name the same file ")
+        assert stderr.count("\n") == 1
+        assert "seed=" not in stdout
+        assert _tree(tmp_path) == before
+
+    def test_roundtrip_keeps_its_key_when_the_manifest_names_it(self, key_file, capsys):
+        key_bytes = key_file.read_bytes()
+        argv = ROUNDTRIP + ["--key", str(key_file)]
+        code, _, stderr = run_cli(argv + ["--manifest", str(key_file)], capsys)
+        assert code == 2 and stderr.startswith("error: ")
+        assert key_file.read_bytes() == key_bytes
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == 0 and "match=true" in stdout
+
+    def test_a_hard_link_to_the_key_is_refused(self, key_file, capsys):
+        link = key_file.with_name("link.json")
+        os.link(key_file, link)
+        key_bytes = key_file.read_bytes()
+        code, _, stderr = run_cli(ROUNDTRIP + ["--key", str(key_file), "--json", str(link)],
+                                  capsys)
+        assert code == 2
+        assert stderr.startswith("error: --key and --json name the same file ")
+        assert key_file.read_bytes() == key_bytes
+
+    @pytest.mark.skipif(
+        not (os.path.exists(os.devnull) and stat.S_ISCHR(os.stat(os.devnull).st_mode)),
+        reason="needs a character-device null file",
+    )
+    def test_a_device_may_be_named_twice(self, capsys):
+        code, _, stderr = run_cli(CPA + ["--json", os.devnull, "--csv", os.devnull], capsys)
+        assert code == 0, stderr
+
+
+class TestLowPrecisionWarning:
+    """keygen below the recommended precision warns in one line."""
+
+    WARNING = ("warning: precision n=8 is below the recommended minimum 32; "
+               "fine for experiments, weak as a key\n")
+
+    def test_console_prints_one_warning_line(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(qpke.cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "qpke.cli", "keygen", "--n", "8", "--N", "4", "--seed", "1",
+             "--out", "key.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0
+        assert done.stderr == self.WARNING
+        assert done.stdout.splitlines()[-2] == "wrote key.json"
+        assert load_private_key(tmp_path / "key.json").n == 8
+
+    def test_other_warnings_reach_the_usual_handler(self, tmp_path, capsys, monkeypatch):
+        keygen = qpke.cli.keygen
+
+        def keygen_that_also_warns(*args, **kwargs):
+            warnings.warn("another warning", RuntimeWarning)
+            return keygen(*args, **kwargs)
+
+        monkeypatch.setattr(qpke.cli, "keygen", keygen_that_also_warns)
+        # pytest.warns records every warning the usual handler is shown
+        with pytest.warns(RuntimeWarning, match="another warning") as shown:
+            code, _, stderr = run_cli(
+                ["keygen", "--n", "8", "--N", "4", "--seed", "1",
+                 "--out", str(tmp_path / "key.json")],
+                capsys,
+            )
+        assert code == 0
+        assert stderr == self.WARNING
+        assert [w.category for w in shown] == [RuntimeWarning]
 
 
 class TestTextEncoding:
