@@ -61,13 +61,21 @@ def check_precision(n: int, cap: int = MAX_PRECISION_BITS) -> None:
 # --- density matrices ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Real symmetric, unit-trace, positive-semidefinite matrix over k qubits.
 
     Protocol states lie on the x-z great circle, so their densities are
     real.  Complex input is accepted only when every imaginary part is
     exactly zero; it is stored as the same float64 values.
+
+    Positivity is proved by the Gershgorin certificate when the matrix is
+    exactly symmetric and diagonally dominant (min_i 2 a_ii - sum_j |a_ij|
+    >= 0); otherwise an eigen solve checks the least eigenvalue against
+    EIGENVALUE_FLOOR.  Either way the same matrices are accepted.
+
+    A density equals only itself and hashes by identity, as trace_distance
+    treats it: equal entries in two densities do not make them one.
     """
 
     entries: npt.NDArray[np.float64]
@@ -89,12 +97,26 @@ class DensityMatrix:
         if not np.isfinite(mat).all():
             raise ValueError("density matrix entries must be finite")
         # exact symmetry implies allclose for finite entries
-        if not (np.array_equal(mat, mat.T) or np.allclose(mat, mat.T, atol=ATOL)):
+        exactly_symmetric = np.array_equal(mat, mat.T)
+        if not (exactly_symmetric or np.allclose(mat, mat.T, atol=ATOL)):
             raise ValueError(f"density matrix must be symmetric within {ATOL}")
         trace = float(np.trace(mat))
         if abs(trace - 1.0) > ATOL:
             raise ValueError(f"density matrix trace {trace} deviates from 1")
-        if float(np.linalg.eigvalsh(mat).min()) < EIGENVALUE_FLOOR:
+        # Gershgorin: every eigenvalue of a symmetric matrix is at least
+        # min_i a_ii - sum_{j != i} |a_ij| >= min_i 2 a_ii - sum_j |a_ij|, so
+        # a bound >= 0 proves positivity with no solve.  2 a_ii and |a_ij| are
+        # exact and a rounded difference keeps its sign, so a bound read as
+        # >= 0 errs only by the rounding of a row sum.  That sum is at most
+        # 2 a_ii <= 2 * trace, and the rounding of d terms is at most
+        # d * 2**-53 of it: below 1e-13 at the package's largest density
+        # (d = 256), far inside EIGENVALUE_FLOOR, so every certified matrix
+        # is one the solve accepts.  Only an exactly symmetric matrix is
+        # certified: of any other, eigvalsh reads just the lower triangle.
+        certified = exactly_symmetric and bool(
+            (2.0 * np.diagonal(mat) - np.abs(mat).sum(axis=1)).min() >= 0.0
+        )
+        if not certified and float(np.linalg.eigvalsh(mat).min()) < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has an eigenvalue below {EIGENVALUE_FLOOR}")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)

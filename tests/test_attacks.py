@@ -467,17 +467,19 @@ class TestChosenPlaintext:
             return solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        # the CLI's report: at alpha 1 the all-zero message is the public
-        # density, so two validations and two distances remain of six solves
+        # every density is a product of factors close to I/2, so the Gershgorin
+        # certificate validates it with no solve; only distances solve.  The
+        # CLI's report: at alpha 1 the all-zero message is the public density,
+        # so its distance is 0 with no solve and two distances remain
         chosen_plaintext_distinguishability(12, (0,) * 8, (1,) * 8)
-        assert calls == [(256, 256)] * 4
+        assert calls == [(256, 256)] * 2
         calls.clear()
         # at alpha >= 2 every flag is 0.5, so the two messages share a density
         chosen_plaintext_distinguishability(8, (0, 1, 1, 0), (1, 1, 0, 0), alpha=2)
-        assert calls == [(256, 256)] * 4
+        assert calls == [(256, 256)] * 2
         calls.clear()
         chosen_plaintext_distinguishability(8, (0, 1, 1, 0), (1, 1, 0, 0))
-        assert calls == [(16, 16)] * 6
+        assert calls == [(16, 16)] * 3
 
     @pytest.mark.parametrize(
         "n, message, alpha",

@@ -8,10 +8,12 @@ probability (1 + |<a|b>|^2) / 2, and entropy -sum p log2 p.
 import inspect
 import math
 import re
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, note, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -565,6 +567,146 @@ class TestDensityMatrix:
         positive = eigs[eigs > 0.0]
         entropy = float(-np.sum(positive * np.log2(positive)))
         assert von_neumann_entropy(rho_a) == pytest.approx(entropy, abs=1e-13)
+
+
+@contextmanager
+def counted_solves():
+    """The shapes np.linalg.eigvalsh is called with inside the block."""
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return solve(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigvalsh", counting):
+        yield calls
+
+
+def gershgorin_bound(mat: np.ndarray) -> float:
+    """min_i 2 a_ii - sum_j |a_ij|, a lower bound on every eigenvalue."""
+    return float((2.0 * np.diagonal(mat) - np.abs(mat).sum(axis=1)).min())
+
+
+def eigen_rule(mat: np.ndarray) -> str | None:
+    """The positivity rule before the Gershgorin certificate: one eigen solve
+    on every matrix.  The refusal message, or None when it accepts."""
+    if float(np.linalg.eigvalsh(mat).min()) < EIGENVALUE_FLOOR:
+        return f"density matrix has an eigenvalue below {EIGENVALUE_FLOOR}"
+    return None
+
+
+def dominant_integer_matrix(rng, dim: int, slack: int) -> np.ndarray:
+    """Symmetric matrix of small integers over a power of two, with diagonal
+    sum_{j != i} |a_ij| + slack_i, slack_i in [slack, 2 * slack], and the
+    padding to a power-of-two trace in row 0.  Every entry and row sum is
+    exact, so the Gershgorin bound is exactly 0 at slack 0."""
+    upper = np.triu(rng.integers(-4, 5, (dim, dim)), 1)
+    mat = upper + upper.T
+    diag = np.abs(mat).sum(axis=1) + rng.integers(slack, 2 * slack + 1, dim)
+    total = int(diag.sum())
+    diag[0] += (1 << max(total - 1, 0).bit_length()) - total
+    mat = mat + np.diag(diag)
+    return mat / float(np.trace(mat))
+
+
+@st.composite
+def symmetric_unit_trace(draw):
+    """(kind, matrix): an exactly symmetric float64 matrix of dimension 2 to 64
+    with trace within ATOL of 1, of a kind that tests either side of the
+    certificate."""
+    kind = draw(st.sampled_from(
+        ["dominant-zero", "dominant-tiny", "dominant-large", "kron", "pure", "noise",
+         "indefinite"]
+    ))
+    k = draw(st.integers(1, 6))
+    dim = 1 << k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dominant-zero":
+        mat = dominant_integer_matrix(rng, dim, 0)
+    elif kind == "dominant-tiny":
+        # a bound of about +-1e-15: mix a bound-0 matrix with I/d
+        bound = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-16.0, -14.0))
+        t = dim * bound
+        mat = (1.0 - t) * dominant_integer_matrix(rng, dim, 0) + t * np.eye(dim) / dim
+    elif kind == "dominant-large":
+        mat = dominant_integer_matrix(rng, dim, 4)
+    elif kind == "kron":
+        mat = np.ones((1, 1))
+        coherence = 10.0 ** draw(st.floats(-3.0, 0.0))
+        for p in rng.uniform(0.0, 1.0, k):
+            c = coherence * rng.uniform(-1.0, 1.0) * math.sqrt(p * (1.0 - p))
+            mat = np.kron(mat, np.array([[p, c], [c, 1.0 - p]]))
+    elif kind == "pure":
+        amps = rng.standard_normal(dim) * (rng.uniform(size=dim) < draw(st.floats(0.0, 1.0)))
+        assume(np.any(amps))
+        amps /= np.linalg.norm(amps)
+        mat = np.outer(amps, amps)
+    elif kind == "noise":
+        noise = rng.standard_normal((dim, dim))
+        noise = noise + noise.T
+        np.fill_diagonal(noise, 0.0)
+        mat = np.eye(dim) / dim + 10.0 ** draw(st.floats(-18.0, -3.0)) * noise
+    else:
+        sym = rng.standard_normal((dim, dim)) / dim
+        sym = sym + sym.T
+        mat = sym + (1.0 - np.trace(sym)) / dim * np.eye(dim)
+    return kind, mat
+
+
+class TestGershgorinCertificate:
+    """An exactly symmetric, diagonally dominant density is validated with
+    no eigen solve; the accepted set and the refusal message stay those of
+    the eigen rule."""
+
+    @given(drawn=symmetric_unit_trace())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_accepts_exactly_what_the_eigen_rule_accepts(self, drawn):
+        kind, mat = drawn
+        note(f"kind={kind} bound={gershgorin_bound(mat)!r}")
+        assert np.array_equal(mat, mat.T)
+        assert abs(np.trace(mat) - 1.0) <= ATOL
+        want = eigen_rule(mat)
+        with counted_solves() as solves:
+            try:
+                DensityMatrix(mat)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+        assert got == want
+        assert len(solves) == (0 if gershgorin_bound(mat) >= 0.0 else 1)
+
+    @pytest.mark.parametrize(
+        "entries, solves",
+        [
+            ([[0.5, 0.25], [0.25, 0.5]], 0),
+            (np.eye(256) / 256, 0),
+            # a bound of exactly 0
+            ([[0.5, 0.5], [0.5, 0.5]], 0),
+            # a pure state with unequal amplitudes is not diagonally dominant
+            (np.outer([0.6, 0.8], [0.6, 0.8]), 1),
+            # symmetric within ATOL but not exactly: the solve decides
+            ([[0.5, 0.25], [0.25 + 1e-13, 0.5]], 1),
+        ],
+        ids=["dominant", "mixed-256", "bound-zero", "pure-unequal", "near-symmetric"],
+    )
+    def test_solve_count(self, entries, solves):
+        with counted_solves() as calls:
+            DensityMatrix(np.array(entries))
+        assert len(calls) == solves
+
+
+class TestDensityIdentity:
+    """A density equals only itself and hashes by identity."""
+
+    def test_equal_entries_compare_unequal_without_raising(self):
+        a = DensityMatrix(np.eye(2) / 2)
+        b = DensityMatrix(np.eye(2) / 2)
+        assert a == a
+        assert not a == b
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
 
 
 class TestVonNeumannEntropy:

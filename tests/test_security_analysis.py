@@ -268,6 +268,12 @@ class TestEnsembleDensity:
     def test_entropy_is_one_bit(self):
         assert von_neumann_entropy(ensemble_density(8)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_validation_makes_no_eigen_solve(self):
+        # every ensemble is close to I/2, so the Gershgorin certificate holds
+        with mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError):
+            for n in list(range(1, ENSEMBLE_ENUMERATION_CAP + 1)) + [30]:
+                ensemble_density(n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ensemble_density(0)
