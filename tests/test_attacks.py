@@ -385,6 +385,19 @@ def message_density(n, message, alpha):
     return qpke.attacks._message_density(flags, factors)
 
 
+def count_densities(monkeypatch):
+    """Record the flag sequence of every density the CPA report builds."""
+    built = []
+    build = qpke.attacks._message_density
+
+    def counting(flags, factors):
+        built.append(flags)
+        return build(flags, factors)
+
+    monkeypatch.setattr(qpke.attacks, "_message_density", counting)
+    return built
+
+
 class TestChosenPlaintext:
     """Exact indistinguishability of ciphertext ensembles."""
 
@@ -469,17 +482,46 @@ class TestChosenPlaintext:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         # every density is a product of factors close to I/2, so the Gershgorin
         # certificate validates it with no solve; only distances solve.  The
-        # CLI's report: at alpha 1 the all-zero message is the public density,
-        # so its distance is 0 with no solve and two distances remain
+        # CLI's report at n=12: the factors for flags 0 and 1 are byte-equal,
+        # so all three densities are one object and no distance solves
         chosen_plaintext_distinguishability(12, (0,) * 8, (1,) * 8)
-        assert calls == [(256, 256)] * 2
-        calls.clear()
-        # at alpha >= 2 every flag is 0.5, so the two messages share a density
+        assert calls == []
+        # at alpha >= 2 every flag is 0.5, and at n=8 its factor is byte-equal
+        # to the public density's flag-0 factor
         chosen_plaintext_distinguishability(8, (0, 1, 1, 0), (1, 1, 0, 0), alpha=2)
-        assert calls == [(256, 256)] * 2
+        assert calls == []
+        # at n=6 the public density is apart: the messages' shared density and
+        # it are one ordered pair, solved once for both distances
+        assert shifted_ensemble(6, 0.0).tobytes() != shifted_ensemble(6, 0.5).tobytes()
+        chosen_plaintext_distinguishability(6, (0, 1, 1, 0), (1, 1, 0, 0), alpha=2)
+        assert calls == [(256, 256)]
         calls.clear()
-        chosen_plaintext_distinguishability(8, (0, 1, 1, 0), (1, 1, 0, 0))
+        chosen_plaintext_distinguishability(6, (0, 1, 1, 0), (1, 1, 0, 0))
         assert calls == [(16, 16)] * 3
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("n", range(1, CPA_PRECISION_CAP + 1))
+    def test_one_density_per_distinct_factor_sequence(self, monkeypatch, n, alpha):
+        built = count_densities(monkeypatch)
+        for m0, m1 in [((0,) * 4, (1,) * 4), ((0, 1, 1, 0), (1, 1, 0, 0))]:
+            built.clear()
+            chosen_plaintext_distinguishability(n, m0, m1, alpha)
+            flags = [qpke.attacks._flag_probabilities(m, a)
+                     for m, a in [(m0, alpha), (m1, alpha), ((0,) * (4 * alpha), 1)]]
+            sequences = {tuple(shifted_ensemble(n, p).tobytes() for p in f) for f in flags}
+            assert len(built) == len(sequences)
+
+    def test_factors_apart_by_the_sign_of_a_zero_are_not_merged(self, monkeypatch):
+        def signed_zero_ensemble(n, flag_probability=0.0):
+            zero = -0.0 if flag_probability else 0.0
+            return np.array([[0.5, zero], [zero, 0.5]])
+
+        assert np.array_equal(signed_zero_ensemble(1, 1.0), signed_zero_ensemble(1, 0.0))
+        built = count_densities(monkeypatch)
+        monkeypatch.setattr(qpke.attacks, "shifted_ensemble", signed_zero_ensemble)
+        report = chosen_plaintext_distinguishability(4, (0, 0), (1, 1))
+        assert len(built) == 2
+        assert report.distance_between_messages == 0.0
 
     @pytest.mark.parametrize(
         "n, message, alpha",
