@@ -37,6 +37,7 @@ from . import __version__
 from .attacks import (
     CPA_TOTAL_QUBIT_CAP,
     DEFAULT_ATTACK_PRECISION,
+    FORWARD_SEARCH_RULES,
     CcaSessionResult,
     chosen_ciphertext_session,
     chosen_plaintext_distinguishability,
@@ -508,7 +509,7 @@ def cmd_sweep(args, seed: int) -> CommandOutput:
 # flags that several subcommands take, declared once
 _SHARED_FLAGS = {
     "--rule": dict(
-        choices=["identify-all", "parity-aware", "both"],
+        choices=[*FORWARD_SEARCH_RULES, "both"],
         default="both",
         help="forward-search decision rule",
     ),

@@ -262,23 +262,18 @@ def private_key_from_json(payload: dict) -> PrivateKey:
     n, s, perm = payload.get("n"), payload.get("s"), payload.get("perm")
     if not isinstance(s, list) or not (kinds := set(map(type, s))) <= {int, str}:
         raise TypeError("key file field 's' must be a list of integers or decimal strings")
-    all_strings = kinds == {str}
-    strings = s if all_strings else [v for v in s if type(v) is str]
-    text = ",".join(strings)
-    if strings and not _is_decimal_list(text, len(strings)):
+    # an int entry reads as its decimal text, so every entry takes one parse
+    text = ",".join(map(str, s) if int in kinds else s)
+    # an empty s is left to the key's own check
+    if s and not _is_decimal_list(text, len(s)):
         raise ValueError("key file field 's' holds a string that is not a decimal integer")
     if "perm" in payload and not (isinstance(perm, list) and set(map(type, perm)) <= {int}):
         raise TypeError("key file field 'perm' must be a list of integers")
-    if all_strings:
-        # strtoll saturates an entry beyond int64 at 2**63 - 1, which no
-        # precision up to MAX_PRECISION_BITS = 62 admits
-        values = np.fromstring(text, dtype=np.int64, sep=",")
-    else:
-        values = tuple(map(int, s))
+    # strtoll saturates an entry beyond int64 at 2**63 - 1, which no
+    # precision up to MAX_PRECISION_BITS = 62 admits
+    values = np.fromstring(text, dtype=np.int64, sep=",")
     key = PrivateKey(n=n, s=values, perm=None if perm is None else tuple(perm))
-    if all_strings and not (
-        text.startswith("0") and text[1:2].isdigit() or _LEADING_ZERO.search(text)
-    ):
+    if not (text.startswith("0") and text[1:2].isdigit() or _LEADING_ZERO.search(text)):
         # without leading zeros the file's own digits are the key's decimal
         # text: the one value written into a key from outside its class
         key.__dict__["_s_text"] = text
@@ -539,11 +534,13 @@ def keygen(
     register (copy index 0); circulating copies go through KeyRegistry.
     """
     if isinstance(n, tuple):
+        if len(n) != 2:
+            raise ValueError(f"precision range must be a pair (n_l, n_u), got {len(n)} values")
         lo, hi = n
-        if not 1 <= lo <= hi <= MAX_PRECISION_BITS:
-            raise ValueError(f"precision range must satisfy 1 <= n_l <= n_u <= {MAX_PRECISION_BITS}")
-        check_precision(lo)
-        check_precision(hi)
+        check_integer(lo, "precision range n_l", 1, MAX_PRECISION_BITS)
+        check_integer(hi, "precision range n_u", 1, MAX_PRECISION_BITS)
+        if lo > hi:
+            raise ValueError(f"precision range must satisfy n_l <= n_u, got ({lo}, {hi})")
         n = int(rng.integers(lo, hi + 1))
     check_precision(n)
     # checked before the draw, which a huge N cannot afford

@@ -121,11 +121,6 @@ class DensityMatrix:
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
-    def eigenvalues(self) -> npt.NDArray[np.float64]:
-        """Ascending eigenvalues with tiny negatives clamped to zero."""
-        eigs = np.linalg.eigvalsh(self.entries)
-        return np.where((eigs < 0.0) & (eigs >= EIGENVALUE_FLOOR), 0.0, eigs)
-
 
 # --- state preparation and unitaries ---
 
@@ -206,7 +201,8 @@ def measure_axis(
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum_i lambda_i log2 lambda_i in bits (0 log 0 = 0)."""
-    eigs = rho.eigenvalues()
+    eigs = np.linalg.eigvalsh(rho.entries)
+    # rounding negatives, like zeros, add no entropy
     positive = eigs[eigs > 0.0]
     return float(-np.sum(positive * np.log2(positive)))
 

@@ -246,10 +246,11 @@ class MeasurementStrategy:
         return MeasurementStrategy("fixed-basis", ((angle, 0.0, 1.0),))
 
     @staticmethod
-    def random(angles: tuple[float, ...] | None = None) -> "MeasurementStrategy":
-        if angles is None:
-            angles = DEFAULT_RANDOM_BASIS_ANGLES
-        return MeasurementStrategy("random-basis", tuple((a, 0.0, 1.0) for a in angles))
+    def random() -> "MeasurementStrategy":
+        """The j * pi / 8 grid; any other set goes through the constructor."""
+        return MeasurementStrategy(
+            "random-basis", tuple((a, 0.0, 1.0) for a in DEFAULT_RANDOM_BASIS_ANGLES)
+        )
 
     @staticmethod
     def two_outcome(e0: np.ndarray, e1: np.ndarray) -> "MeasurementStrategy":

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import qpke.cli
 import qpke.protocol
+from qpke.attacks import FORWARD_SEARCH_RULES
 from qpke.cli import CCA_USES_CAP, _parse_message, _parse_range, build_parser, main
 from qpke.protocol import load_private_key
 from qpke.security_analysis import MI_TRIALS_CAP
@@ -30,7 +32,7 @@ def run_cli(argv, capsys):
 
 
 class TestFlagParsing:
-    """Message and range parsing helpers."""
+    """Message and range parsing helpers, and the flags' choices."""
 
     def test_bit_message(self):
         bits = _parse_message("0110")
@@ -65,6 +67,15 @@ class TestFlagParsing:
             _parse_range("32", "--n-range")
         with pytest.raises(ValueError, match="integers"):
             _parse_range("a:b", "--n-range")
+
+    @pytest.mark.parametrize("command", ["attack", "sweep"])
+    def test_rule_choices_are_the_forward_search_rules(self, command):
+        (commands,) = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        (rule,) = [a for a in commands.choices[command]._actions if a.dest == "rule"]
+        assert rule.choices == [*FORWARD_SEARCH_RULES, "both"]
+        assert rule.default == "both"
 
 
 class TestOutputPaths:

@@ -113,6 +113,25 @@ def test_precision_bounds_are_accepted(entry):
     call(cap)
 
 
+@pytest.mark.parametrize(
+    "precision",
+    [("a", 5), (None, 5), (5, "a"), (5, None)],
+    ids=["str n_l", "None n_l", "str n_u", "None n_u"],
+)
+def test_precision_range_ends_must_be_plain_ints(precision):
+    # each end is type-checked before the two are compared
+    with pytest.raises(TypeError, match="integer"):
+        keygen(precision, 1, rng=_rng())
+
+
+@pytest.mark.parametrize(
+    "precision", [(5, 4), (1, 2, 3), (5,)], ids=["reversed", "three ends", "one end"]
+)
+def test_precision_range_must_be_an_ordered_pair(precision):
+    with pytest.raises(ValueError, match="precision range"):
+        keygen(precision, 1, rng=_rng())
+
+
 def _public_key():
     return keygen(40, 2, rng=_rng())[1]
 

@@ -108,6 +108,37 @@ def test_key_files_match_the_references(payload, tmp_path_factory):
     assert key_fingerprint(loaded) == reference_fingerprint(reference)
 
 
+@given(
+    data=st.data(),
+    n=st.integers(1, 62),
+    N=st.integers(1, 64),
+    permuted=st.booleans(),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_string_int_and_mixed_entries_load_one_key(data, n, N, permuted, tmp_path_factory):
+    values = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=N, max_size=N))
+    as_int = data.draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    perm = data.draw(st.permutations(range(N))) if permuted else None
+    files = {
+        "strings": [str(v) for v in values],
+        "ints": list(values),
+        "mixed": [v if i else str(v) for v, i in zip(values, as_int)],
+    }
+    directory = tmp_path_factory.mktemp("forms")
+    want = PrivateKey(n=n, s=tuple(values), perm=None if perm is None else tuple(perm))
+    for form, s in files.items():
+        payload = {"version": KEY_FILE_VERSION, "n": n, "s": s}
+        if perm is not None:
+            payload["perm"] = list(perm)
+        path = directory / f"{form}.json"
+        path.write_text(json.dumps(payload))
+        key = load_private_key(path)
+        assert key == reference_from_json(payload) == want
+        assert key._s_text == want._s_text == ",".join(map(str, values))
+        assert key_id_of(key) == reference_key_id(want)
+        assert key_fingerprint(key) == reference_fingerprint(want)
+
+
 def test_large_keys_match_the_references(tmp_path):
     rng = np.random.default_rng(16)
     for N, n in ((4096, 48), (1 << 16, 62)):
@@ -212,6 +243,14 @@ def test_leading_zeros_anywhere_hash_as_the_canonical_key(s):
 def test_an_empty_string_is_not_a_decimal_integer(s):
     with pytest.raises(ValueError, match="holds a string that is not a decimal integer"):
         private_key_from_json(_base(s=s))
+
+
+@pytest.mark.parametrize("s", [[1, -1, 3], ["1", -1, "3"]], ids=["ints", "mixed"])
+def test_a_negative_int_entry_fails_the_digit_rule_before_perm(s):
+    # an int entry reads as its decimal text, "-1", and the entries are
+    # checked before perm's types
+    with pytest.raises(ValueError, match="holds a string that is not a decimal integer"):
+        private_key_from_json(_base(s=s, perm=[0, 1, True]))
 
 
 def _raised(load, payload) -> type | None:

@@ -299,7 +299,7 @@ class TestMeasurementStrategy:
 
     def test_random_needs_angles(self):
         with pytest.raises(ValueError, match="angle"):
-            MeasurementStrategy.random(())
+            MeasurementStrategy("random-basis", ())
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
@@ -345,7 +345,9 @@ class TestMeasurementStrategy:
         [
             lambda: MeasurementStrategy.fixed(math.nan),
             lambda: MeasurementStrategy.fixed(math.inf),
-            lambda: MeasurementStrategy.random((0.0, -math.inf)),
+            lambda: MeasurementStrategy(
+                "random-basis", ((0.0, 0.0, 1.0), (-math.inf, 0.0, 1.0))
+            ),
             lambda: MeasurementStrategy("custom-two-outcome", ((math.nan, 0.0, 1.0),)),
         ],
         ids=["fixed nan", "fixed inf", "random -inf", "custom nan"],
@@ -712,9 +714,8 @@ class TestSettingsReproduceTheKindSwitch:
         rng.integers(0, 1, size=1000)
         assert rng.random() == np.random.default_rng(4).random()
         args = (5, 3, 4000)
-        lone = estimate_mutual_information(
-            MeasurementStrategy.random((0.3,)), *args, np.random.default_rng(8)
-        )
+        lone_angle = MeasurementStrategy("random-basis", ((0.3, 0.0, 1.0),))
+        lone = estimate_mutual_information(lone_angle, *args, np.random.default_rng(8))
         fixed = estimate_mutual_information(
             MeasurementStrategy.fixed(0.3), *args, np.random.default_rng(8)
         )
