@@ -34,7 +34,7 @@ from .quantum_core import (
     STDERR_VARIANCE_FLOOR, DensityMatrix, check_integer, check_precision, index_amplitudes,
     rotation_matrix, swap_project, trace_distance,
 )
-from .security_analysis import shifted_ensemble
+from .security_analysis import shifted_ensembles
 
 FORWARD_SEARCH_RULES = ("identify-all", "parity-aware")
 CPA_PRECISION_CAP = 12
@@ -323,13 +323,14 @@ def chosen_plaintext_distinguishability(
 
     Builds the full ciphertext density matrix of each message averaged
     over the key distribution, plus the unencrypted public-key density,
-    and reports the pairwise trace distances.  One shifted_ensemble is
-    built per distinct flag probability, and one density per distinct
-    sequence of those factors.  Factors are compared by their bytes, so
-    0.0 and -0.0 stay apart and a shared density has the bits its own
-    build would.  At every precision but 5, 6 and 7 the factors for flags
-    0, 0.5 and 1 are byte-equal, so all three densities are one object and
-    every distance is 0 with no solve.  Each distinct ordered pair is solved
+    and reports the pairwise trace distances.  One shifted_ensembles call
+    builds one factor per distinct flag probability, from one amplitude
+    table, and one density is built per distinct sequence of those
+    factors.  Factors are compared by their bytes, so 0.0 and -0.0 stay
+    apart and a shared density has the bits its own build would.  At
+    every precision but 5, 6 and 7 the factors for flags 0, 0.5 and 1 are
+    byte-equal, so all three densities are one object and every distance
+    is 0 with no solve.  Each distinct ordered pair is solved
     once; (a, b) stays apart from (b, a), since a solve of the negated
     matrix need not return exactly negated eigenvalues.  All three states
     coincide, so every distance is numerically zero: encryption is a
@@ -353,7 +354,9 @@ def chosen_plaintext_distinguishability(
         _flag_probabilities(m1, alpha),
         _flag_probabilities((0,) * total_qubits, 1),
     )
-    factors = {p: shifted_ensemble(n, p) for p in set().union(*flags)}
+    probabilities = set().union(*flags)
+    ensembles = shifted_ensembles((n,), probabilities)
+    factors = {p: ensembles[n, p] for p in probabilities}
     # each flag probability names the first probability with its factor's bytes
     first: dict[bytes, float] = {}
     alias = {p: first.setdefault(factor.tobytes(), p) for p, factor in factors.items()}

@@ -64,7 +64,7 @@ from .quantum_core import check_integer, von_neumann_entropy
 from .security_analysis import (
     KeyParams,
     MeasurementStrategy,
-    ensemble_density,
+    ensemble_densities,
     ensemble_density_method,
     estimate_mutual_information,
     secrecy_condition,
@@ -454,30 +454,36 @@ def cmd_analyze(args, seed: int) -> CommandOutput:
     return CommandOutput(lines, records, records, fields)
 
 
-def _forward_search_cell(args, seed: int, alpha: int) -> list[dict]:
-    rng = rng_stream(seed, "sweep", "forward-search", alpha)
-    return _forward_search_rows(args, alpha, DEFAULT_ATTACK_PRECISION, rng,
-                                experiment="forward-search")
+def _forward_search_grid(args, seed: int, alphas: range) -> list[dict]:
+    # one rng stream per alpha, so a cell's rows do not depend on the grid
+    rows = []
+    for alpha in alphas:
+        rng = rng_stream(seed, "sweep", "forward-search", alpha)
+        rows += _forward_search_rows(args, alpha, DEFAULT_ATTACK_PRECISION, rng,
+                                     experiment="forward-search")
+    return rows
 
 
-def _ensemble_cell(args, seed: int, n: int) -> list[dict]:
-    rho = ensemble_density(n)
-    deviation = float(np.abs(rho.entries - np.eye(2) / 2.0).max())
-    return [{"experiment": "ensemble", "n": n, "method": ensemble_density_method(n),
-             "max_abs_deviation": deviation, "entropy_bits": von_neumann_entropy(rho)}]
+def _ensemble_grid(args, seed: int, ns: range) -> list[dict]:
+    rows = []
+    for n, rho in zip(ns, ensemble_densities(ns)):
+        deviation = float(np.abs(rho.entries - np.eye(2) / 2.0).max())
+        rows.append({"experiment": "ensemble", "n": n, "method": ensemble_density_method(n),
+                     "max_abs_deviation": deviation, "entropy_bits": von_neumann_entropy(rho)})
+    return rows
 
 
-# --experiment name -> (grid flag, CSV fields, (args, seed, cell) -> rows)
+# --experiment name -> (grid flag, CSV fields, (args, seed, grid range) -> rows)
 SWEEPS = {
     "forward-search": ("--alphas", ["experiment", "alpha", "n", *_STAT_FIELDS],
-                       _forward_search_cell),
+                       _forward_search_grid),
     "ensemble": ("--n", ["experiment", "n", "method", "max_abs_deviation", "entropy_bits"],
-                 _ensemble_cell),
+                 _ensemble_grid),
 }
 
 
 def cmd_sweep(args, seed: int) -> CommandOutput:
-    grid_flag, fields, cell_rows = SWEEPS[args.experiment]
+    grid_flag, fields, grid_rows = SWEEPS[args.experiment]
     lo, hi = _parse_range(getattr(args, grid_flag[2:]), grid_flag)
     if lo < 1 or hi < lo:
         raise ValueError(f"{grid_flag} {lo}:{hi} spans no valid cells")
@@ -486,7 +492,7 @@ def cmd_sweep(args, seed: int) -> CommandOutput:
         raise ValueError(
             f"grid has {hi - lo + 1} cells; the cap is {SWEEP_CELL_CAP}"
         )
-    rows = [row for cell in range(lo, hi + 1) for row in cell_rows(args, seed, cell)]
+    rows = grid_rows(args, seed, range(lo, hi + 1))
 
     # the normalized grid stands for --alphas or --n: only the swept flag counts
     params = {

@@ -172,29 +172,74 @@ def secrecy_condition(
     )
 
 
-def shifted_ensemble(n: int, flag_probability: float = 0.0) -> np.ndarray:
+def shifted_ensembles(ns, flag_probabilities) -> dict[tuple[int, float], np.ndarray]:
     """Average qubit state, as a 2x2 array, over all 2**n key indices at
-    precision n, each rotated by pi with the given probability.
+    precision n, each rotated by pi with probability p, for every n in ns
+    and p in flag_probabilities, keyed (n, p).
 
     Enumerated directly rather than simplified; this is the one enumerator
-    behind ensemble_density and the chosen-plaintext ciphertext densities.
+    behind the ensemble densities and the chosen-plaintext ciphertext
+    densities.  One amplitude table is built per call, at the largest n,
+    top: index k at precision n is index k * 2**(top - n) at top, so the
+    table at n is every 2**(top - n)-th row of it, and the rotation by pi,
+    index k + 2**(n - 1), is that row of the table rolled by 2**(top - 1).
+    Each mean runs over the same products in the same order as over a
+    table built at n, and numpy's pairwise sum does not depend on the
+    stride, so every entry has the bits of its own build.  Every input is
+    checked before the table is allocated.
     """
-    period = 1 << n
-    amps = index_amplitudes(np.arange(period), n)
-    rho = np.zeros((2, 2))
-    for weight, shift in (
-        (1.0 - flag_probability, 0),
-        (flag_probability, period >> 1),
-    ):
-        if weight == 0.0:
-            continue
-        # row k of the rolled map is the state of index (k + shift) % period
-        c, s = np.roll(amps, -shift, axis=0).T
-        rho[0, 0] += weight * np.mean(c * c)
-        rho[0, 1] += weight * np.mean(c * s)
-        rho[1, 1] += weight * np.mean(s * s)
-    rho[1, 0] = rho[0, 1]
-    return rho
+    ns = tuple(ns)
+    probabilities = tuple(flag_probabilities)
+    for n in ns:
+        check_precision(n, cap=ENSEMBLE_ENUMERATION_CAP)
+    for p in probabilities:
+        # NaN fails both comparisons
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"flag probability must lie in [0, 1], got {p}")
+    if not (ns and probabilities):
+        return {}
+    top = max(ns)
+    c, s = index_amplitudes(np.arange(1 << top), top).T
+    tables = [(c * c, c * s, s * s)]
+    if any(probabilities):
+        # row k of the rolled products is index (k + 2**(top - 1)) % 2**top
+        tables.append(tuple(np.roll(x, 1 << (top - 1)) for x in tables[0]))
+    ensembles = {}
+    for n in dict.fromkeys(ns):
+        rows = slice(None, None, 1 << (top - n))
+        means = [[np.mean(x[rows]) for x in table] for table in tables]
+        for p in probabilities:
+            rho = np.zeros((2, 2))
+            # a term of weight 0 is skipped, not added as a signed zero
+            for weight, (cc, cs, ss) in zip((1.0 - p, p), means):
+                if weight == 0.0:
+                    continue
+                rho[0, 0] += weight * cc
+                rho[0, 1] += weight * cs
+                rho[1, 1] += weight * ss
+            rho[1, 0] = rho[0, 1]
+            ensembles[n, p] = rho
+    return ensembles
+
+
+def shifted_ensemble(n: int, flag_probability: float = 0.0) -> np.ndarray:
+    """shifted_ensembles at one precision and one flag probability."""
+    return shifted_ensembles((n,), (flag_probability,))[n, flag_probability]
+
+
+def ensemble_densities(ns) -> list[DensityMatrix]:
+    """ensemble_density at each precision in ns, in order.  The enumerated
+    precisions share one amplitude table; a grid wholly beyond
+    ENSEMBLE_ENUMERATION_CAP builds none."""
+    ns = tuple(ns)
+    methods = [ensemble_density_method(n) for n in ns]
+    factors = shifted_ensembles(
+        [n for n, method in zip(ns, methods) if method == "enumerated"], (0.0,)
+    )
+    return [
+        DensityMatrix(np.eye(2) / 2.0 if method == "analytic" else factors[n, 0.0])
+        for n, method in zip(ns, methods)
+    ]
 
 
 def ensemble_density(n: int) -> DensityMatrix:
@@ -205,9 +250,7 @@ def ensemble_density(n: int) -> DensityMatrix:
     (the off-diagonal sums telescope to zero for every n >= 1), so the
     closed form is returned directly.
     """
-    if ensemble_density_method(n) == "analytic":
-        return DensityMatrix(np.eye(2) / 2.0)
-    return DensityMatrix(shifted_ensemble(n))
+    return ensemble_densities((n,))[0]
 
 
 def ensemble_density_method(n: int) -> str:

@@ -429,20 +429,21 @@ class TestChosenPlaintext:
 
     def test_each_flag_probability_builds_its_ensemble_once(self, monkeypatch):
         calls = []
-        build = qpke.attacks.shifted_ensemble
+        build = qpke.attacks.shifted_ensembles
 
-        def counting(n, flag_probability=0.0):
-            calls.append((n, flag_probability))
-            return build(n, flag_probability)
+        def counting(ns, flag_probabilities):
+            calls.append((tuple(ns), sorted(flag_probabilities)))
+            return build(ns, flag_probabilities)
 
-        monkeypatch.setattr(qpke.attacks, "shifted_ensemble", counting)
+        monkeypatch.setattr(qpke.attacks, "shifted_ensembles", counting)
         chosen_plaintext_distinguishability(12, (0,) * 8, (1,) * 8)
-        # one ensemble per distinct flag probability across the report's
-        # three densities, where one per qubit position made 24
-        assert sorted(calls) == [(12, 0.0), (12, 1.0)]
+        # one call per report, asking once for each distinct flag probability
+        # across the report's three densities, where one per qubit position
+        # made 24
+        assert calls == [((12,), [0.0, 1.0])]
         calls.clear()
         chosen_plaintext_distinguishability(8, (0, 1, 1, 0), (1, 1, 0, 0), alpha=2)
-        assert sorted(calls) == [(8, 0.0), (8, 0.5)]
+        assert calls == [((8,), [0.0, 0.5])]
 
     @pytest.mark.parametrize("alpha", [1, 2, 4, 8])
     @pytest.mark.parametrize("n", range(1, CPA_PRECISION_CAP + 1))
@@ -512,13 +513,15 @@ class TestChosenPlaintext:
             assert len(built) == len(sequences)
 
     def test_factors_apart_by_the_sign_of_a_zero_are_not_merged(self, monkeypatch):
-        def signed_zero_ensemble(n, flag_probability=0.0):
-            zero = -0.0 if flag_probability else 0.0
-            return np.array([[0.5, zero], [zero, 0.5]])
+        def signed_zero_ensembles(ns, flag_probabilities):
+            zero = {p: -0.0 if p else 0.0 for p in flag_probabilities}
+            return {(n, p): np.array([[0.5, zero[p]], [zero[p], 0.5]])
+                    for n in ns for p in flag_probabilities}
 
-        assert np.array_equal(signed_zero_ensemble(1, 1.0), signed_zero_ensemble(1, 0.0))
+        factors = signed_zero_ensembles((1,), (0.0, 1.0))
+        assert np.array_equal(factors[1, 1.0], factors[1, 0.0])
         built = count_densities(monkeypatch)
-        monkeypatch.setattr(qpke.attacks, "shifted_ensemble", signed_zero_ensemble)
+        monkeypatch.setattr(qpke.attacks, "shifted_ensembles", signed_zero_ensembles)
         report = chosen_plaintext_distinguishability(4, (0, 0), (1, 1))
         assert len(built) == 2
         assert report.distance_between_messages == 0.0

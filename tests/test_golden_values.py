@@ -113,6 +113,13 @@ def test_payload_values_match_golden(name, golden, tmp_path):
         _assert_records_match(payload[part], records, f"{name}.{part}")
 
 
+def test_parent_identity_runs_every_golden_command():
+    # the byte check against a parent commit runs these commands too
+    import parent_identity
+
+    assert parent_identity.GOLDEN == COMMANDS
+
+
 def record(path: Path = GOLDEN_PATH) -> None:
     """Rewrite the golden file from the current code."""
     with tempfile.TemporaryDirectory() as tmp:

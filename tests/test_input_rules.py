@@ -53,6 +53,7 @@ from qpke.protocol import (
 )
 from qpke.quantum_core import MAX_PRECISION_BITS, check_integer, check_precision
 from qpke.security_analysis import (
+    ENSEMBLE_ENUMERATION_CAP,
     MI_COPIES_CAP,
     MI_PRECISION_CAP,
     MI_TRIALS_CAP,
@@ -60,6 +61,8 @@ from qpke.security_analysis import (
     MeasurementStrategy,
     ensemble_density_method,
     estimate_mutual_information,
+    shifted_ensemble,
+    shifted_ensembles,
 )
 
 
@@ -87,6 +90,9 @@ PRECISION_ENTRY_POINTS = {
         lambda n: estimate_mutual_information(MeasurementStrategy.fixed(), n, 1, 2, _rng()),
         MI_PRECISION_CAP,
     ),
+    "shifted_ensemble": (shifted_ensemble, ENSEMBLE_ENUMERATION_CAP),
+    # every precision is checked, not only the largest
+    "shifted_ensembles": (lambda n: shifted_ensembles((2, n), (0.0,)), ENSEMBLE_ENUMERATION_CAP),
 }
 
 

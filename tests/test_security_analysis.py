@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpke.cli
 import qpke.security_analysis
+from qpke.attacks import chosen_plaintext_distinguishability
+from qpke.cli import main
 from qpke.quantum_core import DensityMatrix, index_amplitudes, rotate_axis, von_neumann_entropy
 from qpke.security_analysis import (
     BOOTSTRAP_RESAMPLES,
@@ -23,6 +27,7 @@ from qpke.security_analysis import (
     MeasurementStrategy,
     MutualInfoEstimate,
     POVM_ATOL,
+    ensemble_densities,
     ensemble_density,
     ensemble_density_method,
     estimate_mutual_information,
@@ -31,6 +36,7 @@ from qpke.security_analysis import (
     private_key_entropy,
     secrecy_condition,
     shifted_ensemble,
+    shifted_ensembles,
     _outcome_probability,
 )
 
@@ -281,6 +287,140 @@ class TestEnsembleDensity:
             ensemble_density(2.0)
         with pytest.raises(TypeError):
             ensemble_density_method(True)
+
+
+def per_precision_ensemble(n, flag_probability):
+    """The enumeration that built one amplitude table per precision, kept as
+    the bit-for-bit reference: the table at n, rolled by 2**(n-1) for the
+    flagged term, and the three means of each term."""
+    period = 1 << n
+    amps = index_amplitudes(np.arange(period), n)
+    rho = np.zeros((2, 2))
+    for weight, shift in ((1.0 - flag_probability, 0), (flag_probability, period >> 1)):
+        if weight == 0.0:
+            continue
+        c, s = np.roll(amps, -shift, axis=0).T
+        rho[0, 0] += weight * np.mean(c * c)
+        rho[0, 1] += weight * np.mean(c * s)
+        rho[1, 1] += weight * np.mean(s * s)
+    rho[1, 0] = rho[0, 1]
+    return rho
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Record the precision of every amplitude table the enumerator builds."""
+    built = []
+    build = qpke.security_analysis.index_amplitudes
+
+    def counting(indices, n):
+        built.append(n)
+        return build(indices, n)
+
+    monkeypatch.setattr(qpke.security_analysis, "index_amplitudes", counting)
+    return built
+
+
+FLAG_PROBABILITIES = (0.0, 0.5, 1.0, 0.25, 0.9)
+ENUMERATED = range(1, ENSEMBLE_ENUMERATION_CAP + 1)
+
+
+class TestOneAmplitudeTable:
+    """Every factor of one shifted_ensembles call comes from one table, at
+    the largest precision asked for, with the bits of its own table."""
+
+    @pytest.mark.parametrize("flag_probability", FLAG_PROBABILITIES)
+    def test_every_factor_has_the_bits_of_its_own_table(self, flag_probability, table_builds):
+        got = shifted_ensembles(ENUMERATED, (flag_probability,))
+        assert table_builds == [ENSEMBLE_ENUMERATION_CAP]
+        assert list(got) == [(n, flag_probability) for n in ENUMERATED]
+        for n in ENUMERATED:
+            want = per_precision_ensemble(n, flag_probability)
+            assert got[n, flag_probability].tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize(
+        "ns",
+        [range(5, 17), range(9, 13), (16,), (3,), (3, 11, 7, 16, 3), (12, 1, 6, 5)],
+        ids=["5:16", "9:12", "16", "3", "mixed with a repeat", "mixed below 16"],
+    )
+    def test_grids_that_start_above_one_or_mix_precisions(self, ns, table_builds):
+        got = shifted_ensembles(ns, FLAG_PROBABILITIES)
+        assert table_builds == [max(ns)]
+        assert set(got) == {(n, p) for n in ns for p in FLAG_PROBABILITIES}
+        for (n, p), rho in got.items():
+            assert rho.tobytes() == per_precision_ensemble(n, p).tobytes(), (n, p)
+
+    def test_nothing_to_enumerate_builds_no_table(self, table_builds):
+        assert shifted_ensembles((), (0.0,)) == {}
+        assert shifted_ensembles((4,), ()) == {}
+        assert table_builds == []
+
+    def test_ensemble_densities_equal_the_one_precision_route(self, table_builds):
+        ns = range(1, ENSEMBLE_ENUMERATION_CAP + 5)
+        got = ensemble_densities(ns)
+        assert table_builds == [ENSEMBLE_ENUMERATION_CAP]
+        for n, rho in zip(ns, got, strict=True):
+            assert rho.entries.tobytes() == ensemble_density(n).entries.tobytes(), n
+
+    def test_a_grid_beyond_the_cap_builds_no_table(self, table_builds):
+        ns = range(ENSEMBLE_ENUMERATION_CAP + 1, ENSEMBLE_ENUMERATION_CAP + 5)
+        assert all(rho.entries.tolist() == (np.eye(2) / 2.0).tolist()
+                   for rho in ensemble_densities(ns))
+        assert table_builds == []
+
+    def test_one_table_per_ensemble_sweep(self, table_builds, tmp_path):
+        assert main(["sweep", "--experiment", "ensemble", "--n", "1:20", "--seed", "7",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert table_builds == [ENSEMBLE_ENUMERATION_CAP]
+        table_builds.clear()
+        assert main(["sweep", "--experiment", "ensemble", "--n", "17:20", "--seed", "7",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert table_builds == []
+
+    @pytest.mark.parametrize("n, alpha", [(12, 1), (6, 1), (6, 2), (5, 2), (7, 1)])
+    def test_one_table_per_cpa_report(self, table_builds, n, alpha):
+        chosen_plaintext_distinguishability(n, (0, 1, 1, 0), (1, 1, 0, 0), alpha)
+        assert table_builds == [n]
+
+    def test_sweep_csv_equals_the_per_precision_route(self, monkeypatch, tmp_path):
+        argv = ["sweep", "--experiment", "ensemble", "--n", "1:20", "--seed", "7", "--out"]
+        assert main(argv + [str(tmp_path / "table")]) == 0
+
+        def per_precision_densities(ns):
+            return [DensityMatrix(per_precision_ensemble(n, 0.0) if n <= ENSEMBLE_ENUMERATION_CAP
+                                  else np.eye(2) / 2.0) for n in ns]
+
+        monkeypatch.setattr(qpke.cli, "ensemble_densities", per_precision_densities)
+        assert main(argv + [str(tmp_path / "reference")]) == 0
+        got, want = (tmp_path / side / "sweep-ensemble.csv" for side in ("table", "reference"))
+        assert got.read_bytes() == want.read_bytes()
+
+
+class TestEnumeratorInputs:
+    """The enumerator refuses what it cannot average, before any table."""
+
+    @pytest.mark.parametrize("n", [0, -1, ENSEMBLE_ENUMERATION_CAP + 1, 40])
+    def test_precision_outside_one_to_the_cap(self, n, table_builds):
+        with pytest.raises(ValueError, match=re.escape(f"[1, {ENSEMBLE_ENUMERATION_CAP}]")):
+            shifted_ensemble(n)
+        # one bad precision refuses the whole call
+        with pytest.raises(ValueError, match="precision"):
+            shifted_ensembles((4, n), (0.0,))
+        assert table_builds == []
+
+    @pytest.mark.parametrize(
+        "flag_probability", [1.5, -0.5, math.nextafter(1.0, 2.0), math.nan, math.inf, -math.inf]
+    )
+    def test_flag_probability_outside_zero_to_one(self, flag_probability, table_builds):
+        with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
+            shifted_ensemble(3, flag_probability)
+        with pytest.raises(ValueError, match="flag probability"):
+            shifted_ensembles((3,), (0.0, flag_probability))
+        assert table_builds == []
+
+    def test_flag_probability_bounds_are_accepted(self):
+        for p in (0.0, 1.0, 5e-324, 1.0 - 2**-53):
+            assert np.isfinite(shifted_ensemble(3, p)).all()
 
 
 class TestMeasurementStrategy:
