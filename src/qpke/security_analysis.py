@@ -23,7 +23,7 @@ from .quantum_core import (
 ENSEMBLE_ENUMERATION_CAP = 16
 MI_PRECISION_CAP = 16
 MI_COPIES_CAP = 1 << 16  # every resample counts copies + 1 outcome bins per setting
-MI_TRIALS_CAP = 1 << 22  # the draws and the joint cells hold a few int64 per trial
+MI_TRIALS_CAP = 1 << 22  # an estimate's arrays peak at 32 to 70 bytes per trial
 DEFAULT_MARGIN_THRESHOLD = 100.0
 BOOTSTRAP_RESAMPLES = 32
 POVM_ATOL = 1e-10
@@ -346,9 +346,21 @@ def _outcome_probability(
 ) -> np.ndarray:
     """P(outcome 1) per trial for key entries s, each measured under its
     drawn setting (strata), or under the only setting when strata is None.
-    Weights in [0, 1] keep the rounded mix in [0, 1] with no clip."""
-    angle, w0, w1 = np.asarray(strategy.settings)[0 if strata is None else strata].T
-    return w0 + (w1 - w0) * outcome_one_probability(s, n, angle)
+    Weights in [0, 1] keep the rounded mix in [0, 1] with no clip.
+
+    The mix w0 + (w1 - w0) * q is taken in q's buffer, and each of its
+    per-setting factors is gathered per trial only when it is applied, so
+    at most one gathered column is alive at a time; each rounding is the
+    one the whole-array expression makes."""
+    angle, w0, w1 = np.asarray(strategy.settings).T
+
+    def per_trial(column: np.ndarray):
+        return column[0] if strata is None else column[strata]
+
+    p = outcome_one_probability(s, n, per_trial(angle))
+    p *= per_trial(w1 - w0)
+    p += per_trial(w0)
+    return p
 
 
 def _run_ids(keys: np.ndarray) -> np.ndarray:
@@ -376,7 +388,14 @@ def _block_sums(counts: np.ndarray, setting_starts: np.ndarray) -> list[tuple[fl
 
 class _JointCells:
     """The observed (setting, key entry, outcome count) cells of one
-    estimate's trials, sorted once, and each trial's cell id.
+    estimate's trials, in ascending key order, and each trial's cell id.
+
+    The cells and ids are np.unique's sorted values and inverse.  When the
+    cell space, settings * 2**n * y_card keys, is no larger than the trial
+    count, they are found by counting, with no sort: the observed keys are
+    marked in a bool array of the space, the marks ranked by a cumulative
+    sum, and each trial's rank gathered.  A larger space, as with random
+    bases at n=16, goes through np.unique.
 
     A resample of the trials is a count vector over these cells, from
     which its entry counts (one bincount) and outcome counts (one sum over
@@ -388,16 +407,24 @@ class _JointCells:
     order, as over np.unique counts, and rounds exactly as it would there.
     """
 
-    def __init__(
-        self, s: np.ndarray, y: np.ndarray, strata: np.ndarray | None, n: int, y_card: int
-    ) -> None:
-        setting_entry = s if strata is None else (strata << n) + s
-        cells, self.cell_of_trial = np.unique(setting_entry * y_card + y, return_inverse=True)
+    def __init__(self, keys: np.ndarray, space: int, n: int, y_card: int) -> None:
+        if space <= keys.size:
+            seen = np.zeros(space, dtype=bool)
+            seen[keys] = True
+            cells = np.flatnonzero(seen)
+            rank = np.cumsum(seen, dtype=np.intp) - 1
+            self.cell_of_trial = rank[keys]
+        else:
+            cells, self.cell_of_trial = np.unique(keys, return_inverse=True)
         self.size = cells.size
-        cell_setting_entry = cells // y_card
-        self.entry_of_cell = _run_ids(cell_setting_entry)
-        cell_setting = cell_setting_entry >> n
-        outcome_of_cell = cell_setting * y_card + cells % y_card
+        # per-cell arrays are as long as the trials when most cells hold
+        # one trial, so each is shifted or freed as soon as it is used
+        cell_setting = cells // y_card
+        self.entry_of_cell = _run_ids(cell_setting)
+        cell_setting >>= n
+        outcome_of_cell = cells % y_card
+        del cells
+        outcome_of_cell += cell_setting * y_card
         # the outcome counts are integer sums, so the order within a bin is free
         self.by_outcome = np.argsort(outcome_of_cell)
         outcomes = outcome_of_cell[self.by_outcome]
@@ -457,14 +484,18 @@ def estimate_mutual_information(
     setting is random; the standard error is the spread over
     BOOTSTRAP_RESAMPLES resamples of the trials, drawn with replacement.
 
-    The counting sorts the trials once: each trial becomes one joint
-    (setting, entry, count) cell, and the point estimate and every
-    resample count their trials with one bincount over the observed cells.
-    From it the entry and outcome counts follow, each setting's counts one
-    block of each vector, so a resample drops zeros and takes log2 once
-    per vector, not once per setting.  The estimate is flagged
-    undersampled when trials are scarce relative to the observed joint
-    support.
+    Each trial becomes one joint (setting, entry, count) cell, its key
+    built in the buffer of the entry draws.  The observed cells are
+    numbered by counting when the cell space, settings * 2**n *
+    (copies_per_trial + 1), is no larger than the trial count, and by one
+    sort otherwise; either way the draws are dropped before the bootstrap,
+    which holds only the per-trial cell ids and one resample's ids while
+    it counts.  The point estimate and every resample count their trials
+    with one bincount over the observed cells.  From it the entry and
+    outcome counts follow, each setting's counts one block of each vector,
+    so a resample drops zeros and takes log2 once per vector, not once per
+    setting.  The estimate is flagged undersampled when trials are scarce
+    relative to the observed joint support.
     """
     check_precision(n, cap=MI_PRECISION_CAP)
     check_integer(copies_per_trial, "copies_per_trial", 1, MI_COPIES_CAP)
@@ -475,18 +506,26 @@ def estimate_mutual_information(
     settings = len(strategy.settings)
     # a lone setting needs no draw, and rng.integers(0, 1) would consume none
     strata = rng.integers(0, settings, size=trials) if settings > 1 else None
-    y = rng.binomial(
-        copies_per_trial, _outcome_probability(s, n, strategy, strata)
-    ).astype(np.int64, copy=False)
+    y = rng.binomial(copies_per_trial, _outcome_probability(s, n, strategy, strata))
     y_card = copies_per_trial + 1
 
-    cells = _JointCells(s, y, strata, n, y_card)
+    # the key ((setting << n) + s) * y_card + y, built in s's buffer
+    keys = s
+    if strata is not None:
+        strata <<= n
+        keys += strata
+    keys *= y_card
+    keys += y
+    del s, strata, y
+    cells = _JointCells(keys, settings * y_card << n, n, y_card)
+    del keys
     value, support = cells.mutual_info(cells.cell_of_trial)
 
     resamples = np.empty(BOOTSTRAP_RESAMPLES)
     for i in range(BOOTSTRAP_RESAMPLES):
-        pick = rng.integers(0, trials, size=trials)
-        resamples[i] = cells.mutual_info(cells.cell_of_trial[pick])[0]
+        # the picks are freed once gathered, before the resample is counted
+        ids = cells.cell_of_trial[rng.integers(0, trials, size=trials)]
+        resamples[i] = cells.mutual_info(ids)[0]
     stderr = float(np.std(resamples, ddof=1))
 
     return MutualInfoEstimate(

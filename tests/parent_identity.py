@@ -131,6 +131,13 @@ COMMANDS = [
     ("analyze-mi-n4", ["analyze", "--N", "16", "--k", "2", "--mi-strategy", "random",
                        "--mi-n", "4", "--trials", "500", "--seed", "5",
                        "--json", "mi-n4.json"]),
+    # fixed n=8 with 4 copies has 1280 joint cells: 1279 trials sort them
+    # and 1280 count them
+    *[(f"analyze-mi-fixed-t{trials}",
+       ["analyze", "--mi-strategy", "fixed", "--mi-n", "8", "--mi-copies", "4",
+        "--trials", str(trials), "--seed", "15",
+        "--json", f"mi-t{trials}.json", "--csv", f"mi-t{trials}.csv"])
+      for trials in (1279, 1280)],
     *[_roundtrip(key, "0xd6", alpha, seed) for key, alpha, seed in [
         ("key.json", 1, 2), ("keyint.json", 1, 2), ("keymixed.json", 1, 2),
         ("key.json", 2, 2), ("permuted.json", 4, 11), ("permuted-int.json", 2, 11),

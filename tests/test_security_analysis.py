@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -700,6 +701,20 @@ BENCH_MI_JOBS = {
 }
 
 
+@pytest.fixture
+def unique_calls(monkeypatch) -> list:
+    """One entry per np.unique call made while the test runs."""
+    calls = []
+    unique = np.unique
+
+    def counting_unique(*args, **kwargs):
+        calls.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    return calls
+
+
 class TestMutualInformationReference:
     """The count-based estimator returns the np.unique estimator's numbers
     bit for bit from the same draws."""
@@ -726,19 +741,78 @@ class TestMutualInformationReference:
             # the same number of draws
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
-    def test_sorts_once_per_estimate(self, monkeypatch):
-        calls = []
-        unique = np.unique
+    # the cell space, settings * 2**n * (copies + 1) keys, is 64 for both
+    # strategies: 40 and 63 trials sort the cells, 64 and 65 count them; the
+    # random-basis seeds leave one of the eight settings undrawn
+    @pytest.mark.parametrize(
+        "label, n, copies, trials, seed",
+        [("fixed 0", 4, 3, trials, seed) for trials in (63, 64, 65) for seed in (0, 1, 2)]
+        + [("random basis", 2, 1, trials, seed) for trials, seed in [(40, 17), (40, 30), (64, 43)]],
+    )
+    def test_both_sides_of_the_counting_switch(
+        self, label, n, copies, trials, seed, unique_calls
+    ):
+        strategy = REFERENCE_STRATEGIES[label]
+        settings = len(strategy.settings)
+        if settings > 1:
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 1 << n, size=trials, dtype=np.int64)
+            assert len(set(rng.integers(0, settings, size=trials).tolist())) < settings
+        args = (strategy, n, copies, trials)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = estimate_mutual_information(*args, got_rng)
+        sorts = settings * (copies + 1) << n > trials
+        assert len(unique_calls) == sorts
+        want = reference_mutual_information(*args, want_rng)
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
-        def counting_unique(*args, **kwargs):
-            calls.append(1)
-            return unique(*args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", counting_unique)
+    def test_sorts_once_per_estimate(self, unique_calls):
+        # 8 settings * 2**8 entries * 3 counts = 6144 cells, more than the trials
         estimate_mutual_information(
             MeasurementStrategy.random(), 8, 2, 3000, np.random.default_rng(9)
         )
-        assert len(calls) == 1
+        assert len(unique_calls) == 1
+
+    def test_small_cell_space_does_not_sort(self, unique_calls):
+        # 2**8 entries * 5 counts = 1280 cells
+        estimate_mutual_information(
+            MeasurementStrategy.fixed(), 8, 4, 120_000, np.random.default_rng(14)
+        )
+        assert unique_calls == []
+
+
+class TestMutualInformationMemory:
+    """The tracemalloc peak of one estimate at 200k trials, per trial."""
+
+    TRIALS = 200_000
+
+    @pytest.mark.parametrize(
+        "label, n, copies, bound",
+        [
+            # 1280 counted cells: the outcome probabilities set the peak
+            ("fixed 0", 8, 4, 40.0),
+            # 2**20 sorted cells; 92.1 B is the peak of the estimator that
+            # sorted every cell space and kept its draws through the bootstrap
+            ("random basis", 16, 1, 92.1),
+        ],
+    )
+    def test_peak_bytes_per_trial(self, label, n, copies, bound):
+        strategy = REFERENCE_STRATEGIES[label]
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            estimate_mutual_information(
+                strategy, n, copies, self.TRIALS, np.random.default_rng(5)
+            )
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak / self.TRIALS <= bound
 
 
 class TestOutcomeProbabilityConsistency:
@@ -784,7 +858,7 @@ def test_rounded_mix_of_unit_weights_stays_in_the_unit_interval(w0, w1, born):
     q = np.array(born + [0.0, 1.0])
     strategy = MeasurementStrategy("custom-two-outcome", ((0.0, w0, w1),))
     with mock.patch.object(
-        qpke.security_analysis, "outcome_one_probability", lambda s, n, angle: q
+        qpke.security_analysis, "outcome_one_probability", lambda s, n, angle: q.copy()
     ):
         p1 = _outcome_probability(np.zeros(q.size, dtype=np.int64), 4, strategy, None)
     assert np.all((p1 >= 0.0) & (p1 <= 1.0)), (w0, w1, q[(p1 < 0.0) | (p1 > 1.0)])
